@@ -27,7 +27,7 @@ from .evolve import (
     propagator,
     rotating_frame_propagator,
 )
-from .noise import NoiseSpec, RngStream, sample_fluctuated, sample_input_state, sample_two_qubit_input
+from .noise import NoiseSpec, RngStream, sample_input_state, sample_two_qubit_input
 from .fidelity import FidelityEstimate, estimate_single, estimate_two_qubit, shot_fidelity
 from .sweep import (
     EstimatorConfig,
@@ -47,8 +47,7 @@ __all__ = [
     "two_qubit_from_alpha", "two_qubit_geometric_point", "zero_dynamic_omega1",
     "dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2", "ode_oracle",
     "one_cycle_gate", "propagator", "rotating_frame_propagator",
-    "NoiseSpec", "RngStream", "sample_fluctuated", "sample_input_state",
-    "sample_two_qubit_input",
+    "NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input",
     "FidelityEstimate", "estimate_single", "estimate_two_qubit", "shot_fidelity",
     "EstimatorConfig", "SweepPoint", "SweepResult",
     "sweep_fig1", "sweep_fig2", "sweep_fig3", "sweep_fig4", "sweep_generic",

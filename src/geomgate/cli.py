@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -123,11 +124,20 @@ def _parse_grid(text: str) -> list:
 
 
 class _Settings:
-    """Layered lookup: CLI flag, then config file, then hard default."""
+    """Layered lookup: CLI flag, then config file, then hard default.
+
+    A config key that names no option of the subcommand is an error, so a
+    misspelt key cannot silently fall back to its default.
+    """
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
         self.file = read_config(ns.config) if getattr(ns, "config", None) else {}
+        # every option dest; not the subcommand bookkeeping or the positional
+        options = set(vars(ns)) - {"command", "func", "config", "figure"}
+        unknown = sorted(set(self.file) - options)
+        if unknown:
+            raise ValueError(f"{ns.config}: unknown config key(s): {', '.join(unknown)}")
 
     def get(self, key: str, default=None, parse=float):
         cli = getattr(self.ns, key, None)
@@ -287,6 +297,9 @@ def cmd_gate(ns: argparse.Namespace) -> int:
 
 def _estimator_config(s: _Settings, default_spec: NoiseSpec,
                       default_mode: str = "unfixed") -> EstimatorConfig:
+    workers = s.get("workers", 1, parse=int)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spec = NoiseSpec(
         s.get("delta0", default_spec.delta0),
         s.get("delta1", default_spec.delta1),
@@ -300,7 +313,7 @@ def _estimator_config(s: _Settings, default_spec: NoiseSpec,
         gate_model=s.get("gate_model", "phase", parse=str),
         haar=s.get("haar", False, parse=bool),
         control_mode=s.get("control_mode", default_mode, parse=str),
-        workers=s.get("workers", 1, parse=int),
+        workers=workers,
     )
 
 
@@ -398,8 +411,18 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' and a digit, such as the grid
+    -0.4:3.6:21, as a value rather than an option (the rule of Python 3.13;
+    older versions take only plain negative numbers)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomgate",
         description="Rotating-field qubit gates and their fidelity under control noise",
     )

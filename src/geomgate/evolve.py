@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .model import DriveParams, TwoQubitParams, shifted_target
 from .qmath import COMPLEX, block_diag
@@ -217,10 +216,10 @@ def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:
     Evaluates -integral of <psi(t)|H(t)|psi(t)> dt along the exact trajectory
     psi(t) = U(t) psi(0) started from the cyclic state
     [cos(chi/2), sin(chi/2)], using composite Simpson on a uniform grid.
-    Independent check of the closed-form gamma_d.
+    Independent check of the closed-form gamma_d. steps must be even.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps < 2 or steps % 2:
+        raise ValueError(f"steps must be a positive even number, got {steps}")
     # rescaled units: omega=1, one cycle = 2*pi
     w0 = p.omega0 / p.omega
     w1 = p.omega1 / p.omega
@@ -238,4 +237,6 @@ def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:
         h00 * (np.abs(psi_a) ** 2 - np.abs(psi_b) ** 2)
         + 2.0 * np.real(np.conj(psi_a) * h01 * psi_b)
     )
-    return float(-simpson(np.real(energy), x=t))
+    f = np.real(energy)
+    h = 2.0 * np.pi / steps
+    return float(-(h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))

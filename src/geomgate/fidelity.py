@@ -5,43 +5,59 @@ overlap |<psi_in| U_ideal^dag U_noisy |psi_in>|^2 over M quasi-static noise
 configurations, repeat for N input states, and report the grand mean with a
 standard error taken across the N per-state means.
 
+Both estimators run one loop. Gates are block diagonal in the control qubit
+(a single qubit is one block), and inputs are product states c x t, so a
+shot's amplitude is the control-weighted sum over the 2x2 blocks k
+
+    A = sum_k w_k <t| U_k^dag U_k' |t>,    w_k = |c_k|^2,
+
+where U_k is the ideal block and U_k' its noisy version. A single qubit has
+weights (1,); a control fixed to |0> or |1> has (1, 0) or (0, 1), and a
+zero-weight block is skipped; an unfixed control is sampled per state.
+
 Two noisy-gate constructions are available:
 
 * ``gate_model="phase"`` (default): the fluctuation enters through the
-  acquired cycle phases. Each 2x2 block keeps its nominal cyclic-state axis
-  chi and picks up the total phase gamma' recomputed from the fluctuated
-  fields; for conditional gates the relative draw multiplies the
-  block-effective longitudinal frequency omega1 +- J. Under this model the
+  acquired cycle phases. Each block keeps its nominal cyclic-state axis chi
+  and picks up the total phase gamma' recomputed from the fluctuated fields;
+  for conditional gates the relative draw multiplies the block-effective
+  longitudinal frequency omega1 +- J. U_k^dag U_k' is then diagonal in the
+  block's cyclic basis and the block term has the closed form
+
+      <t| U_k^dag U_k' |t> = cos(d) + i*z*sin(d),    d = gamma' - gamma,
+
+  with z the target's cyclic population difference (its Bloch vector
+  projected on the chi axis). For one block F = 1 - (1 - z^2)*sin^2(d): the
   fidelity loss tracks the dynamic-phase content of the gate, which is what
   the parameter scans in this package probe.
 * ``gate_model="propagator"``: the noisy gate is the exact one-cycle
   propagator at the fluctuated fields (axis wobble included); for
   conditional gates the physical omega1 is fluctuated first and the shift
-  +-J applied afterwards.
+  +-J applied afterwards. The block term is linear in the noisy one-cycle
+  entries, with coefficients computed once per state.
 
 Draw layout per input state j (frozen; tests rely on it): the state comes
-from stream child (j, 0); the noise deviations come from child (j, 1) as one
-block of M draws (two blocks, omega0 first, if NoiseSpec.independent). The
-layout never depends on loop order, worker scheduling, or the deltas, so a
-sweep reusing one base stream sees common random numbers across its points.
+from stream child (j, 0), control first then target when the control is
+sampled; the noise deviations come from child (j, 1) as one block of M
+draws (two blocks, omega0 first, if NoiseSpec.independent). The layout
+never depends on loop order, worker scheduling, or the deltas, so a sweep
+reusing one base stream sees common random numbers across its points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import _cycle_entries, one_cycle_gate
-from .model import DriveParams, TwoQubitParams, shifted_target
-from .noise import NoiseSpec, RngStream, relative_draws, sample_input_state, sample_two_qubit_input
-from .qmath import KET_0, KET_1, as_gate, as_state
+from .evolve import _cycle_entries
+from .model import DriveParams, TwoQubitParams
+from .noise import NoiseSpec, RngStream, relative_draws, sample_input_state
+from .qmath import as_gate, as_state
 
 GATE_MODELS = ("phase", "propagator")
 CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
-
-#: states evaluated before adaptive stopping may trigger
-MIN_ADAPTIVE_STATES = 16
 
 
 @dataclass(frozen=True)
@@ -68,74 +84,71 @@ def shot_fidelity(psi_in: np.ndarray, u_ideal: np.ndarray, u_noisy: np.ndarray) 
     return float(min(abs(amp) ** 2, 1.0))
 
 
-class _BlockNoise:
-    """Per-shot noisy entries of one 2x2 block.
+def _estimate(p: DriveParams, shifts: tuple, weights: tuple | None, spec: NoiseSpec,
+              m: int, n: int, rng: RngStream, gate_model: str,
+              haar: bool) -> FidelityEstimate:
+    """Two-level average over the blocks at longitudinal frequency omega1 + shift.
 
-    The fluctuated longitudinal frequency is mult_long*(1 + delta1*u) +
-    add_long: the phase model routes the conditional shift through mult_long
-    (relative noise scales the whole block frequency), the propagator model
-    through add_long (physical field fluctuates, shift applied after).
+    weights=None samples the control state per input state.
     """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    if gate_model not in GATE_MODELS:
+        raise ValueError(f"gate_model must be one of {GATE_MODELS}, got {gate_model!r}")
+    omega, omega0, omega1 = p.omega, p.omega0, p.omega1
+    longs = [omega1 + shift for shift in shifts]
+    bigs = [math.hypot(omega0, wl - omega) for wl in longs]
+    # (cos chi, sin chi) of each block's cyclic axis
+    axes = [((wl - omega) / big, omega0 / big) for wl, big in zip(longs, bigs)]
+    ideals = [_cycle_entries(omega, omega0, wl) for wl in longs]
 
-    def __init__(self, omega: float, omega0: float, mult_long: float,
-                 add_long: float, gate_model: str):
-        if gate_model not in GATE_MODELS:
-            raise ValueError(f"gate_model must be one of {GATE_MODELS}, got {gate_model!r}")
-        self.omega = omega
-        self.omega0 = omega0
-        self.mult_long = mult_long
-        self.add_long = add_long
-        self.gate_model = gate_model
+    per_state = np.empty(n)
+    for j in range(n):
+        state_rng = rng.child(j, 0)
+        w = weights
+        if w is None:
+            c0, c1 = sample_input_state(state_rng, haar=haar)
+            w = (abs(c0) ** 2, abs(c1) ** 2)
+        t0, t1 = sample_input_state(state_rng, haar=haar)
+        noise_rng = rng.child(j, 1)
+        u0 = relative_draws(noise_rng, m)
+        u1 = relative_draws(noise_rng, m) if spec.independent else u0
+        w0 = omega0 * (1.0 + spec.delta0 * u0)
+        scale = 1.0 + spec.delta1 * u1
+        # the models differ in the noisy longitudinal field: "phase" scales
+        # the block frequency omega1 + shift, "propagator" shifts omega1*scale
         if gate_model == "phase":
-            chi = np.arctan2(omega0, mult_long + add_long - omega)
-            self._c2 = np.cos(chi / 2.0) ** 2
-            self._s2 = np.sin(chi / 2.0) ** 2
-            self._sinchi = np.sin(chi)
+            bz = abs(t0) ** 2 - abs(t1) ** 2
+            bx = 2.0 * (t0.conjugate() * t1).real
+            re = im = 0.0
+            for wk, wl, big, (cos_chi, sin_chi) in zip(w, longs, bigs, axes):
+                if wk == 0.0:
+                    continue
+                d = (np.pi / omega) * (big - np.hypot(w0, wl * scale - omega))
+                re = re + wk * np.cos(d)
+                im = im + (wk * (cos_chi * bz + sin_chi * bx)) * np.sin(d)
+            fid = re * re + im * im
+        else:
+            # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
+            # (evolve._cycle_entries), so its term is linear in cos(a) and
+            # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx
+            amp = 0.0
+            for wk, shift, (i00, i01, i11) in zip(w, shifts, ideals):
+                if wk == 0.0:
+                    continue
+                q0 = wk * (i00 * t0 + i01 * t1).conjugate()
+                q1 = wk * (i01 * t0 + i11 * t1).conjugate()
+                det = omega1 * scale + shift - omega
+                big = np.hypot(w0, det)
+                a = (np.pi / omega) * big
+                amp = amp - (q0 * t0 + q1 * t1) * np.cos(a) + (np.sin(a) / big) * (
+                    (1j * (q0 * t0 - q1 * t1)) * det + (1j * (q0 * t1 + q1 * t0)) * w0)
+            fid = amp.real ** 2 + amp.imag ** 2
+        per_state[j] = np.minimum(fid, 1.0).mean()
 
-    def entries(self, u0: np.ndarray, u1: np.ndarray, spec: NoiseSpec):
-        w0 = self.omega0 * (1.0 + spec.delta0 * u0)
-        wl = self.mult_long * (1.0 + spec.delta1 * u1) + self.add_long
-        if self.gate_model == "propagator":
-            return _cycle_entries(self.omega, w0, wl)
-        gamma = -np.pi * (1.0 + np.hypot(w0, wl - self.omega) / self.omega)
-        eg = np.exp(1j * gamma)
-        emg = np.conj(eg)
-        off = 1j * self._sinchi * np.sin(gamma)
-        return eg * self._c2 + emg * self._s2, off, eg * self._s2 + emg * self._c2
-
-
-def _block_pair(p2: TwoQubitParams, gate_model: str) -> tuple[_BlockNoise, _BlockNoise]:
-    t = p2.target
-    j = p2.coupling_j
-    if gate_model == "phase":
-        return (
-            _BlockNoise(t.omega, t.omega0, t.omega1 - j, 0.0, gate_model),
-            _BlockNoise(t.omega, t.omega0, t.omega1 + j, 0.0, gate_model),
-        )
-    return (
-        _BlockNoise(t.omega, t.omega0, t.omega1, -j, gate_model),
-        _BlockNoise(t.omega, t.omega0, t.omega1, +j, gate_model),
-    )
-
-
-def _noise_draws(noise_rng: RngStream, m: int, spec: NoiseSpec):
-    """Per-shot relative deviations (u0, u1); one shared draw unless independent."""
-    u0 = relative_draws(noise_rng, m)
-    u1 = relative_draws(noise_rng, m) if spec.independent else u0
-    return u0, u1
-
-
-def _finalize(per_state: list[float], m: int, seed: int) -> FidelityEstimate:
-    fj = np.asarray(per_state)
-    n = fj.shape[0]
-    mean = float(fj.mean())
-    stderr = float(fj.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return FidelityEstimate(mean=mean, stderr=stderr, n_states=n, n_shots=m, seed=seed)
-
-
-def _running_stderr(fj: list[float]) -> float:
-    arr = np.asarray(fj)
-    return float(arr.std(ddof=1) / np.sqrt(arr.shape[0]))
+    stderr = float(per_state.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return FidelityEstimate(mean=float(per_state.mean()), stderr=stderr,
+                            n_states=n, n_shots=m, seed=rng.seed)
 
 
 def estimate_single(
@@ -146,37 +159,13 @@ def estimate_single(
     rng: RngStream,
     gate_model: str = "phase",
     haar: bool = False,
-    stderr_target: float | None = None,
 ) -> FidelityEstimate:
     """Average fidelity of the noisy one-cycle gate at drive point p.
 
-    m noise shots per state, n input states; stderr_target, if given, stops
-    early once the running standard error drops below it (n then acts as a
-    cap). The drive rate omega is never fluctuated.
+    m noise shots per state, n input states. The drive rate omega is never
+    fluctuated.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    i00, i01, i11 = _cycle_entries(p.omega, p.omega0, p.omega1)
-    block = _BlockNoise(p.omega, p.omega0, p.omega1, 0.0, gate_model)
-
-    fj: list[float] = []
-    for j in range(n):
-        psi = sample_input_state(rng.child(j, 0), haar=haar)
-        u0, u1 = _noise_draws(rng.child(j, 1), m, spec)
-        g00, g01, g11 = block.entries(u0, u1, spec)
-        q0 = i00 * psi[0] + i01 * psi[1]
-        q1 = i01 * psi[0] + i11 * psi[1]
-        amp = np.conj(q0) * (g00 * psi[0] + g01 * psi[1]) + np.conj(q1) * (
-            g01 * psi[0] + g11 * psi[1]
-        )
-        fj.append(float(np.minimum(np.abs(amp) ** 2, 1.0).mean()))
-        if (
-            stderr_target is not None
-            and len(fj) >= MIN_ADAPTIVE_STATES
-            and _running_stderr(fj) < stderr_target
-        ):
-            break
-    return _finalize(fj, m, rng.seed)
+    return _estimate(p, (0.0,), (1.0,), spec, m, n, rng, gate_model, haar)
 
 
 def estimate_two_qubit(
@@ -188,7 +177,6 @@ def estimate_two_qubit(
     control_mode: str = "unfixed",
     gate_model: str = "phase",
     haar: bool = False,
-    stderr_target: float | None = None,
 ) -> FidelityEstimate:
     """Average fidelity of the noisy conditional gate.
 
@@ -196,42 +184,8 @@ def estimate_two_qubit(
     control_mode fixes the control qubit to |0> or |1>, or samples it
     ("unfixed") as an independent single-qubit state.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
     if control_mode not in CONTROL_MODES:
         raise ValueError(f"control_mode must be one of {CONTROL_MODES}, got {control_mode!r}")
-    low = one_cycle_gate(shifted_target(p2, 0))
-    high = one_cycle_gate(shifted_target(p2, 1))
-    block0, block1 = _block_pair(p2, gate_model)
-
-    fj: list[float] = []
-    for j in range(n):
-        state_rng = rng.child(j, 0)
-        if control_mode == "unfixed":
-            psi = sample_two_qubit_input(state_rng, haar=haar)
-        else:
-            control = KET_0 if control_mode == "fixed0" else KET_1
-            psi = np.kron(control, sample_input_state(state_rng, haar=haar))
-        u0, u1 = _noise_draws(rng.child(j, 1), m, spec)
-        a00, a01, a11 = block0.entries(u0, u1, spec)
-        b00, b01, b11 = block1.entries(u0, u1, spec)
-        q = (
-            low[0, 0] * psi[0] + low[0, 1] * psi[1],
-            low[1, 0] * psi[0] + low[1, 1] * psi[1],
-            high[0, 0] * psi[2] + high[0, 1] * psi[3],
-            high[1, 0] * psi[2] + high[1, 1] * psi[3],
-        )
-        amp = (
-            np.conj(q[0]) * (a00 * psi[0] + a01 * psi[1])
-            + np.conj(q[1]) * (a01 * psi[0] + a11 * psi[1])
-            + np.conj(q[2]) * (b00 * psi[2] + b01 * psi[3])
-            + np.conj(q[3]) * (b01 * psi[2] + b11 * psi[3])
-        )
-        fj.append(float(np.minimum(np.abs(amp) ** 2, 1.0).mean()))
-        if (
-            stderr_target is not None
-            and len(fj) >= MIN_ADAPTIVE_STATES
-            and _running_stderr(fj) < stderr_target
-        ):
-            break
-    return _finalize(fj, m, rng.seed)
+    weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
+    j = p2.coupling_j
+    return _estimate(p2.target, (-j, j), weights, spec, m, n, rng, gate_model, haar)

@@ -20,7 +20,6 @@ both). Setting NoiseSpec(independent=True) draws one u per channel instead.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,24 +78,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, path={self.path})"
-
-
-def float_key(x: float) -> int:
-    """IEEE-754 bit pattern of x as an unsigned int, for keying streams by value."""
-    return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
-
-
-def sample_fluctuated(nominal: float, delta: float, rng: RngStream) -> float:
-    """One flat draw from [(1-delta)*nominal, (1+delta)*nominal].
-
-    delta=0 returns the nominal exactly without consuming a draw.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must satisfy 0 <= delta < 1, got {delta}")
-    if delta == 0.0:
-        return float(nominal)
-    u = rng.generator.uniform(-1.0, 1.0)
-    return float(nominal) * (1.0 + delta * u)
 
 
 def relative_draws(rng: RngStream, n: int) -> np.ndarray:

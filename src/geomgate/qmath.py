@@ -9,15 +9,8 @@ import numpy as np
 
 COMPLEX = np.complex128
 
-#: computational basis states, two-qubit order |00>, |01>, |10>, |11>
-#: (first bit = control, second bit = target)
-KET_0 = np.array([1.0, 0.0], dtype=COMPLEX)
-KET_1 = np.array([0.0, 1.0], dtype=COMPLEX)
-
 IDENTITY_2 = np.eye(2, dtype=COMPLEX)
-IDENTITY_4 = np.eye(4, dtype=COMPLEX)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=COMPLEX)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=COMPLEX)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=COMPLEX)
 
 
@@ -35,36 +28,6 @@ def as_gate(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
         raise ValueError(f"gate must be 2x2 or 4x4, got shape {m.shape}")
     return m
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit norm."""
-    v = as_state(v)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / nrm
-
-
-def mat_apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ v (no normalization)."""
-    m, v = as_gate(m), as_state(v)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} versus {v.shape}")
-    return m @ v
-
-
-def mat_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b, i.e. apply b first."""
-    a, b = as_gate(a), as_gate(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} versus {b.shape}")
-    return a @ b
-
-
-def mat_adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_gate(m).conj().T
 
 
 def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:

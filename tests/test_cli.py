@@ -3,9 +3,12 @@
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import geomgate
 from geomgate.cli import main, read_config, write_kv
 
 SQRT3 = math.sqrt(3.0)
@@ -182,6 +185,24 @@ def test_sweep_point_value_matches_fidelity_command(tmp_path, capsys):
     assert point_cells[cols.index("F_stderr")] == middle[cols.index("F_stderr")]
 
 
+@pytest.mark.parametrize("flag,grid,first", [
+    ("--grid-delta-rel", "-0.4:0.4:3", "-4.000000000000e-01"),
+    ("--grid-omega0", "-2:40:3", "-2.000000000000e+00"),
+])
+def test_sweep_grid_with_negative_start(tmp_path, capsys, flag, grid, first):
+    # the space-separated form, not only --flag=-0.4:...; negative grid points
+    # are infeasible rows, not parse errors
+    out = tmp_path / "neg.csv"
+    params = ["--beta", "1.5", "--omega0", "1e5"] if flag == "--grid-delta-rel" \
+        else ["--two-qubit", "--alpha", "1.7320508"]
+    code, _, err = run_cli(capsys, "sweep", *params, flag, grid, "--m", "4", "--n", "4",
+                           "--out", str(out))
+    assert code == 0, err
+    header, *rows = out.read_text().splitlines()
+    col = header.split(",").index("delta_over_omega0" if flag == "--grid-delta-rel" else "omega0")
+    assert len(rows) == 3 and rows[0].split(",")[col] == first
+
+
 # --- config file and seed sources -----------------------------------------------
 
 
@@ -226,3 +247,45 @@ def test_sim_seed_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SIM_SEED", "31")
     _, out_override, _ = run_cli(capsys, *argv, "--seed", "32")
     assert out_override != out_31
+
+
+def test_config_unknown_key_is_an_error(tmp_path, capsys):
+    # a misspelt key must not run at its default (here: zero noise)
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("beta=1.5\nomega0=1e5\ndleta0=0.3\nm=5\nn=5\n")
+    code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert "dleta0" in err
+    # a key that is an option of another subcommand only is unknown here too
+    cfg.write_text("beta=1.5\nomega0=1e5\ndelta0=0.1\n")
+    code, _, err = run_cli(capsys, "gate", "--config", str(cfg))
+    assert code == 1 and "delta0" in err
+
+
+@pytest.mark.parametrize("source", ["0", "-3", "config"])
+def test_workers_below_one_rejected(tmp_path, capsys, source):
+    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "5", "--n", "5"]
+    if source == "config":
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("workers=0\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--workers", source]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "workers" in err
+
+
+# --- import cost ------------------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays the package import; scipy alone used to cost most of it
+    src = os.path.dirname(os.path.dirname(geomgate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, geomgate; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -262,3 +262,10 @@ def test_dynamic_phase_oracle_matches_formula():
         want = phases(p).gamma_d
         got = dynamic_phase_oracle(p, 512)
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+def test_dynamic_phase_oracle_rejects_odd_steps():
+    # composite Simpson needs an even number of intervals
+    for steps in (0, 1, 511):
+        with pytest.raises(ValueError, match="even"):
+            dynamic_phase_oracle(zero_dynamic_point(), steps)

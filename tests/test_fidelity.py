@@ -21,7 +21,13 @@ from geomgate.model import (
     two_qubit_geometric_point,
     zero_dynamic_omega1,
 )
-from geomgate.noise import NoiseSpec, RngStream, relative_draws, sample_input_state
+from geomgate.noise import (
+    NoiseSpec,
+    RngStream,
+    relative_draws,
+    sample_input_state,
+    sample_two_qubit_input,
+)
 from geomgate.qmath import IDENTITY_2, SIGMA_X, block_diag
 
 SQRT3 = math.sqrt(3.0)
@@ -173,6 +179,44 @@ def test_two_qubit_matches_scalar_reconstruction():
     assert est.mean == pytest.approx(float(np.mean(per_state)), abs=1e-12)
 
 
+
+@pytest.mark.parametrize("mode,gate_model", [
+    ("unfixed", "phase"), ("unfixed", "propagator"), ("fixed1", "propagator"),
+])
+def test_two_qubit_modes_match_4x4_reconstruction(mode, gate_model):
+    # full 4x4 products on kron input states: checks the control weighting,
+    # the sampled-control draw order and where each model puts the +-J shift
+    p2 = two_qubit_from_alpha(20.0, 50.0, SQRT3)
+    t, j_c = p2.target, p2.coupling_j
+    spec = NoiseSpec(0.1, 0.05, independent=True)
+    base = RngStream(55).child(2)
+    est = estimate_two_qubit(p2, spec, 5, 8, base, control_mode=mode, gate_model=gate_model)
+    lo, hi = shifted_target(p2, 0), shifted_target(p2, 1)
+    ideal = block_diag(one_cycle_gate(lo), one_cycle_gate(hi))
+    per_state = []
+    for j in range(8):
+        if mode == "unfixed":
+            psi = sample_two_qubit_input(base.child(j, 0))
+        else:
+            psi = np.kron(np.array([0.0, 1.0], dtype=complex), sample_input_state(base.child(j, 0)))
+        u0 = relative_draws(base.child(j, 1), 5)
+        u1 = relative_draws(base.child(j, 1), 10)[5:]
+        shots = []
+        for i in range(5):
+            w0 = t.omega0 * (1.0 + 0.1 * u0[i])
+            blocks = []
+            for blk, sign in ((lo, -1.0), (hi, 1.0)):
+                if gate_model == "propagator":
+                    wl = t.omega1 * (1.0 + 0.05 * u1[i]) + sign * j_c
+                    blocks.append(one_cycle_gate(DriveParams(t.omega, w0, wl)))
+                else:
+                    wl = blk.omega1 * (1.0 + 0.05 * u1[i])
+                    gamma = -math.pi * (1.0 + math.hypot(w0, wl - t.omega) / t.omega)
+                    blocks.append(ideal_gate_u1(gamma, chi_angle(blk)))
+            shots.append(shot_fidelity(psi, ideal, block_diag(*blocks)))
+        per_state.append(np.mean(shots))
+    assert est.mean == pytest.approx(float(np.mean(per_state)), abs=1e-12)
+
 def test_loop_order_exchange_bit_identical():
     # per-(state, shot) fidelities depend only on the stream paths, so the
     # noise-outer iteration reproduces the state-outer matrix bit for bit
@@ -286,7 +330,7 @@ def test_two_qubit_fixed0_matches_quadrature():
     assert abs(est.mean - exact) <= 3.0 * est.stderr
 
 
-# --- convergence and adaptive stopping --------------------------------------
+# --- convergence -------------------------------------------------------------
 
 
 def test_stderr_scaling_slope():
@@ -302,13 +346,3 @@ def test_stderr_scaling_slope():
     slope = np.polyfit(np.log10([m * n for n in ns]), np.log10(errs), 1)[0]
     assert -0.6 <= slope <= -0.4
 
-
-def test_adaptive_stopping():
-    p = pinned_single()
-    est = estimate_single(p, NoiseSpec(0.1, 0.1), 50, 4000, RngStream(404).child(1),
-                          stderr_target=1e-4)
-    assert est.n_states < 4000
-    assert est.stderr < 1e-4
-    # the evaluated states are the prefix of the full run
-    full = estimate_single(p, NoiseSpec(0.1, 0.1), 50, est.n_states, RngStream(404).child(1))
-    assert full.mean == est.mean

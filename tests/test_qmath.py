@@ -1,19 +1,13 @@
-"""Kernel algebra checks, including brute-force multiplication oracles."""
+"""Kernel algebra checks: block_diag, overlap and the unitarity defect."""
 
 import numpy as np
 import pytest
 
 from geomgate.qmath import (
     IDENTITY_2,
-    IDENTITY_4,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     block_diag,
-    mat_adjoint,
-    mat_apply,
-    mat_compose,
-    normalize,
     overlap,
     unitarity_defect,
 )
@@ -30,63 +24,12 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def slow_matvec(m, v):
-    """Index-by-index reference product."""
-    out = np.zeros(len(v), dtype=complex)
-    for i in range(len(v)):
-        for k in range(len(v)):
-            out[i] += m[i][k] * v[k]
-    return out
-
-
-def test_mat_apply_identity_and_pauli():
-    e0 = np.array([1, 0], dtype=complex)
-    np.testing.assert_array_equal(mat_apply(IDENTITY_2, e0), e0)
-    np.testing.assert_array_equal(mat_apply(SIGMA_X, e0), np.array([0, 1], dtype=complex))
-
-
-def test_mat_apply_matches_slow_product():
-    rng = np.random.default_rng(7)
-    sxsy = mat_compose(SIGMA_X, SIGMA_Y)
-    for _ in range(50):
-        v = random_state(rng)
-        np.testing.assert_allclose(mat_apply(sxsy, v), slow_matvec(1j * SIGMA_Z, v), atol=1e-14)
-        m = random_unitary(rng)
-        np.testing.assert_allclose(mat_apply(m, v), slow_matvec(m, v), atol=1e-14)
-
-
-def test_mat_apply_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        mat_apply(IDENTITY_4, np.array([1, 0], dtype=complex))
-
-
-def test_mat_compose_trivial():
-    np.testing.assert_array_equal(mat_compose(IDENTITY_2, IDENTITY_2), IDENTITY_2)
-    np.testing.assert_allclose(mat_compose(SIGMA_X, SIGMA_X), IDENTITY_2, atol=0)
-
-
-def test_mat_compose_preserves_unitarity():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        a, b = random_unitary(rng), random_unitary(rng)
-        assert unitarity_defect(mat_compose(a, b)) <= 1e-12
-
-
-def test_mat_adjoint():
-    np.testing.assert_array_equal(mat_adjoint(IDENTITY_2), IDENTITY_2)
-    np.testing.assert_array_equal(mat_adjoint(SIGMA_Y), SIGMA_Y)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(mat_adjoint(mat_adjoint(m)), m.astype(complex))
-
-
 def test_block_diag_trivial_and_routing():
-    np.testing.assert_array_equal(block_diag(IDENTITY_2, IDENTITY_2), IDENTITY_4)
+    np.testing.assert_array_equal(block_diag(IDENTITY_2, IDENTITY_2), np.eye(4))
     g = block_diag(SIGMA_Z, IDENTITY_2)
     ket10 = np.zeros(4, dtype=complex)
     ket10[2] = 1.0
-    np.testing.assert_array_equal(mat_apply(g, ket10), ket10)
+    np.testing.assert_array_equal(g @ ket10, ket10)
 
 
 def test_block_diag_sectors_exactly_zero():
@@ -133,9 +76,3 @@ def test_overlap_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         overlap(np.array([1, 0], dtype=complex), np.zeros(4, dtype=complex))
 
-
-def test_normalize():
-    v = normalize(np.array([3.0, 4.0]))
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        normalize(np.zeros(2))
