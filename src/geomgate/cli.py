@@ -16,6 +16,7 @@ configuration are byte-identical, whatever --workers is.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -82,22 +83,41 @@ def read_config(path: str) -> dict:
     return out
 
 
+def _kv_lines(mapping: dict):
+    for key, val in mapping.items():
+        if isinstance(val, (list, tuple)):
+            val = ",".join(_fmt(v) for v in val)
+        else:
+            val = _fmt(val)
+        yield f"{key}={val}\n"
+
+
+def _write_atomic(files: dict) -> None:
+    """Write each {path: lines} to a temporary file beside its path, then
+    rename them all into place; on error no temporary file is left."""
+    tmps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
+    try:
+        for path, lines in files.items():
+            with open(tmps[path], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(lines)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
 def write_kv(path: str, mapping: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in mapping.items():
-            if isinstance(val, (list, tuple)):
-                val = ",".join(_fmt(v) for v in val)
-            else:
-                val = _fmt(val)
-            fh.write(f"{key}={val}\n")
+    _write_atomic({path: _kv_lines(mapping)})
 
 
 def write_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_fmt(row[c]) for c in result.columns) + "\n")
-    write_kv(path + ".meta", result.metadata)
+    """CSV plus its .meta sidecar; an error leaves neither file half written."""
+    rows = (",".join(_fmt(row[c]) for c in result.columns) + "\n" for row in result.rows)
+    _write_atomic({path: itertools.chain([",".join(result.columns) + "\n"], rows),
+                   path + ".meta": _kv_lines(result.metadata)})
 
 
 def _parse_bool(text: str) -> bool:
@@ -331,7 +351,7 @@ def cmd_fidelity(ns: argparse.Namespace) -> int:
     row = result.rows[0]
     print(",".join(result.columns))
     print(",".join(_fmt(row[c]) for c in result.columns))
-    print(f"F = {_fmt(row['F_mean'])} +- {_fmt(row['F_stderr'])} "
+    print(f"F = {_fmt(row['F_mean'])} +- {_fmt(row['F_stderr']) or 'nan'} "
           f"(m={row['m']}, n={row['n']}, seed={row['seed']})")
     out = s.get("out", None, parse=str)
     if out:
@@ -369,14 +389,32 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
+#: drive options (from _add_params) that each preset reads; the rest are refused
+_PRESET_OPTIONS = {"fig1": {"beta", "branch"}, "fig2": {"omega0", "beta", "branch"},
+                   "fig3": {"alpha"}, "fig4": {"omega1"}}
+_DRIVE_OPTIONS = ("beta", "omega", "omega0", "omega1", "delta", "branch", "two_qubit",
+                  "alpha", "coupling_j", "zero_dynamic")
+
+
 def cmd_reproduce(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
     fig = ns.figure
+    unread = []
+    for key in _DRIVE_OPTIONS:
+        if key in _PRESET_OPTIONS[fig]:
+            continue
+        if getattr(ns, key) not in (None, False):
+            unread.append("--" + key.replace("_", "-"))
+        elif key in s.file:
+            unread.append(key)
+    if unread:
+        raise ValueError(f"reproduce {fig} does not read {', '.join(unread)}")
     out = s.get("out", f"{fig}.csv", parse=str)
     written = []
     if fig == "fig1":
         cfg = _estimator_config(s, NoiseSpec(0.1, 0.1))
-        result = sweep_fig1(beta=s.get("beta", 1.5), cfg=cfg)
+        result = sweep_fig1(beta=s.get("beta", 1.5),
+                            branch=s.get("branch", "minus", parse=str), cfg=cfg)
         write_csv(result, out)
         written.append((out, len(result.rows)))
     elif fig == "fig2":
@@ -387,6 +425,7 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
             omega0=s.get("omega0", 1e5),
             beta=s.get("beta", 1.5),
             delta0=s.get("delta0", 0.1),
+            branch=s.get("branch", "minus", parse=str),
             cfg=cfg,
         )
         stem, ext = os.path.splitext(out)

@@ -42,6 +42,11 @@ sampled; the noise deviations come from child (j, 1) as one block of M
 draws (two blocks, omega0 first, if NoiseSpec.independent). The layout
 never depends on loop order, worker scheduling, or the deltas, so a sweep
 reusing one base stream sees common random numbers across its points.
+
+The core takes a batch of points that share the base stream: it draws each
+state once and evaluates every point of the batch on those draws, so a
+point's estimate is the same bit for bit in a batch of any size and in a
+one-point call (estimate_single, estimate_two_qubit).
 """
 
 from __future__ import annotations
@@ -84,25 +89,61 @@ def shot_fidelity(psi_in: np.ndarray, u_ideal: np.ndarray, u_noisy: np.ndarray) 
     return float(min(abs(amp) ** 2, 1.0))
 
 
-def _estimate(p: DriveParams, shifts: tuple, weights: tuple | None, spec: NoiseSpec,
-              m: int, n: int, rng: RngStream, gate_model: str,
-              haar: bool) -> FidelityEstimate:
-    """Two-level average over the blocks at longitudinal frequency omega1 + shift.
+#: elements of one (points, m) array; bounds the memory of a chunk of points
+_CHUNK_ELEMENTS = 1 << 12
+#: per-state means held at once; more points take more passes over the draws
+_PASS_ELEMENTS = 1 << 20
 
-    weights=None samples the control state per input state.
+
+def _control_weights(control_mode: str) -> tuple | None:
+    """Block weights of a control mode; None samples the control per state."""
+    if control_mode not in CONTROL_MODES:
+        raise ValueError(f"control_mode must be one of {CONTROL_MODES}, got {control_mode!r}")
+    return {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
+
+
+def _columns(rows) -> np.ndarray:
+    """Per-point tuples of numbers as one (fields, points, 1) array."""
+    return np.array(list(zip(*rows)))[:, :, None]
+
+
+def _estimate(points: list, weights: tuple | None, spec: NoiseSpec, m: int, n: int,
+              rng: RngStream, gate_model: str, haar: bool) -> list:
+    """Two-level average at each point (p, shifts); one FidelityEstimate per point.
+
+    A point's blocks sit at longitudinal frequencies p.omega1 + shift. All
+    points share the weights (None samples the control per state) and the
+    draws: each state is drawn once and every point is evaluated on it, on
+    (points, m) arrays of at most _CHUNK_ELEMENTS elements per chunk. More
+    points than _PASS_ELEMENTS // n take one pass over the draws per group.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if gate_model not in GATE_MODELS:
         raise ValueError(f"gate_model must be one of {GATE_MODELS}, got {gate_model!r}")
-    omega, omega0, omega1 = p.omega, p.omega0, p.omega1
-    longs = [omega1 + shift for shift in shifts]
-    bigs = [math.hypot(omega0, wl - omega) for wl in longs]
-    # (cos chi, sin chi) of each block's cyclic axis
-    axes = [((wl - omega) / big, omega0 / big) for wl, big in zip(longs, bigs)]
-    ideals = [_cycle_entries(omega, omega0, wl) for wl in longs]
+    size = max(1, _PASS_ELEMENTS // n)
+    if len(points) > size:
+        return [est for lo in range(0, len(points), size)
+                for est in _estimate(points[lo:lo + size], weights, spec, m, n, rng,
+                                     gate_model, haar)]
+    step = max(1, _CHUNK_ELEMENTS // m)
+    chunks = []
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        blocks = []
+        for k in range(len(chunk[0][1])):
+            rows, ideals = [], []
+            for p, shifts in chunk:
+                wl = p.omega1 + shifts[k]
+                big = math.hypot(p.omega0, wl - p.omega)
+                # (cos chi, sin chi) of the block's cyclic axis
+                rows.append((shifts[k], wl, big, (wl - p.omega) / big, p.omega0 / big))
+                ideals.append(_cycle_entries(p.omega, p.omega0, wl))
+            blocks.append((_columns(rows), ideals))
+        consts = _columns([(p.omega, np.pi / p.omega, p.omega0, p.omega1) for p, _ in chunk])
+        chunks.append((slice(lo, lo + len(chunk)), consts, blocks))
 
-    per_state = np.empty(n)
+    per_state = np.empty((len(points), n))
     for j in range(n):
         state_rng = rng.child(j, 0)
         w = weights
@@ -113,42 +154,53 @@ def _estimate(p: DriveParams, shifts: tuple, weights: tuple | None, spec: NoiseS
         noise_rng = rng.child(j, 1)
         u0 = relative_draws(noise_rng, m)
         u1 = relative_draws(noise_rng, m) if spec.independent else u0
-        w0 = omega0 * (1.0 + spec.delta0 * u0)
         scale = 1.0 + spec.delta1 * u1
-        # the models differ in the noisy longitudinal field: "phase" scales
-        # the block frequency omega1 + shift, "propagator" shifts omega1*scale
-        if gate_model == "phase":
-            bz = abs(t0) ** 2 - abs(t1) ** 2
-            bx = 2.0 * (t0.conjugate() * t1).real
-            re = im = 0.0
-            for wk, wl, big, (cos_chi, sin_chi) in zip(w, longs, bigs, axes):
-                if wk == 0.0:
-                    continue
-                d = (np.pi / omega) * (big - np.hypot(w0, wl * scale - omega))
-                re = re + wk * np.cos(d)
-                im = im + (wk * (cos_chi * bz + sin_chi * bx)) * np.sin(d)
-            fid = re * re + im * im
-        else:
-            # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
-            # (evolve._cycle_entries), so its term is linear in cos(a) and
-            # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx
-            amp = 0.0
-            for wk, shift, (i00, i01, i11) in zip(w, shifts, ideals):
-                if wk == 0.0:
-                    continue
-                q0 = wk * (i00 * t0 + i01 * t1).conjugate()
-                q1 = wk * (i01 * t0 + i11 * t1).conjugate()
-                det = omega1 * scale + shift - omega
-                big = np.hypot(w0, det)
-                a = (np.pi / omega) * big
-                amp = amp - (q0 * t0 + q1 * t1) * np.cos(a) + (np.sin(a) / big) * (
-                    (1j * (q0 * t0 - q1 * t1)) * det + (1j * (q0 * t1 + q1 * t0)) * w0)
-            fid = amp.real ** 2 + amp.imag ** 2
-        per_state[j] = np.minimum(fid, 1.0).mean()
+        bz = abs(t0) ** 2 - abs(t1) ** 2
+        bx = 2.0 * (t0.conjugate() * t1).real
+        for rows, consts, blocks in chunks:
+            omega, pio, omega0, omega1 = consts
+            w0 = omega0 * (1.0 + spec.delta0 * u0)
+            # the models differ in the noisy longitudinal field: "phase" scales
+            # the block frequency omega1 + shift, "propagator" shifts omega1*scale
+            if gate_model == "phase":
+                re = im = 0.0
+                for wk, (table, _) in zip(w, blocks):
+                    if wk == 0.0:
+                        continue
+                    _, wl, big, cos_chi, sin_chi = table
+                    d = pio * (big - np.hypot(w0, wl * scale - omega))
+                    re = re + wk * np.cos(d)
+                    im = im + (wk * (cos_chi * bz + sin_chi * bx)) * np.sin(d)
+                fid = re * re + im * im
+            else:
+                # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
+                # (evolve._cycle_entries), so its term is linear in cos(a) and
+                # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx,
+                # taken per point in scalar arithmetic as in a one-point call
+                amp = 0.0
+                for wk, (table, ideals) in zip(w, blocks):
+                    if wk == 0.0:
+                        continue
+                    shift = table[0]
+                    coefs = []
+                    for i00, i01, i11 in ideals:
+                        q0 = wk * (i00 * t0 + i01 * t1).conjugate()
+                        q1 = wk * (i01 * t0 + i11 * t1).conjugate()
+                        coefs.append((q0 * t0 + q1 * t1, 1j * (q0 * t0 - q1 * t1),
+                                      1j * (q0 * t1 + q1 * t0)))
+                    c_i, c_z, c_x = _columns(coefs)
+                    det = omega1 * scale + shift - omega
+                    big = np.hypot(w0, det)
+                    a = pio * big
+                    amp = amp - c_i * np.cos(a) + (np.sin(a) / big) * (c_z * det + c_x * w0)
+                fid = amp.real ** 2 + amp.imag ** 2
+            per_state[rows, j] = np.minimum(fid, 1.0).mean(axis=1)
 
-    stderr = float(per_state.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return FidelityEstimate(mean=float(per_state.mean()), stderr=stderr,
-                            n_states=n, n_shots=m, seed=rng.seed)
+    # one state gives no spread, hence no standard error
+    return [FidelityEstimate(mean=float(row.mean()),
+                             stderr=float(row.std(ddof=1) / np.sqrt(n)) if n > 1 else math.nan,
+                             n_states=n, n_shots=m, seed=rng.seed)
+            for row in per_state]
 
 
 def estimate_single(
@@ -165,7 +217,7 @@ def estimate_single(
     m noise shots per state, n input states. The drive rate omega is never
     fluctuated.
     """
-    return _estimate(p, (0.0,), (1.0,), spec, m, n, rng, gate_model, haar)
+    return _estimate([(p, (0.0,))], (1.0,), spec, m, n, rng, gate_model, haar)[0]
 
 
 def estimate_two_qubit(
@@ -184,8 +236,6 @@ def estimate_two_qubit(
     control_mode fixes the control qubit to |0> or |1>, or samples it
     ("unfixed") as an independent single-qubit state.
     """
-    if control_mode not in CONTROL_MODES:
-        raise ValueError(f"control_mode must be one of {CONTROL_MODES}, got {control_mode!r}")
-    weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
     j = p2.coupling_j
-    return _estimate(p2.target, (-j, j), weights, spec, m, n, rng, gate_model, haar)
+    return _estimate([(p2.target, (-j, j))], _control_weights(control_mode),
+                     spec, m, n, rng, gate_model, haar)[0]

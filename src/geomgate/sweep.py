@@ -9,7 +9,10 @@ Determinism: a row's values depend only on (seed, point parameters, m, n,
 noise spec, estimator options) - never on grid shape, point order, or the
 worker count. All points of a sweep share one base random stream (common
 random numbers), which makes curves smooth in the scan coordinate and
-argmax localization stable.
+argmax localization stable. A sweep cuts its points into contiguous
+batches, one per process used; each batch draws every input state and its
+noise shots once and evaluates all of its points on them, with the draw
+layout of a one-point estimate.
 
 Presets (default grids; all overridable):
 
@@ -26,13 +29,14 @@ Presets (default grids; all overridable):
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .fidelity import estimate_single, estimate_two_qubit
+from .fidelity import _control_weights, _estimate
 from .model import (
     DriveParams,
     InfeasibleParameters,
@@ -119,14 +123,10 @@ def _two_qubit_point(omega0: float, omega1: float, alpha: float,
     return SweepPoint(coords=coords, kind="two_qubit", params=params)
 
 
-def _empty_row(columns):
-    return {c: None for c in columns}
-
-
-def _eval_point(args) -> dict:
-    point, cfg = args
+def _row(point: SweepPoint, cfg: EstimatorConfig) -> dict:
+    """A point's row: coordinates, resolved parameters and noise-free phases."""
     columns = SINGLE_COLUMNS if point.kind == "single" else TWO_QUBIT_COLUMNS
-    row = _empty_row(columns)
+    row = {c: None for c in columns}
     row.update({"m": cfg.m, "n": cfg.n, "seed": cfg.seed,
                 "feasible": point.feasible})
     for key, val in point.coords.items():
@@ -140,9 +140,6 @@ def _eval_point(args) -> dict:
         tri = phases(p)
         row["gamma"], row["gamma_g"], row["gamma_d"] = tri.gamma, tri.gamma_g, tri.gamma_d
         row["chi"] = chi_angle(p)
-        rng = RngStream(cfg.seed).child(SINGLE_STREAM_TAG)
-        est = estimate_single(p, cfg.spec, cfg.m, cfg.n, rng,
-                              gate_model=cfg.gate_model, haar=cfg.haar)
     else:
         p2 = point.params
         t = p2.target
@@ -155,21 +152,40 @@ def _eval_point(args) -> dict:
         row["chi"] = chi_angle(lo)
         row["gamma_d_0"], row["gamma_d_1"] = tri0.gamma_d, tri1.gamma_d
         row["chi_0"], row["chi_1"] = chi_angle(lo), chi_angle(hi)
-        rng = RngStream(cfg.seed).child(TWO_QUBIT_STREAM_TAG)
-        est = estimate_two_qubit(p2, cfg.spec, cfg.m, cfg.n, rng,
-                                 control_mode=cfg.control_mode,
-                                 gate_model=cfg.gate_model, haar=cfg.haar)
-    row["F_mean"], row["F_stderr"] = est.mean, est.stderr
-    row["n"] = est.n_states
     return row
+
+
+def _eval_batch(args) -> list:
+    """Rows of a batch of points, with one estimate over all its feasible points."""
+    points, cfg = args
+    rows = [_row(point, cfg) for point in points]
+    feasible = [k for k, point in enumerate(points) if point.feasible]
+    if not feasible:
+        return rows
+    params = [points[k].params for k in feasible]
+    if points[0].kind == "single":
+        tag, weights = SINGLE_STREAM_TAG, (1.0,)
+        blocks = [(p, (0.0,)) for p in params]
+    else:
+        tag, weights = TWO_QUBIT_STREAM_TAG, _control_weights(cfg.control_mode)
+        blocks = [(p2.target, (-p2.coupling_j, p2.coupling_j)) for p2 in params]
+    ests = _estimate(blocks, weights, cfg.spec, cfg.m, cfg.n, RngStream(cfg.seed).child(tag),
+                     cfg.gate_model, cfg.haar)
+    for k, est in zip(feasible, ests):
+        rows[k]["F_mean"] = est.mean
+        rows[k]["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
+        rows[k]["n"] = est.n_states
+    return rows
 
 
 def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
                   metadata: dict | None = None) -> SweepResult:
     """Evaluate the configured estimator at every point, in point order.
 
-    With cfg.workers > 1 points are farmed out to a process pool; output is
-    identical to the sequential run byte for byte.
+    The points are cut into contiguous batches, one per process used:
+    min(cfg.workers, os.cpu_count(), len(points)). A single batch runs in
+    process; more go to a process pool. Output is identical byte for byte
+    whatever the batching.
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -177,13 +193,15 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     if len(kinds) != 1:
         raise ValueError(f"mixed point kinds in one sweep: {kinds}")
     columns = SINGLE_COLUMNS if points[0].kind == "single" else TWO_QUBIT_COLUMNS
-    jobs = [(p, cfg) for p in points]
-    if cfg.workers > 1:
-        chunk = max(1, len(jobs) // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_eval_point, jobs, chunksize=chunk))
+    procs = min(cfg.workers, os.cpu_count() or 1, len(points))
+    cuts = [len(points) * b // procs for b in range(procs + 1)]
+    jobs = [(points[lo:hi], cfg) for lo, hi in zip(cuts, cuts[1:])]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            batches = list(pool.map(_eval_batch, jobs))
     else:
-        rows = [_eval_point(job) for job in jobs]
+        batches = [_eval_batch(job) for job in jobs]
+    rows = [row for batch in batches for row in batch]
     meta = {
         "version": __version__,
         "seed": cfg.seed,

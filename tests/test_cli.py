@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import geomgate
+from geomgate import cli
 from geomgate.cli import main, read_config, write_kv
 
 SQRT3 = math.sqrt(3.0)
@@ -201,6 +202,91 @@ def test_sweep_grid_with_negative_start(tmp_path, capsys, flag, grid, first):
     header, *rows = out.read_text().splitlines()
     col = header.split(",").index("delta_over_omega0" if flag == "--grid-delta-rel" else "omega0")
     assert len(rows) == 3 and rows[0].split(",")[col] == first
+
+
+def test_fidelity_one_state_leaves_stderr_empty(tmp_path, capsys):
+    out = tmp_path / "one.csv"
+    code, printed, _ = run_cli(capsys, "fidelity", "--beta", "1.5", "--omega0", "1e5",
+                               "--delta0", "0.1", "--delta1", "0.1", "--m", "10",
+                               "--n", "1", "--out", str(out))
+    assert code == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["F_stderr"] == "" and cells["n"] == "1"
+    assert float(cells["F_mean"]) > 0.99
+    assert printed.splitlines()[1] == row
+    assert "+- nan" in printed.splitlines()[2]
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_reproduce_passes_branch(tmp_path, capsys, figure):
+    base = ["reproduce", figure, "--m", "6", "--n", "6", "--seed", "3"]
+    if figure == "fig2":
+        base += ["--delta1", "0.01"]
+    runs = {}
+    for branch in ("minus", "plus"):
+        out = tmp_path / f"{branch}.csv"
+        code, _, err = run_cli(capsys, *base, "--branch", branch, "--out", str(out))
+        assert code == 0, err
+        if figure == "fig2":
+            out = tmp_path / f"{branch}_delta1_0.01.csv"
+        assert read_config(str(out) + ".meta")["branch"] == branch
+        runs[branch] = out.read_text()
+    assert runs["minus"] != runs["plus"]
+
+
+@pytest.mark.parametrize("figure,argv,named", [
+    ("fig4", ["--alpha", "3", "--omega0", "10"], ["--alpha", "--omega0"]),
+    ("fig3", ["--omega1", "20"], ["--omega1"]),
+    ("fig1", ["--two-qubit"], ["--two-qubit"]),
+    ("fig2", ["--coupling-j", "2"], ["--coupling-j"]),
+    ("fig3", ["config:omega0=10"], ["omega0"]),
+])
+def test_reproduce_rejects_unread_drive_options(tmp_path, capsys, figure, argv, named):
+    out = tmp_path / "preset.csv"
+    if argv[0].startswith("config:"):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(argv[0][len("config:"):] + "\n")
+        argv = ["--config", str(cfg)]
+    code, printed, err = run_cli(capsys, "reproduce", figure, *argv, "--m", "4", "--n", "4",
+                                 "--out", str(out))
+    assert code == 1 and printed == ""
+    assert all(name in err for name in named), err
+    assert os.listdir(tmp_path) in ([], ["preset.cfg"])
+
+
+def test_write_csv_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
+    # a failure while the rows are written leaves neither the target nor a
+    # temporary file, and an earlier output stays as it was
+    out, argv = fast_fig1_args(tmp_path, "fig1.csv")
+    calls = []
+    fmt = cli._fmt
+
+    def failing(value):
+        calls.append(value)
+        if len(calls) > 200:
+            raise OSError("disk full")
+        return fmt(value)
+
+    monkeypatch.setattr(cli, "_fmt", failing)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "disk full" in err
+    assert os.listdir(tmp_path) == []
+    out.write_text("previous\n")
+    calls.clear()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert os.listdir(tmp_path) == ["fig1.csv"] and out.read_text() == "previous\n"
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError):
+        write_kv(str(tmp_path / "run.meta"), {"seed": 1})
+    assert os.listdir(tmp_path) == []
 
 
 # --- config file and seed sources -----------------------------------------------

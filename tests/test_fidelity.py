@@ -82,7 +82,8 @@ def test_single_noiseless_is_one(gate_model, m, n):
     est = estimate_single(pinned_single(), NoiseSpec(0.0, 0.0), m, n,
                           RngStream(5).child(1), gate_model=gate_model)
     assert abs(est.mean - 1.0) <= 1e-12
-    assert est.stderr <= 1e-12
+    # one state gives no error estimate
+    assert est.stderr <= 1e-12 if n > 1 else math.isnan(est.stderr)
     assert est.n_states == n and est.n_shots == m
 
 
@@ -112,6 +113,17 @@ def test_argument_validation():
     p2 = two_qubit_geometric_point(30.0, SQRT3)
     with pytest.raises(ValueError):
         estimate_two_qubit(p2, NoiseSpec(0.1, 0.1), 5, 5, RngStream(0), control_mode="both")
+
+
+def test_one_state_gives_no_stderr():
+    # a single state has no spread to estimate the error from
+    est = estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), 10, 1, RngStream(3).child(1))
+    assert 0.0 < est.mean <= 1.0 and math.isnan(est.stderr)
+    est = estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), NoiseSpec(0.05, 0.05),
+                             10, 1, RngStream(3).child(2), gate_model="propagator")
+    assert 0.0 < est.mean <= 1.0 and math.isnan(est.stderr)
+    assert estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), 10, 2,
+                           RngStream(3).child(1)).stderr > 0.0
 
 
 # --- draw-layout reconstruction oracle -------------------------------------

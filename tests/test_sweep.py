@@ -1,14 +1,19 @@
 """Sweep determinism, feasibility flagging, and preset structure at desk scale."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from geomgate.noise import NoiseSpec
+from geomgate import fidelity, sweep
+from geomgate.fidelity import estimate_single, estimate_two_qubit
+from geomgate.noise import NoiseSpec, RngStream
 from geomgate.sweep import (
     SINGLE_COLUMNS,
     TWO_QUBIT_COLUMNS,
+    SINGLE_STREAM_TAG,
+    TWO_QUBIT_STREAM_TAG,
     EstimatorConfig,
     _single_point,
     _two_qubit_point,
@@ -140,3 +145,131 @@ def test_sweep_generic_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep_generic([_single_point(1e5, 0.0, 1.5, "minus"),
                        _two_qubit_point(30.0, 60.0, SQRT3)], FAST)
+
+
+# --- batched evaluation: shared draws across the points of a batch -----------
+
+BATCH_CASES = [
+    ("single", EstimatorConfig(m=9, n=7, spec=NoiseSpec(0.1, 0.05), seed=4)),
+    ("single", EstimatorConfig(m=9, n=7, spec=NoiseSpec(0.1, 0.05, True), seed=4,
+                               gate_model="propagator", haar=True)),
+    ("two_qubit", EstimatorConfig(m=8, n=6, spec=NoiseSpec(0.1, 0.1), seed=5,
+                                  control_mode="fixed0")),
+    ("two_qubit", EstimatorConfig(m=8, n=6, spec=NoiseSpec(0.1, 0.1, True), seed=5,
+                                  control_mode="fixed1", gate_model="propagator")),
+    ("two_qubit", EstimatorConfig(m=8, n=6, spec=NoiseSpec(0.05, 0.05), seed=6,
+                                  control_mode="unfixed", haar=True)),
+    ("two_qubit", EstimatorConfig(m=8, n=6, spec=NoiseSpec(0.05, 0.05, True), seed=6,
+                                  control_mode="unfixed", gate_model="propagator")),
+]
+
+
+def batch_points(kind):
+    # a multi-point grid with an infeasible point inside it
+    if kind == "single":
+        return [_single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.4, 1.3, 2.9)]
+    return [_two_qubit_point(w0, w1, SQRT3)
+            for w0, w1 in ((10.0, 20.0), (20.0, 30.0), (30.0, 60.0), (12.0, 50.0))]
+
+
+def one_point_estimate(point, cfg):
+    if point.kind == "single":
+        return estimate_single(point.params, cfg.spec, cfg.m, cfg.n,
+                               RngStream(cfg.seed).child(SINGLE_STREAM_TAG),
+                               gate_model=cfg.gate_model, haar=cfg.haar)
+    return estimate_two_qubit(point.params, cfg.spec, cfg.m, cfg.n,
+                              RngStream(cfg.seed).child(TWO_QUBIT_STREAM_TAG),
+                              control_mode=cfg.control_mode,
+                              gate_model=cfg.gate_model, haar=cfg.haar)
+
+
+@pytest.mark.parametrize("kind,cfg", BATCH_CASES)
+def test_batched_rows_equal_one_point_estimates(kind, cfg):
+    points = batch_points(kind)
+    res = sweep_generic(points, cfg)
+    assert any(p.feasible for p in points)
+    for row, point in zip(res.rows, points):
+        if not point.feasible:
+            assert row["F_mean"] is None and row["F_stderr"] is None
+            continue
+        est = one_point_estimate(point, cfg)
+        assert (row["F_mean"], row["F_stderr"], row["n"]) == (est.mean, est.stderr, cfg.n)
+
+
+@pytest.mark.parametrize("kind,cfg", BATCH_CASES)
+def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
+    points = batch_points(kind)
+    whole = sweep_generic(points, cfg)
+    monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", 1)  # one point per chunk
+    assert sweep_generic(points, cfg).rows == whole.rows
+    monkeypatch.setattr(fidelity, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per pass
+    assert sweep_generic(points, cfg).rows == whole.rows
+
+
+def test_sweep_builds_the_streams_once_per_batch(monkeypatch):
+    calls = []
+    child = RngStream.child
+
+    def counted(self, *indices):
+        calls.append(indices)
+        return child(self, *indices)
+
+    monkeypatch.setattr(RngStream, "child", counted)
+    cfg = EstimatorConfig(m=5, n=11, spec=NoiseSpec(0.1, 0.1), seed=2)
+    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    sweep_generic(points, cfg)
+    # one batch: the base stream plus state and shot streams for n states
+    state_streams = [c for c in calls if len(c) == 2]
+    assert len(state_streams) == 2 * cfg.n
+    assert len(calls) <= 2 * cfg.n + 1
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs the map in process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.started = []
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.started
+
+
+def test_one_point_runs_in_process(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cfg = EstimatorConfig(m=20, n=20, spec=NoiseSpec(0.1, 0.1), seed=7, workers=2)
+    res = sweep_generic([_single_point(1e5, 0.0, 1.5, "minus")], cfg)
+    assert recording_pool == []
+    assert res.metadata["workers"] == 2
+
+
+def test_pool_never_exceeds_the_cpus(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
+    res = sweep_generic(points, EstimatorConfig(m=20, n=20, seed=7, workers=8))
+    assert recording_pool == []  # one CPU: one batch, in process
+    assert res.metadata["workers"] == 8
+
+
+def test_pool_maps_contiguous_batches(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.5, 1.0, 2.0)]
+    seq = sweep_generic(points, FAST)
+    par = sweep_generic(points, EstimatorConfig(m=60, n=60, spec=NoiseSpec(0.1, 0.1),
+                                                seed=7, workers=8))
+    assert recording_pool == [3]
+    assert par.rows == seq.rows
