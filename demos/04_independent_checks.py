@@ -10,7 +10,8 @@ analytic ingredient can be checked by an independent route:
 
 import numpy as np
 
-from geomgate import DriveParams, dynamic_phase_oracle, ode_oracle, phases, propagator
+from geomgate import DriveParams, dynamic_phase_oracle, phases, propagator
+from geomgate.evolve import ode_oracle
 
 rng = np.random.default_rng(0)
 
@@ -20,7 +21,7 @@ t = 2.0 * np.pi / p.omega
 exact = propagator(p, t)
 prev = None
 for steps in (50, 100, 200, 400, 800):
-    err = np.abs(ode_oracle(p, t, steps) - exact).max()
+    err = np.abs(ode_oracle(p.omega, p.omega0, p.omega1, t, steps)[0] - exact).max()
     ratio = "" if prev is None else f"  (x{prev / err:5.1f} smaller)"
     print(f"  steps={steps:4d}  max err = {err:.3e}{ratio}")
     prev = err

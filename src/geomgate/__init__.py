@@ -22,7 +22,6 @@ from .evolve import (
     dynamic_phase_oracle,
     ideal_gate_u1,
     ideal_gate_u2,
-    ode_oracle,
     one_cycle_gate,
     propagator,
     rotating_frame_propagator,
@@ -45,7 +44,7 @@ __all__ = [
     "DriveParams", "InfeasibleParameters", "PhaseTriple", "TwoQubitParams",
     "big_omega", "chi_angle", "omega_for_beta", "phases", "shifted_target",
     "two_qubit_from_alpha", "two_qubit_geometric_point", "zero_dynamic_omega1",
-    "dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2", "ode_oracle",
+    "dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2",
     "one_cycle_gate", "propagator", "rotating_frame_propagator",
     "NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input",
     "FidelityEstimate", "estimate_single", "estimate_two_qubit", "shot_fidelity",

@@ -7,17 +7,19 @@ Subcommands
     reproduce  run a built-in figure preset (fig1..fig4)
 
 Configuration values may come from a key=value config file (--config); CLI
-flags override file values. The default seed comes from --seed, else the
-SIM_SEED environment variable, else 0. Every CSV gets a sidecar
-<name>.meta recording the full configuration; reruns with an identical
-configuration are byte-identical, whatever --workers is.
+flags override file values. A subcommand refuses, before it estimates or
+writes anything, any option it does not read, whether given as a flag or
+as a config key. The default seed comes from --seed, else the SIM_SEED
+environment variable, else 0. Every CSV gets a sidecar <name>.meta
+recording the full configuration; reruns with an identical configuration
+are byte-identical, whatever --workers is. Preset defaults live in
+sweep.PRESETS.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import re
 import sys
@@ -39,17 +41,20 @@ from .model import (
 from .evolve import ideal_gate_u2, one_cycle_gate
 from .noise import NoiseSpec
 from .sweep import (
+    PRESETS,
     EstimatorConfig,
+    SweepPoint,
     SweepResult,
-    _single_point,
-    _two_qubit_point,
+    single_point,
     sweep_fig1,
     sweep_fig2,
     sweep_fig3,
     sweep_fig4,
     sweep_generic,
-    SweepPoint,
+    two_qubit_point,
 )
+
+_SWEEPS = {"fig1": sweep_fig1, "fig2": sweep_fig2, "fig3": sweep_fig3, "fig4": sweep_fig4}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -147,19 +152,23 @@ class _Settings:
     """Layered lookup: CLI flag, then config file, then hard default.
 
     A config key that names no option of the subcommand is an error, so a
-    misspelt key cannot silently fall back to its default.
+    misspelt key cannot silently fall back to its default. Every key asked
+    for is recorded, so refuse_unread() can name the options given that the
+    command never read.
     """
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
         self.file = read_config(ns.config) if getattr(ns, "config", None) else {}
         # every option dest; not the subcommand bookkeeping or the positional
-        options = set(vars(ns)) - {"command", "func", "config", "figure"}
-        unknown = sorted(set(self.file) - options)
+        self.options = [k for k in vars(ns) if k not in {"command", "func", "config", "figure"}]
+        unknown = sorted(set(self.file) - set(self.options))
         if unknown:
             raise ValueError(f"{ns.config}: unknown config key(s): {', '.join(unknown)}")
+        self.read = set()
 
     def get(self, key: str, default=None, parse=float):
+        self.read.add(key)
         cli = getattr(self.ns, key, None)
         if cli is not None:
             return cli
@@ -177,6 +186,21 @@ class _Settings:
         env = os.environ.get("SIM_SEED")
         return int(env) if env else 0
 
+    def refuse_unread(self) -> None:
+        """Raise ValueError naming each option given, as a flag or a config
+        key, that no get() has asked for."""
+        unread = []
+        for key in self.options:
+            if key in self.read:
+                continue
+            if getattr(self.ns, key) is not None:
+                unread.append("--" + key.replace("_", "-"))
+            elif key in self.file:
+                unread.append(key)
+        if unread:
+            command = " ".join(filter(None, (self.ns.command, getattr(self.ns, "figure", None))))
+            raise ValueError(f"{command} does not read {', '.join(unread)}")
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file supplying defaults")
@@ -192,12 +216,12 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
                      help="offset added to the zero-dynamic omega1 (absolute)")
     sub.add_argument("--branch", choices=["plus", "minus"],
                      help="root branch of the drive-rate solver (default minus)")
-    sub.add_argument("--two-qubit", action="store_true", dest="two_qubit",
+    sub.add_argument("--two-qubit", action="store_const", const=True, dest="two_qubit",
                      help="conditional two-qubit gate")
     sub.add_argument("--alpha", type=float, help="coupling generator J = alpha*omega0")
     sub.add_argument("--coupling-j", type=float, dest="coupling_j",
                      help="Ising coupling J (direct entry)")
-    sub.add_argument("--zero-dynamic", action="store_true", dest="zero_dynamic",
+    sub.add_argument("--zero-dynamic", action="store_const", const=True, dest="zero_dynamic",
                      help="place omega1 on the zero-dynamic-phase line (with --beta)")
 
 
@@ -224,7 +248,6 @@ def _resolve_single(s: _Settings) -> tuple[DriveParams, float | None]:
     if omega0 is None:
         raise InfeasibleParameters("--omega0 is required")
     omega = s.get("omega")
-    branch = s.get("branch", "minus", parse=str)
     if omega is not None:
         omega1 = s.get("omega1")
         if omega1 is None:
@@ -233,8 +256,10 @@ def _resolve_single(s: _Settings) -> tuple[DriveParams, float | None]:
     beta = s.get("beta")
     if beta is None:
         raise InfeasibleParameters("give either --omega or --beta")
+    branch = s.get("branch", "minus", parse=str)
     omega1 = s.get("omega1")
-    if omega1 is not None and s.get("zero_dynamic", False, parse=bool):
+    # read either way: without --omega1 the zero-dynamic line is the default
+    if s.get("zero_dynamic", False, parse=bool) and omega1 is not None:
         raise InfeasibleParameters("--zero-dynamic and --omega1 are mutually exclusive")
     delta_rel = None
     if omega1 is None:
@@ -251,11 +276,11 @@ def _resolve_two_qubit(s: _Settings) -> TwoQubitParams:
         raise InfeasibleParameters("--omega0 is required")
     alpha = s.get("alpha")
     omega1 = s.get("omega1")
-    omega = s.get("omega")
     coupling = s.get("coupling_j")
-    if omega is not None and coupling is not None:
-        if omega1 is None:
-            raise InfeasibleParameters("--omega1 is required with --omega")
+    if coupling is not None:
+        omega = s.get("omega")
+        if omega is None or omega1 is None:
+            raise InfeasibleParameters("--coupling-j needs --omega and --omega1")
         target = DriveParams(omega=omega, omega0=omega0, omega1=omega1)
         return TwoQubitParams(target=target, coupling_j=coupling, alpha=alpha)
     if alpha is None:
@@ -277,18 +302,20 @@ def _gate_lines(m) -> list:
 
 def cmd_gate(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
+    two_qubit = s.get("two_qubit", False, parse=bool)
+    p = _resolve_two_qubit(s) if two_qubit else _resolve_single(s)[0]
+    s.refuse_unread()
     lines = []
-    if s.get("two_qubit", False, parse=bool):
-        p2 = _resolve_two_qubit(s)
-        t = p2.target
+    if two_qubit:
+        t = p.target
         lines += [f"omega   = {_fmt(t.omega)}",
                   f"omega0  = {_fmt(t.omega0)}",
                   f"omega1  = {_fmt(t.omega1)}",
-                  f"J       = {_fmt(p2.coupling_j)}"]
-        if p2.alpha is not None:
-            lines.append(f"alpha   = {_fmt(p2.alpha)}")
+                  f"J       = {_fmt(p.coupling_j)}"]
+        if p.alpha is not None:
+            lines.append(f"alpha   = {_fmt(p.alpha)}")
         for d in (0, 1):
-            blk = shifted_target(p2, d)
+            blk = shifted_target(p, d)
             tri = phases(blk)
             lines += [f"block {d}: omega1_eff = {_fmt(blk.omega1)}",
                       f"  Omega    = {_fmt(big_omega(blk))}",
@@ -297,9 +324,8 @@ def cmd_gate(ns: argparse.Namespace) -> int:
                       f"  gamma_g  = {_fmt(tri.gamma_g)}",
                       f"  gamma_d  = {_fmt(tri.gamma_d)}"]
         lines.append("gate (4x4, basis |00>,|01>,|10>,|11>):")
-        lines += _gate_lines(ideal_gate_u2(p2))
+        lines += _gate_lines(ideal_gate_u2(p))
     else:
-        p, _ = _resolve_single(s)
         tri = phases(p)
         lines += [f"omega   = {_fmt(p.omega)}",
                   f"omega0  = {_fmt(p.omega0)}",
@@ -315,16 +341,19 @@ def cmd_gate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _estimator_config(s: _Settings, default_spec: NoiseSpec,
-                      default_mode: str = "unfixed") -> EstimatorConfig:
+def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
+    """Estimator options over the given defaults; control_mode is None for a
+    single-qubit run, which has no control qubit and reads no --control-mode."""
     workers = s.get("workers", 1, parse=int)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     spec = NoiseSpec(
-        s.get("delta0", default_spec.delta0),
-        s.get("delta1", default_spec.delta1),
-        s.get("independent", default_spec.independent, parse=bool),
+        s.get("delta0", spec.delta0),
+        s.get("delta1", spec.delta1),
+        s.get("independent", spec.independent, parse=bool),
     )
+    mode = {} if control_mode is None else \
+        {"control_mode": s.get("control_mode", control_mode, parse=str)}
     return EstimatorConfig(
         m=s.get("m", 500, parse=int),
         n=s.get("n", 500, parse=int),
@@ -332,121 +361,94 @@ def _estimator_config(s: _Settings, default_spec: NoiseSpec,
         seed=s.seed(),
         gate_model=s.get("gate_model", "phase", parse=str),
         haar=s.get("haar", False, parse=bool),
-        control_mode=s.get("control_mode", default_mode, parse=str),
         workers=workers,
+        **mode,
     )
 
 
 def cmd_fidelity(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
-    cfg = _estimator_config(s, NoiseSpec(0.0, 0.0))
-    if s.get("two_qubit", False, parse=bool):
+    two_qubit = s.get("two_qubit", False, parse=bool)
+    cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
+    if two_qubit:
         p2 = _resolve_two_qubit(s)
         point = SweepPoint(coords={"alpha": p2.alpha}, kind="two_qubit", params=p2)
     else:
         p, delta_rel = _resolve_single(s)
         coords = {} if delta_rel is None else {"delta_over_omega0": delta_rel}
         point = SweepPoint(coords=coords, kind="single", params=p)
+    out = s.get("out", None, parse=str)
+    s.refuse_unread()
     result = sweep_generic([point], cfg, {"preset": "point"})
     row = result.rows[0]
     print(",".join(result.columns))
     print(",".join(_fmt(row[c]) for c in result.columns))
     print(f"F = {_fmt(row['F_mean'])} +- {_fmt(row['F_stderr']) or 'nan'} "
           f"(m={row['m']}, n={row['n']}, seed={row['seed']})")
-    out = s.get("out", None, parse=str)
     if out:
         write_csv(result, out)
     return 0
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    """A two-qubit sweep is one fig4 curve, a single-qubit one a fig1 line at
+    fig2's omega0; each on a grid of its own, with the presets' defaults."""
     s = _Settings(ns)
     if s.get("two_qubit", False, parse=bool):
-        cfg = _estimator_config(s, NoiseSpec(0.05, 0.05))
+        fig4 = PRESETS["fig4"]
+        cfg = _estimator_config(s, fig4.spec, fig4.control_mode)
         alpha = s.get("alpha")
         if alpha is None:
             raise InfeasibleParameters("--alpha is required for a two-qubit sweep")
-        omega1 = s.get("omega1", 60.0)
-        grid = s.get("grid_omega0", None, parse=_parse_grid) or \
-            _parse_grid("2:40:39")
-        points = [_two_qubit_point(w0, omega1, alpha) for w0 in grid]
+        omega1 = s.get("omega1", fig4.options["omega1"])
+        grid = s.get("grid_omega0", None, parse=_parse_grid) or list(fig4.grids["omega0_grid"])
+        points = [two_qubit_point(w0, omega1, alpha) for w0 in grid]
         meta = {"preset": "sweep", "alpha": alpha, "omega1": omega1,
                 "omega0_grid": grid}
     else:
-        cfg = _estimator_config(s, NoiseSpec(0.1, 0.1))
-        beta = s.get("beta", 1.5)
-        branch = s.get("branch", "minus", parse=str)
-        omega0 = s.get("omega0", 1e5)
-        grid = s.get("grid_delta_rel", None, parse=_parse_grid) or \
-            _parse_grid("0:4:41")
-        points = [_single_point(omega0, d, beta, branch) for d in grid]
+        fig1 = PRESETS["fig1"]
+        cfg = _estimator_config(s, fig1.spec, None)
+        beta = s.get("beta", fig1.options["beta"])
+        branch = s.get("branch", fig1.options["branch"], parse=str)
+        omega0 = s.get("omega0", PRESETS["fig2"].options["omega0"])
+        grid = s.get("grid_delta_rel", None, parse=_parse_grid) or list(fig1.grids["delta_grid"])
+        points = [single_point(omega0, d, beta, branch) for d in grid]
         meta = {"preset": "sweep", "beta": beta, "branch": branch,
                 "omega0": omega0, "delta_grid": grid}
-    result = sweep_generic(points, cfg, meta)
     out = s.get("out", "sweep.csv", parse=str)
+    s.refuse_unread()
+    result = sweep_generic(points, cfg, meta)
     write_csv(result, out)
     print(f"wrote {out} ({len(result.rows)} rows)")
     return 0
 
 
-#: drive options (from _add_params) that each preset reads; the rest are refused
-_PRESET_OPTIONS = {"fig1": {"beta", "branch"}, "fig2": {"omega0", "beta", "branch"},
-                   "fig3": {"alpha"}, "fig4": {"omega1"}}
-_DRIVE_OPTIONS = ("beta", "omega", "omega0", "omega1", "delta", "branch", "two_qubit",
-                  "alpha", "coupling_j", "zero_dynamic")
+def _preset_option(s: _Settings, key: str, default):
+    """A preset keyword from the option of the same name; a `_list` keyword
+    from its option without the suffix, whose one value makes the list."""
+    if isinstance(default, tuple):
+        value = s.get(key.removesuffix("_list"))
+        return default if value is None else (value,)
+    return s.get(key, default, parse=type(default))
 
 
 def cmd_reproduce(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
-    fig = ns.figure
-    unread = []
-    for key in _DRIVE_OPTIONS:
-        if key in _PRESET_OPTIONS[fig]:
-            continue
-        if getattr(ns, key) not in (None, False):
-            unread.append("--" + key.replace("_", "-"))
-        elif key in s.file:
-            unread.append(key)
-    if unread:
-        raise ValueError(f"reproduce {fig} does not read {', '.join(unread)}")
-    out = s.get("out", f"{fig}.csv", parse=str)
-    written = []
-    if fig == "fig1":
-        cfg = _estimator_config(s, NoiseSpec(0.1, 0.1))
-        result = sweep_fig1(beta=s.get("beta", 1.5),
-                            branch=s.get("branch", "minus", parse=str), cfg=cfg)
-        write_csv(result, out)
-        written.append((out, len(result.rows)))
-    elif fig == "fig2":
-        cfg = _estimator_config(s, NoiseSpec(0.1, 0.1))
-        d1 = s.get("delta1", None)
-        results = sweep_fig2(
-            delta1_list=[d1] if d1 is not None else None,
-            omega0=s.get("omega0", 1e5),
-            beta=s.get("beta", 1.5),
-            delta0=s.get("delta0", 0.1),
-            branch=s.get("branch", "minus", parse=str),
-            cfg=cfg,
-        )
+    preset = PRESETS[ns.figure]
+    cfg = _estimator_config(s, preset.spec, preset.control_mode)
+    kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
+    out = s.get("out", f"{ns.figure}.csv", parse=str)
+    s.refuse_unread()
+    results = _SWEEPS[ns.figure](cfg=cfg, **kwargs)
+    if isinstance(results, SweepResult):
+        results = {out: results}
+    else:  # one file per delta1 curve
         stem, ext = os.path.splitext(out)
-        for val, result in results.items():
-            path = f"{stem}_delta1_{val:g}{ext or '.csv'}"
-            write_csv(result, path)
-            written.append((path, len(result.rows)))
-    elif fig == "fig3":
-        cfg = _estimator_config(s, NoiseSpec(0.1, 0.1), default_mode="fixed0")
-        result = sweep_fig3(alpha=s.get("alpha", math.sqrt(3)), cfg=cfg)
-        write_csv(result, out)
-        written.append((out, len(result.rows)))
-    elif fig == "fig4":
-        cfg = _estimator_config(s, NoiseSpec(0.05, 0.05))
-        result = sweep_fig4(omega1=s.get("omega1", 60.0), cfg=cfg)
-        write_csv(result, out)
-        written.append((out, len(result.rows)))
-    else:  # unreachable through argparse choices
-        raise ValueError(f"unknown figure {fig!r}")
-    for path, nrows in written:
-        print(f"wrote {path} ({nrows} rows)")
+        results = {f"{stem}_delta1_{val:g}{ext or '.csv'}": result
+                   for val, result in results.items()}
+    for path, result in results.items():
+        write_csv(result, path)
+        print(f"wrote {path} ({len(result.rows)} rows)")
     return 0
 
 
@@ -490,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_sweep)
 
     r = subs.add_parser("reproduce", help="run a built-in figure preset")
-    r.add_argument("figure", choices=["fig1", "fig2", "fig3", "fig4"])
+    r.add_argument("figure", choices=list(PRESETS))
     _add_common(r)
     _add_params(r)
     _add_estimator(r)

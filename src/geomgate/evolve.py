@@ -133,80 +133,49 @@ def _hamiltonian_entries(w0, w1, t):
     return h00, h01
 
 
-def ode_oracle(p: DriveParams, t: float, steps: int) -> np.ndarray:
+def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
     """Classic fixed-step RK4 integration of i dU/dt = H(t) U, U(0) = I.
 
     Fully independent of the closed forms above: integrates the raw
     time-dependent Hamiltonian (in rescaled units) and converges to
-    propagator(p, t) at O(steps^-4).
+    propagator at O(steps^-4). Vectorized over parameter triples:
+    the arguments broadcast together, t giving each triple its end time
+    (2*pi/omega for one cycle). Returns an array of shape (n, 2, 2).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    w0 = p.omega0 / p.omega
-    w1 = p.omega1 / p.omega
-    t_end = p.omega * t
-    u = np.eye(2, dtype=COMPLEX)
-    dt = t_end / steps
-
-    def rhs(uu, tt):
-        h00, h01 = _hamiltonian_entries(w0, w1, tt)
-        h = np.array([[h00, h01], [np.conj(h01), -h00]], dtype=COMPLEX)
-        return -1j * (h @ uu)
-
-    tt = 0.0
-    for _ in range(steps):
-        k1 = rhs(u, tt)
-        k2 = rhs(u + 0.5 * dt * k1, tt + 0.5 * dt)
-        k3 = rhs(u + 0.5 * dt * k2, tt + 0.5 * dt)
-        k4 = rhs(u + dt * k3, tt + dt)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tt += dt
-    return u
-
-
-def ode_oracle_cycles(omega, omega0, omega1, steps: int) -> np.ndarray:
-    """Batched one-cycle RK4 for many parameter triples at once.
-
-    Same scheme as ode_oracle but vectorized over parameter arrays and fixed
-    to t = one cycle; used for bulk validation against one_cycle_gate.
-    Returns an array of shape (n, 2, 2).
-    """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    w0 = np.asarray(omega0, dtype=float) / omega
-    w1 = np.asarray(omega1, dtype=float) / omega
-    n = w0.shape[0]
-    dt = 2.0 * np.pi / steps
-    # trig of the drive phase on the half-step grid, shared by all triples
-    grid = np.arange(2 * steps + 1) * (0.5 * dt)
-    cg, sg = np.cos(grid), np.sin(grid)
-
-    h00 = 0.5 * w1
-    hx = 0.5 * w0
+    omega, omega0, omega1, t = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (omega, omega0, omega1, t)))
+    if np.any(t < 0):
+        raise ValueError(f"t must be >= 0, got {t.min()}")
+    n = omega.shape[0]
+    w0, w1 = omega0 / omega, omega1 / omega
+    dt = omega * t / steps
+    # entries of -i*H(t): a00 = -a11 constant, a01 = ax*exp(-i*t), a10 = ax*exp(i*t)
+    a00, ax = -0.5j * w1, -0.5j * w0
     u = [np.ones(n, dtype=COMPLEX), np.zeros(n, dtype=COMPLEX),
          np.zeros(n, dtype=COMPLEX), np.ones(n, dtype=COMPLEX)]
+    # the drive phase is evaluated once per distinct step size: one-cycle
+    # runs all take 2*pi (up to rounding) in rescaled units
+    dts, which = np.unique(dt, return_inverse=True)
 
-    def rhs(u0, u1, u2, u3, c, s):
-        h01 = hx * (c - 1j * s)
-        h10 = hx * (c + 1j * s)
-        return (
-            -1j * (h00 * u0 + h01 * u2),
-            -1j * (h00 * u1 + h01 * u3),
-            -1j * (h10 * u0 - h00 * u2),
-            -1j * (h10 * u1 - h00 * u3),
-        )
+    def drive(j):
+        """(a01, a10) at the drive phase j*dt/2."""
+        rot = np.exp(-0.5j * j * dts)[which]
+        return ax * rot, ax * np.conj(rot)
 
+    def rhs(u0, u1, u2, u3, a01, a10):
+        return a00 * u0 + a01 * u2, a00 * u1 + a01 * u3, a10 * u0 - a00 * u2, a10 * u1 - a00 * u3
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    end = drive(0)
     for k in range(steps):
-        c1, s1 = cg[2 * k], sg[2 * k]
-        cm, sm = cg[2 * k + 1], sg[2 * k + 1]
-        c2, s2 = cg[2 * k + 2], sg[2 * k + 2]
-        k1 = rhs(*u, c1, s1)
-        k2 = rhs(*(u[i] + 0.5 * dt * k1[i] for i in range(4)), cm, sm)
-        k3 = rhs(*(u[i] + 0.5 * dt * k2[i] for i in range(4)), cm, sm)
-        k4 = rhs(*(u[i] + dt * k3[i] for i in range(4)), c2, s2)
-        u = [u[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-             for i in range(4)]
+        start, mid, end = end, drive(2 * k + 1), drive(2 * k + 2)
+        k1 = rhs(*u, *start)
+        k2 = rhs(*(u[i] + half * k1[i] for i in range(4)), *mid)
+        k3 = rhs(*(u[i] + half * k2[i] for i in range(4)), *mid)
+        k4 = rhs(*(u[i] + dt * k3[i] for i in range(4)), *end)
+        u = [u[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4)]
     return np.stack(u, axis=-1).reshape(n, 2, 2)
 
 

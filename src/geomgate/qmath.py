@@ -43,17 +43,3 @@ def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:2, :2] = a
     out[2:, 2:] = b
     return out
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> with conjugation on the first argument."""
-    a, b = as_state(a), as_state(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} versus {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    """Largest elementwise deviation of m'm from the identity."""
-    m = as_gate(m)
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())

@@ -14,16 +14,16 @@ batches, one per process used; each batch draws every input state and its
 noise shots once and evaluates all of its points on them, with the draw
 layout of a one-point estimate.
 
-Presets (default grids; all overridable):
+Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
-* fig1: single-qubit, total phase fixed at -1.5*pi, axes (omega0,
-  Delta/omega0) with omega1 = sqrt(3)*omega0 + Delta; delta0 = delta1 = 0.1.
-* fig2: single-qubit, omega0 = 1e5 fixed, one curve per delta1 at
-  delta0 = 0.1, axis Delta/omega0.
-* fig3: conditional gate, log-spaced (omega0, omega1) plane at
-  alpha = sqrt(3), control fixed to |0>, delta0 = delta1 = 0.1.
-* fig4: conditional gate, omega1 = 60 fixed, one curve per alpha over an
-  omega0 grid, control unfixed, delta0 = delta1 = 0.05.
+* fig1: single-qubit, total phase fixed at -beta*pi, axes (omega0,
+  Delta/omega0) with omega1 on the zero-dynamic line plus Delta.
+* fig2: single-qubit, omega0 fixed, one curve per delta1 at fixed delta0,
+  axis Delta/omega0.
+* fig3: conditional gate, log-spaced (omega0, omega1) plane at fixed alpha,
+  control fixed to |0>.
+* fig4: conditional gate, omega1 fixed, one curve per alpha over an omega0
+  grid, control unfixed.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ class SweepResult:
     metadata: dict
 
 
-def _single_point(omega0: float, delta_rel: float, beta: float, branch: str) -> SweepPoint:
+def single_point(omega0: float, delta_rel: float, beta: float, branch: str) -> SweepPoint:
+    """Single-qubit point at total phase -beta*pi, Delta/omega0 off the zero-dynamic line."""
     coords = {"omega0": omega0, "delta_over_omega0": delta_rel}
     omega1 = zero_dynamic_omega1(omega0, beta) + delta_rel * omega0
     try:
@@ -110,11 +111,9 @@ def _single_point(omega0: float, delta_rel: float, beta: float, branch: str) -> 
     return SweepPoint(coords=coords, kind="single", params=params)
 
 
-def _two_qubit_point(omega0: float, omega1: float, alpha: float,
-                     delta_rel: float | None = None) -> SweepPoint:
+def two_qubit_point(omega0: float, omega1: float, alpha: float) -> SweepPoint:
+    """Conditional-gate point with coupling J = alpha*omega0."""
     coords = {"omega0": omega0, "omega1": omega1, "alpha": alpha}
-    if delta_rel is not None:
-        coords["delta_over_omega0"] = delta_rel
     try:
         params = two_qubit_from_alpha(omega0, omega1, alpha)
     except InfeasibleParameters as err:
@@ -224,43 +223,64 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
 # ---------------------------------------------------------------------------
 # presets
 
-DEFAULT_FIG1_OMEGA0 = tuple((0.25 * k) * 1e5 for k in range(1, 9))
-DEFAULT_FIG1_DELTA = tuple(np.linspace(0.0, 4.0, 41))
-DEFAULT_FIG2_DELTA = tuple(np.linspace(0.0, 5.0, 51))
-DEFAULT_FIG2_DELTA1 = (0.01, 0.02, 0.04, 0.06, 0.1)
-DEFAULT_FIG3_OMEGA0 = tuple(np.logspace(math.log10(5.0), math.log10(50.0), 31))
-DEFAULT_FIG3_OMEGA1 = tuple(np.logspace(math.log10(10.0), math.log10(100.0), 31))
-DEFAULT_FIG4_OMEGA0 = tuple(np.linspace(2.0, 40.0, 39))
-DEFAULT_FIG4_ALPHA = tuple(math.sqrt(a) for a in (3, 8, 15, 35, 143))
+
+@dataclass(frozen=True)
+class Preset:
+    """One figure's defaults, read both by its sweep_figN and by the CLI.
+
+    options maps each keyword of sweep_figN that the CLI fills from the option
+    of the same name to its default; a `_list` keyword is filled from its
+    option without the suffix, one given value making a one-entry list.
+    grids maps the keywords only a library call can change. control_mode is
+    None for a single-qubit preset, which has no control qubit.
+    """
+
+    spec: NoiseSpec
+    control_mode: str | None
+    options: dict
+    grids: dict
 
 
-def sweep_fig1(omega0_grid=None, delta_grid=None, beta: float = 1.5,
-               branch: str = "minus", cfg: EstimatorConfig | None = None) -> SweepResult:
+PRESETS = {
+    "fig1": Preset(NoiseSpec(0.1, 0.1), None, {"beta": 1.5, "branch": "minus"}, {
+        "omega0_grid": tuple((0.25 * k) * 1e5 for k in range(1, 9)),
+        "delta_grid": tuple(np.linspace(0.0, 4.0, 41))}),
+    "fig2": Preset(NoiseSpec(0.1, 0.1), None, {
+        "delta1_list": (0.01, 0.02, 0.04, 0.06, 0.1), "omega0": 1e5, "beta": 1.5,
+        "delta0": 0.1, "branch": "minus"}, {
+        "delta_grid": tuple(np.linspace(0.0, 5.0, 51))}),
+    "fig3": Preset(NoiseSpec(0.1, 0.1), "fixed0", {"alpha": math.sqrt(3)}, {
+        "omega0_grid": tuple(np.logspace(math.log10(5.0), math.log10(50.0), 31)),
+        "omega1_grid": tuple(np.logspace(math.log10(10.0), math.log10(100.0), 31))}),
+    "fig4": Preset(NoiseSpec(0.05, 0.05), "unfixed", {"omega1": 60.0}, {
+        "omega0_grid": tuple(np.linspace(2.0, 40.0, 39)),
+        "alpha_list": tuple(math.sqrt(a) for a in (3, 8, 15, 35, 143))}),
+}
+_FIG1, _FIG2, _FIG3, _FIG4 = PRESETS.values()
+
+
+def sweep_fig1(omega0_grid=_FIG1.grids["omega0_grid"], delta_grid=_FIG1.grids["delta_grid"],
+               beta: float = _FIG1.options["beta"], branch: str = _FIG1.options["branch"],
+               cfg: EstimatorConfig | None = None) -> SweepResult:
     """Single-qubit scan over (omega0, Delta/omega0) at fixed total phase -beta*pi."""
-    cfg = cfg or EstimatorConfig()
-    omega0_grid = tuple(omega0_grid) if omega0_grid is not None else DEFAULT_FIG1_OMEGA0
-    delta_grid = tuple(delta_grid) if delta_grid is not None else DEFAULT_FIG1_DELTA
-    points = [
-        _single_point(w0, d, beta, branch)
-        for w0 in omega0_grid for d in delta_grid
-    ]
+    cfg = cfg or EstimatorConfig(spec=_FIG1.spec)
+    points = [single_point(w0, d, beta, branch) for w0 in omega0_grid for d in delta_grid]
     meta = {"preset": "fig1", "beta": beta, "branch": branch,
             "omega0_grid": list(omega0_grid), "delta_grid": list(delta_grid)}
     return sweep_generic(points, cfg, meta)
 
 
-def sweep_fig2(delta_grid=None, delta1_list=None, omega0: float = 1e5,
-               beta: float = 1.5, delta0: float = 0.1, branch: str = "minus",
+def sweep_fig2(delta_grid=_FIG2.grids["delta_grid"], delta1_list=_FIG2.options["delta1_list"],
+               omega0: float = _FIG2.options["omega0"], beta: float = _FIG2.options["beta"],
+               delta0: float = _FIG2.options["delta0"], branch: str = _FIG2.options["branch"],
                cfg: EstimatorConfig | None = None) -> dict:
     """Single-qubit curves versus Delta/omega0, one per delta1 value.
 
     Returns {delta1: SweepResult}. The phase columns are noise-independent,
     so they repeat across the returned results.
     """
-    cfg = cfg or EstimatorConfig()
-    delta_grid = tuple(delta_grid) if delta_grid is not None else DEFAULT_FIG2_DELTA
-    delta1_list = tuple(delta1_list) if delta1_list is not None else DEFAULT_FIG2_DELTA1
-    points = [_single_point(omega0, d, beta, branch) for d in delta_grid]
+    cfg = cfg or EstimatorConfig(spec=_FIG2.spec)
+    points = [single_point(omega0, d, beta, branch) for d in delta_grid]
     out = {}
     for d1 in delta1_list:
         sub = replace(cfg, spec=NoiseSpec(delta0, d1, cfg.spec.independent))
@@ -270,31 +290,23 @@ def sweep_fig2(delta_grid=None, delta1_list=None, omega0: float = 1e5,
     return out
 
 
-def sweep_fig3(omega0_grid=None, omega1_grid=None, alpha: float = math.sqrt(3),
+def sweep_fig3(omega0_grid=_FIG3.grids["omega0_grid"], omega1_grid=_FIG3.grids["omega1_grid"],
+               alpha: float = _FIG3.options["alpha"],
                cfg: EstimatorConfig | None = None) -> SweepResult:
     """Conditional-gate scan over a log-spaced (omega0, omega1) plane."""
-    cfg = cfg or EstimatorConfig(control_mode="fixed0")
-    omega0_grid = tuple(omega0_grid) if omega0_grid is not None else DEFAULT_FIG3_OMEGA0
-    omega1_grid = tuple(omega1_grid) if omega1_grid is not None else DEFAULT_FIG3_OMEGA1
-    points = [
-        _two_qubit_point(w0, w1, alpha)
-        for w0 in omega0_grid for w1 in omega1_grid
-    ]
+    cfg = cfg or EstimatorConfig(spec=_FIG3.spec, control_mode=_FIG3.control_mode)
+    points = [two_qubit_point(w0, w1, alpha) for w0 in omega0_grid for w1 in omega1_grid]
     meta = {"preset": "fig3", "alpha": alpha,
             "omega0_grid": list(omega0_grid), "omega1_grid": list(omega1_grid)}
     return sweep_generic(points, cfg, meta)
 
 
-def sweep_fig4(omega0_grid=None, alpha_list=None, omega1: float = 60.0,
+def sweep_fig4(omega0_grid=_FIG4.grids["omega0_grid"], alpha_list=_FIG4.grids["alpha_list"],
+               omega1: float = _FIG4.options["omega1"],
                cfg: EstimatorConfig | None = None) -> SweepResult:
     """Conditional-gate curves versus omega0 at fixed omega1, one per alpha."""
-    cfg = cfg or EstimatorConfig(spec=NoiseSpec(0.05, 0.05), control_mode="unfixed")
-    omega0_grid = tuple(omega0_grid) if omega0_grid is not None else DEFAULT_FIG4_OMEGA0
-    alpha_list = tuple(alpha_list) if alpha_list is not None else DEFAULT_FIG4_ALPHA
-    points = [
-        _two_qubit_point(w0, omega1, a)
-        for a in alpha_list for w0 in omega0_grid
-    ]
+    cfg = cfg or EstimatorConfig(spec=_FIG4.spec, control_mode=_FIG4.control_mode)
+    points = [two_qubit_point(w0, omega1, a) for a in alpha_list for w0 in omega0_grid]
     meta = {"preset": "fig4", "omega1": omega1, "alpha_list": list(alpha_list),
             "omega0_grid": list(omega0_grid)}
     return sweep_generic(points, cfg, meta)

@@ -16,7 +16,7 @@ from geomgate.cli import write_csv
 from geomgate.evolve import (
     dynamic_phase_oracle,
     ideal_gate_u1,
-    ode_oracle_cycles,
+    ode_oracle,
     one_cycle_gate,
     propagator,
 )
@@ -66,7 +66,7 @@ def test_criterion_1_analytic_correctness():
         diff = np.abs(one_cycle_gate(p) - ideal_gate_u1(tri.gamma, chi_angle(p))).max()
         worst_gate = max(worst_gate, float(diff))
 
-    rk4 = ode_oracle_cycles(omega, w0, w1, 10_000)
+    rk4 = ode_oracle(omega, w0, w1, 2.0 * math.pi / omega, 10_000)
     worst_ode = 0.0
     for k, p in enumerate(params):
         diff = np.abs(rk4[k] - propagator(p, 2.0 * math.pi / p.omega)).max()

@@ -1,5 +1,6 @@
 """Command-line surface: reports, CSV stability, config files, seeds."""
 
+import importlib
 import math
 import os
 import re
@@ -66,6 +67,10 @@ def test_gate_two_qubit_geometric_report(capsys):
 def test_gate_needs_parameters(capsys):
     code, _, err = run_cli(capsys, "gate", "--beta", "1.5")
     assert code == 1 and "omega0" in err
+    # a direct two-qubit entry names the drive rate and omega1 with the coupling
+    code, _, err = run_cli(capsys, "gate", "--two-qubit", "--alpha", "1.7", "--omega0", "30",
+                           "--coupling-j", "5")
+    assert code == 1 and "--coupling-j needs --omega and --omega1" in err
 
 
 # --- fidelity -----------------------------------------------------------------
@@ -241,18 +246,72 @@ def test_reproduce_passes_branch(tmp_path, capsys, figure):
     ("fig1", ["--two-qubit"], ["--two-qubit"]),
     ("fig2", ["--coupling-j", "2"], ["--coupling-j"]),
     ("fig3", ["config:omega0=10"], ["omega0"]),
+    ("fig1", ["--control-mode", "fixed1"], ["--control-mode"]),
+    (None, ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel", "0:1:2",
+            "--omega1", "7", "--coupling-j", "3"], ["--omega1", "--coupling-j"]),
+    (None, ["sweep", "--beta", "1.5", "--grid-omega0", "2:40:3"], ["--grid-omega0"]),
+    (None, ["sweep", "--grid-delta-rel", "0:1:2", "--control-mode", "fixed1"],
+     ["--control-mode"]),
+    (None, ["sweep", "--two-qubit", "--alpha", "1.7", "--grid-delta-rel", "0:1:2"],
+     ["--grid-delta-rel"]),
+    (None, ["gate", "--two-qubit", "--alpha", "1.7", "--omega0", "30", "--beta", "9"],
+     ["--beta"]),
+    (None, ["gate", "--two-qubit", "--alpha", "1.7", "--omega0", "30", "--omega", "9"],
+     ["--omega"]),
+    (None, ["gate", "--beta", "1.5", "--omega0", "1e5", "--omega1", "2e5", "--delta", "5"],
+     ["--delta"]),
+    (None, ["gate", "--beta", "1.5", "--omega0", "1e5", "--seed", "5"], ["--seed"]),
+    (None, ["fidelity", "--omega", "3", "--omega0", "1", "--omega1", "2", "--beta", "1.5",
+            "--branch", "plus"], ["--beta", "--branch"]),
+    (None, ["fidelity", "--beta", "1.5", "--omega0", "1e5", "config:control_mode=fixed1"],
+     ["control_mode"]),
 ])
 def test_reproduce_rejects_unread_drive_options(tmp_path, capsys, figure, argv, named):
+    # any subcommand (reproduce when a figure is given) refuses an option it
+    # does not read, before it estimates or writes anything
     out = tmp_path / "preset.csv"
-    if argv[0].startswith("config:"):
+    if argv[-1].startswith("config:"):
         cfg = tmp_path / "preset.cfg"
-        cfg.write_text(argv[0][len("config:"):] + "\n")
-        argv = ["--config", str(cfg)]
-    code, printed, err = run_cli(capsys, "reproduce", figure, *argv, "--m", "4", "--n", "4",
-                                 "--out", str(out))
+        cfg.write_text(argv[-1][len("config:"):] + "\n")
+        argv = argv[:-1] + ["--config", str(cfg)]
+    if figure is not None:
+        argv = ["reproduce", figure, *argv]
+    if argv[0] != "gate":
+        argv += ["--m", "4", "--n", "4", "--out", str(out)]
+    code, printed, err = run_cli(capsys, *argv)
     assert code == 1 and printed == ""
+    assert err.startswith(f"error: {' '.join(argv[:2 if figure else 1])} does not read ")
     assert all(name in err for name in named), err
     assert os.listdir(tmp_path) in ([], ["preset.cfg"])
+
+
+def test_config_file_turns_on_flags(tmp_path, capsys):
+    # a config key gives a flag exactly as the flag does
+    cfg = tmp_path / "flags.cfg"
+    for text, flags in (("two_qubit=1\nalpha=1.7320508\nomega0=30\n",
+                         ["--two-qubit", "--alpha", "1.7320508", "--omega0", "30"]),
+                        ("beta=1.5\nomega0=1e5\nzero_dynamic=1\n",
+                         ["--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"])):
+        cfg.write_text(text)
+        code, from_file, err = run_cli(capsys, "gate", "--config", str(cfg))
+        assert code == 0, err
+        assert from_file == run_cli(capsys, "gate", *flags)[1]
+    cfg.write_text("beta=1.5\nomega0=1e5\nzero_dynamic=1\nomega1=5\n")
+    code, printed, err = run_cli(capsys, "gate", "--config", str(cfg))
+    assert code == 1 and printed == "" and "mutually exclusive" in err
+
+
+def test_benchmark_command_lines_run(tmp_path, capsys, monkeypatch):
+    # the argument forms the scan benchmark passes, at tiny sizes
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    workloads = importlib.import_module("workloads")
+    for wl in workloads.WORKLOADS.values():
+        out = tmp_path / f"{wl.name}.csv"
+        code, _, err = run_cli(capsys, *wl.args, "--seed", "1", "--m", "2", "--n", "2",
+                               "--workers", str(wl.workers), "--out", str(out))
+        assert code == 0 and out.exists(), (wl.name, err)
+        code, printed, err = run_cli(capsys, *wl.gate_args(1, 0))
+        assert code == 0 and "gate (" in printed, (wl.name, err)
 
 
 def test_write_csv_leaves_no_partial_output(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from geomgate.noise import (
     sample_input_state,
     sample_two_qubit_input,
 )
-from geomgate.qmath import overlap
 
 
 def test_noise_spec_bounds():
@@ -79,7 +78,7 @@ def test_state_forms():
         theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
         a = _state_from_angles(theta, phi, False)
         b = _state_from_angles(theta, phi, True)
-        assert abs(overlap(a, b)) <= 1e-15
+        assert abs(np.vdot(a, b)) <= 1e-15
 
 
 def test_sample_input_state_normalized():

@@ -15,8 +15,8 @@ from geomgate.sweep import (
     SINGLE_STREAM_TAG,
     TWO_QUBIT_STREAM_TAG,
     EstimatorConfig,
-    _single_point,
-    _two_qubit_point,
+    single_point,
+    two_qubit_point,
     sweep_fig1,
     sweep_fig2,
     sweep_fig4,
@@ -29,14 +29,14 @@ FAST = EstimatorConfig(m=60, n=60, spec=NoiseSpec(0.1, 0.1), seed=7)
 
 
 def test_single_point_resolution():
-    pt = _single_point(1e5, 0.0, 1.5, "minus")
+    pt = single_point(1e5, 0.0, 1.5, "minus")
     assert pt.feasible
     assert pt.params.omega1 == pytest.approx(SQRT3 * 1e5, rel=1e-12)
 
 
 def test_infeasible_points_flagged_not_dropped():
     # Delta/omega0 < 0 walks off the reality constraint
-    points = [_single_point(1e5, d, 1.5, "minus") for d in (-0.5, -0.2, 0.0, 0.5)]
+    points = [single_point(1e5, d, 1.5, "minus") for d in (-0.5, -0.2, 0.0, 0.5)]
     bad = [p for p in points if not p.feasible]
     assert len(bad) == 2
     assert all("reality" in p.reason for p in bad)
@@ -51,7 +51,7 @@ def test_infeasible_points_flagged_not_dropped():
 
 
 def test_rows_carry_nominal_phases():
-    res = sweep_generic([_single_point(1e5, 0.0, 1.5, "minus")], FAST)
+    res = sweep_generic([single_point(1e5, 0.0, 1.5, "minus")], FAST)
     row = res.rows[0]
     assert row["gamma"] == pytest.approx(-1.5 * math.pi, abs=1e-9)
     assert abs(row["gamma_d"]) <= 1e-9
@@ -61,7 +61,7 @@ def test_rows_carry_nominal_phases():
 
 def test_point_order_permutation_invariance():
     deltas = [0.0, 0.3, 0.9, 1.8]
-    points = [_single_point(1e5, d, 1.5, "minus") for d in deltas]
+    points = [single_point(1e5, d, 1.5, "minus") for d in deltas]
     res_fwd = sweep_generic(points, FAST)
     res_rev = sweep_generic(points[::-1], FAST)
     for row in res_fwd.rows:
@@ -71,7 +71,7 @@ def test_point_order_permutation_invariance():
 
 
 def test_worker_count_does_not_change_rows():
-    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
     seq = sweep_generic(points, FAST)
     par = sweep_generic(points, EstimatorConfig(m=60, n=60, spec=NoiseSpec(0.1, 0.1),
                                                 seed=7, workers=2))
@@ -80,9 +80,9 @@ def test_worker_count_does_not_change_rows():
 
 def test_grid_shape_does_not_change_values():
     # the same coordinate must give the same row whatever grid surrounds it
-    lone = sweep_generic([_single_point(1e5, 1.0, 1.5, "minus")], FAST)
+    lone = sweep_generic([single_point(1e5, 1.0, 1.5, "minus")], FAST)
     embedded = sweep_generic(
-        [_single_point(1e5, d, 1.5, "minus") for d in (0.0, 1.0, 3.0)], FAST)
+        [single_point(1e5, d, 1.5, "minus") for d in (0.0, 1.0, 3.0)], FAST)
     row = next(r for r in embedded.rows if r["delta_over_omega0"] == 1.0)
     assert row == lone.rows[0]
 
@@ -111,7 +111,7 @@ def test_fig3_preset_argmax_on_diagonal():
     cfg = EstimatorConfig(m=120, n=120, spec=NoiseSpec(0.1, 0.1), seed=5,
                           control_mode="fixed0")
     ratios = (0.7, 0.85, 1.0, 1.2, 1.4)
-    points = [_two_qubit_point(w0, f * 2.0 * w0, SQRT3)
+    points = [two_qubit_point(w0, f * 2.0 * w0, SQRT3)
               for w0 in (10.0, 20.0) for f in ratios]
     res = sweep_generic(points, cfg)
     for w0 in (10.0, 20.0):
@@ -132,7 +132,7 @@ def test_fig4_preset_single_alpha_argmax():
 
 def test_two_qubit_rows_have_block_phases():
     cfg = EstimatorConfig(m=30, n=30, spec=NoiseSpec(0.05, 0.05), seed=1)
-    res = sweep_generic([_two_qubit_point(30.0, 60.0, SQRT3)], cfg)
+    res = sweep_generic([two_qubit_point(30.0, 60.0, SQRT3)], cfg)
     row = res.rows[0]
     assert abs(row["gamma_d_0"]) <= 1e-9 and abs(row["gamma_d_1"]) <= 1e-9
     assert row["J"] == pytest.approx(30.0 * SQRT3, rel=1e-12)
@@ -143,8 +143,8 @@ def test_sweep_generic_rejects_bad_input():
     with pytest.raises(ValueError):
         sweep_generic([], FAST)
     with pytest.raises(ValueError):
-        sweep_generic([_single_point(1e5, 0.0, 1.5, "minus"),
-                       _two_qubit_point(30.0, 60.0, SQRT3)], FAST)
+        sweep_generic([single_point(1e5, 0.0, 1.5, "minus"),
+                       two_qubit_point(30.0, 60.0, SQRT3)], FAST)
 
 
 # --- batched evaluation: shared draws across the points of a batch -----------
@@ -167,8 +167,8 @@ BATCH_CASES = [
 def batch_points(kind):
     # a multi-point grid with an infeasible point inside it
     if kind == "single":
-        return [_single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.4, 1.3, 2.9)]
-    return [_two_qubit_point(w0, w1, SQRT3)
+        return [single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.4, 1.3, 2.9)]
+    return [two_qubit_point(w0, w1, SQRT3)
             for w0, w1 in ((10.0, 20.0), (20.0, 30.0), (30.0, 60.0), (12.0, 50.0))]
 
 
@@ -216,7 +216,7 @@ def test_sweep_builds_the_streams_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(RngStream, "child", counted)
     cfg = EstimatorConfig(m=5, n=11, spec=NoiseSpec(0.1, 0.1), seed=2)
-    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 1.5, 2.0)]
     sweep_generic(points, cfg)
     # one batch: the base stream plus state and shot streams for n states
     state_streams = [c for c in calls if len(c) == 2]
@@ -252,14 +252,14 @@ def recording_pool(monkeypatch):
 def test_one_point_runs_in_process(recording_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     cfg = EstimatorConfig(m=20, n=20, spec=NoiseSpec(0.1, 0.1), seed=7, workers=2)
-    res = sweep_generic([_single_point(1e5, 0.0, 1.5, "minus")], cfg)
+    res = sweep_generic([single_point(1e5, 0.0, 1.5, "minus")], cfg)
     assert recording_pool == []
     assert res.metadata["workers"] == 2
 
 
 def test_pool_never_exceeds_the_cpus(recording_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
     res = sweep_generic(points, EstimatorConfig(m=20, n=20, seed=7, workers=8))
     assert recording_pool == []  # one CPU: one batch, in process
     assert res.metadata["workers"] == 8
@@ -267,7 +267,7 @@ def test_pool_never_exceeds_the_cpus(recording_pool, monkeypatch):
 
 def test_pool_maps_contiguous_batches(recording_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    points = [_single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.5, 1.0, 2.0)]
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.5, 1.0, 2.0)]
     seq = sweep_generic(points, FAST)
     par = sweep_generic(points, EstimatorConfig(m=60, n=60, spec=NoiseSpec(0.1, 0.1),
                                                 seed=7, workers=8))
