@@ -24,10 +24,9 @@ from .evolve import (
     ideal_gate_u2,
     one_cycle_gate,
     propagator,
-    rotating_frame_propagator,
 )
 from .noise import NoiseSpec, RngStream, sample_input_state, sample_two_qubit_input
-from .fidelity import FidelityEstimate, estimate_single, estimate_two_qubit, shot_fidelity
+from .fidelity import FidelityEstimate, estimate_single, estimate_two_qubit
 from .sweep import (
     EstimatorConfig,
     SweepPoint,
@@ -45,9 +44,9 @@ __all__ = [
     "big_omega", "chi_angle", "omega_for_beta", "phases", "shifted_target",
     "two_qubit_from_alpha", "two_qubit_geometric_point", "zero_dynamic_omega1",
     "dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2",
-    "one_cycle_gate", "propagator", "rotating_frame_propagator",
+    "one_cycle_gate", "propagator",
     "NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input",
-    "FidelityEstimate", "estimate_single", "estimate_two_qubit", "shot_fidelity",
+    "FidelityEstimate", "estimate_single", "estimate_two_qubit",
     "EstimatorConfig", "SweepPoint", "SweepResult",
     "sweep_fig1", "sweep_fig2", "sweep_fig3", "sweep_fig4", "sweep_generic",
 ]

@@ -39,6 +39,7 @@ from .model import (
     zero_dynamic_omega1,
 )
 from .evolve import ideal_gate_u2, one_cycle_gate
+from .fidelity import CONTROL_MODES, GATE_MODELS
 from .noise import NoiseSpec
 from .sweep import (
     PRESETS,
@@ -112,10 +113,6 @@ def _write_atomic(files: dict) -> None:
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise
-
-
-def write_kv(path: str, mapping: dict) -> None:
-    _write_atomic({path: _kv_lines(mapping)})
 
 
 def write_csv(result: SweepResult, path: str) -> None:
@@ -232,9 +229,9 @@ def _add_estimator(sub: argparse.ArgumentParser) -> None:
                      help="draw the two noise channels independently")
     sub.add_argument("--m", type=int, help="noise shots per input state")
     sub.add_argument("--n", type=int, help="number of input states")
-    sub.add_argument("--control-mode", choices=["fixed0", "fixed1", "unfixed"],
+    sub.add_argument("--control-mode", choices=CONTROL_MODES,
                      dest="control_mode", help="control-qubit handling (two-qubit)")
-    sub.add_argument("--gate-model", choices=["phase", "propagator"], dest="gate_model",
+    sub.add_argument("--gate-model", choices=GATE_MODELS, dest="gate_model",
                      help="noisy-gate construction (default: phase)")
     sub.add_argument("--haar", action="store_const", const=True,
                      help="sample input states from the sphere measure")
@@ -344,9 +341,11 @@ def cmd_gate(ns: argparse.Namespace) -> int:
 def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
     """Estimator options over the given defaults; control_mode is None for a
     single-qubit run, which has no control qubit and reads no --control-mode."""
-    workers = s.get("workers", 1, parse=int)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    counts = {key: s.get(key, default, parse=int)
+              for key, default in (("m", 500), ("n", 500), ("workers", 1))}
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     spec = NoiseSpec(
         s.get("delta0", spec.delta0),
         s.get("delta1", spec.delta1),
@@ -355,13 +354,11 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
     mode = {} if control_mode is None else \
         {"control_mode": s.get("control_mode", control_mode, parse=str)}
     return EstimatorConfig(
-        m=s.get("m", 500, parse=int),
-        n=s.get("n", 500, parse=int),
         spec=spec,
         seed=s.seed(),
         gate_model=s.get("gate_model", "phase", parse=str),
         haar=s.get("haar", False, parse=bool),
-        workers=workers,
+        **counts,
         **mode,
     )
 

@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .model import DriveParams, TwoQubitParams, shifted_target
-from .qmath import COMPLEX, block_diag
 
 
 def _cycle_entries(omega, w0, w1):
@@ -66,25 +65,7 @@ def propagator(p: DriveParams, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     u00, u01, u10, u11 = _propagator_entries(p.omega, p.omega0, p.omega1, float(t))
-    return np.array([[u00, u01], [u10, u11]], dtype=COMPLEX)
-
-
-def rotating_frame_propagator(p: DriveParams, t: float) -> np.ndarray:
-    """The constant-generator factor V(t) = exp(-i*t*H_rot).
-
-    Satisfies V(t1+t2) = V(t1) @ V(t2); the full propagator is R(t) @ V(t).
-    """
-    det = p.omega1 - p.omega
-    big = math.hypot(p.omega0, det)
-    a = 0.5 * big * t
-    c, s = math.cos(a), math.sin(a)
-    return np.array(
-        [
-            [c - 1j * s * det / big, -1j * s * p.omega0 / big],
-            [-1j * s * p.omega0 / big, c + 1j * s * det / big],
-        ],
-        dtype=COMPLEX,
-    )
+    return np.array([[u00, u01], [u10, u11]], dtype=complex)
 
 
 def one_cycle_gate(p: DriveParams) -> np.ndarray:
@@ -94,7 +75,7 @@ def one_cycle_gate(p: DriveParams) -> np.ndarray:
     the result matches ideal_gate_u1(gamma, chi) to machine precision.
     """
     u00, u01, u11 = _cycle_entries(p.omega, p.omega0, p.omega1)
-    return np.array([[u00, u01], [u01, u11]], dtype=COMPLEX)
+    return np.array([[u00, u01], [u01, u11]], dtype=complex)
 
 
 def ideal_gate_u1(gamma: float, chi: float) -> np.ndarray:
@@ -110,7 +91,7 @@ def ideal_gate_u1(gamma: float, chi: float) -> np.ndarray:
     s2 = math.sin(chi / 2.0) ** 2
     off = 1j * math.sin(chi) * math.sin(gamma)
     return np.array(
-        [[eg * c2 + emg * s2, off], [off, eg * s2 + emg * c2]], dtype=COMPLEX
+        [[eg * c2 + emg * s2, off], [off, eg * s2 + emg * c2]], dtype=complex
     )
 
 
@@ -120,10 +101,10 @@ def ideal_gate_u2(p2: TwoQubitParams) -> np.ndarray:
     Control in |0> applies the block at omega1 - J, control in |1> the block
     at omega1 + J; both run for the same cycle 2*pi/omega.
     """
-    return block_diag(
-        one_cycle_gate(shifted_target(p2, 0)),
-        one_cycle_gate(shifted_target(p2, 1)),
-    )
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2] = one_cycle_gate(shifted_target(p2, 0))
+    out[2:, 2:] = one_cycle_gate(shifted_target(p2, 1))
+    return out
 
 
 def _hamiltonian_entries(w0, w1, t):
@@ -153,8 +134,8 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
     dt = omega * t / steps
     # entries of -i*H(t): a00 = -a11 constant, a01 = ax*exp(-i*t), a10 = ax*exp(i*t)
     a00, ax = -0.5j * w1, -0.5j * w0
-    u = [np.ones(n, dtype=COMPLEX), np.zeros(n, dtype=COMPLEX),
-         np.zeros(n, dtype=COMPLEX), np.ones(n, dtype=COMPLEX)]
+    u = [np.ones(n, dtype=complex), np.zeros(n, dtype=complex),
+         np.zeros(n, dtype=complex), np.ones(n, dtype=complex)]
     # the drive phase is evaluated once per distinct step size: one-cycle
     # runs all take 2*pi (up to rounding) in rescaled units
     dts, which = np.unique(dt, return_inverse=True)
@@ -195,7 +176,7 @@ def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:
     det = w1 - 1.0
     big = math.hypot(w0, det)
     chi = math.atan2(w0, det)
-    psi0 = np.array([math.cos(chi / 2.0), math.sin(chi / 2.0)], dtype=COMPLEX)
+    psi0 = np.array([math.cos(chi / 2.0), math.sin(chi / 2.0)], dtype=complex)
 
     t = np.linspace(0.0, 2.0 * np.pi, steps + 1)
     u00, u01, u10, u11 = _propagator_entries(1.0, w0, w1, t)

@@ -59,7 +59,6 @@ import numpy as np
 from .evolve import _cycle_entries
 from .model import DriveParams, TwoQubitParams
 from .noise import NoiseSpec, RngStream, relative_draws, sample_input_state
-from .qmath import as_gate, as_state
 
 GATE_MODELS = ("phase", "propagator")
 CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
@@ -76,30 +75,10 @@ class FidelityEstimate:
     seed: int
 
 
-def shot_fidelity(psi_in: np.ndarray, u_ideal: np.ndarray, u_noisy: np.ndarray) -> float:
-    """Squared overlap |<psi_in| U_ideal^dag U_noisy |psi_in>|^2.
-
-    Invariant under a global phase on either gate. psi_in must be normalized.
-    """
-    psi_in = as_state(psi_in)
-    u_ideal, u_noisy = as_gate(u_ideal), as_gate(u_noisy)
-    if u_ideal.shape[0] != psi_in.shape[0] or u_noisy.shape[0] != psi_in.shape[0]:
-        raise ValueError("gate/state dimension mismatch")
-    amp = np.vdot(u_ideal @ psi_in, u_noisy @ psi_in)
-    return float(min(abs(amp) ** 2, 1.0))
-
-
 #: elements of one (points, m) array; bounds the memory of a chunk of points
 _CHUNK_ELEMENTS = 1 << 12
 #: per-state means held at once; more points take more passes over the draws
 _PASS_ELEMENTS = 1 << 20
-
-
-def _control_weights(control_mode: str) -> tuple | None:
-    """Block weights of a control mode; None samples the control per state."""
-    if control_mode not in CONTROL_MODES:
-        raise ValueError(f"control_mode must be one of {CONTROL_MODES}, got {control_mode!r}")
-    return {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
 
 
 def _columns(rows) -> np.ndarray:
@@ -107,25 +86,35 @@ def _columns(rows) -> np.ndarray:
     return np.array(list(zip(*rows)))[:, :, None]
 
 
-def _estimate(points: list, weights: tuple | None, spec: NoiseSpec, m: int, n: int,
-              rng: RngStream, gate_model: str, haar: bool) -> list:
-    """Two-level average at each point (p, shifts); one FidelityEstimate per point.
+def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
+              gate_model: str, haar: bool, control_mode: str | None) -> list:
+    """Two-level average at each point; one FidelityEstimate per point.
 
-    A point's blocks sit at longitudinal frequencies p.omega1 + shift. All
-    points share the weights (None samples the control per state) and the
-    draws: each state is drawn once and every point is evaluated on it, on
-    (points, m) arrays of at most _CHUNK_ELEMENTS elements per chunk. More
-    points than _PASS_ELEMENTS // n take one pass over the draws per group.
+    params holds DriveParams, one block each, or TwoQubitParams, whose blocks
+    sit at the target's omega1 -+ J and are weighted by control_mode (read
+    for these only). All points share the draws: each state is drawn once
+    and every point is evaluated on it, on (points, m) arrays of at most
+    _CHUNK_ELEMENTS elements per chunk. More points than _PASS_ELEMENTS // n
+    take one pass over the draws per group.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if gate_model not in GATE_MODELS:
         raise ValueError(f"gate_model must be one of {GATE_MODELS}, got {gate_model!r}")
     size = max(1, _PASS_ELEMENTS // n)
-    if len(points) > size:
-        return [est for lo in range(0, len(points), size)
-                for est in _estimate(points[lo:lo + size], weights, spec, m, n, rng,
-                                     gate_model, haar)]
+    if len(params) > size:
+        return [est for lo in range(0, len(params), size)
+                for est in _estimate(params[lo:lo + size], spec, m, n, rng,
+                                     gate_model, haar, control_mode)]
+    # each point as (p, shifts): its blocks sit at longitudinal frequencies
+    # p.omega1 + shift; weights None samples the control per state
+    if isinstance(params[0], TwoQubitParams):
+        if control_mode not in CONTROL_MODES:
+            raise ValueError(f"control_mode must be one of {CONTROL_MODES}, got {control_mode!r}")
+        weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
+        points = [(p2.target, (-p2.coupling_j, p2.coupling_j)) for p2 in params]
+    else:
+        weights, points = (1.0,), [(p, (0.0,)) for p in params]
     step = max(1, _CHUNK_ELEMENTS // m)
     chunks = []
     for lo in range(0, len(points), step):
@@ -217,7 +206,7 @@ def estimate_single(
     m noise shots per state, n input states. The drive rate omega is never
     fluctuated.
     """
-    return _estimate([(p, (0.0,))], (1.0,), spec, m, n, rng, gate_model, haar)[0]
+    return _estimate([p], spec, m, n, rng, gate_model, haar, None)[0]
 
 
 def estimate_two_qubit(
@@ -236,6 +225,4 @@ def estimate_two_qubit(
     control_mode fixes the control qubit to |0> or |1>, or samples it
     ("unfixed") as an independent single-qubit state.
     """
-    j = p2.coupling_j
-    return _estimate([(p2.target, (-j, j))], _control_weights(control_mode),
-                     spec, m, n, rng, gate_model, haar)[0]
+    return _estimate([p2], spec, m, n, rng, gate_model, haar, control_mode)[0]

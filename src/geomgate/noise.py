@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import COMPLEX
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -43,10 +41,6 @@ class NoiseSpec:
         for name, d in (("delta0", self.delta0), ("delta1", self.delta1)):
             if not 0.0 <= d < 1.0:
                 raise ValueError(f"{name} must satisfy 0 <= delta < 1, got {d}")
-
-    @property
-    def noiseless(self) -> bool:
-        return self.delta0 == 0.0 and self.delta1 == 0.0
 
 
 class RngStream:
@@ -91,8 +85,8 @@ def _state_from_angles(theta, phi, partner):
     em = np.exp(-0.5j * phi)
     ep = np.exp(0.5j * phi)
     if partner:
-        return np.array([-s * em, c * ep], dtype=COMPLEX)
-    return np.array([c * em, s * ep], dtype=COMPLEX)
+        return np.array([-s * em, c * ep], dtype=complex)
+    return np.array([c * em, s * ep], dtype=complex)
 
 
 def sample_input_state(rng: RngStream, haar: bool = False) -> np.ndarray:

@@ -18,8 +18,8 @@ Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
 * fig1: single-qubit, total phase fixed at -beta*pi, axes (omega0,
   Delta/omega0) with omega1 on the zero-dynamic line plus Delta.
-* fig2: single-qubit, omega0 fixed, one curve per delta1 at fixed delta0,
-  axis Delta/omega0.
+* fig2: single-qubit, omega0 fixed, one curve per delta1 at the delta0 of
+  the noise spec, axis Delta/omega0.
 * fig3: conditional gate, log-spaced (omega0, omega1) plane at fixed alpha,
   control fixed to |0>.
 * fig4: conditional gate, omega1 fixed, one curve per alpha over an omega0
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .fidelity import _control_weights, _estimate
+from .fidelity import _estimate
 from .model import (
     DriveParams,
     InfeasibleParameters,
@@ -161,15 +161,9 @@ def _eval_batch(args) -> list:
     feasible = [k for k, point in enumerate(points) if point.feasible]
     if not feasible:
         return rows
-    params = [points[k].params for k in feasible]
-    if points[0].kind == "single":
-        tag, weights = SINGLE_STREAM_TAG, (1.0,)
-        blocks = [(p, (0.0,)) for p in params]
-    else:
-        tag, weights = TWO_QUBIT_STREAM_TAG, _control_weights(cfg.control_mode)
-        blocks = [(p2.target, (-p2.coupling_j, p2.coupling_j)) for p2 in params]
-    ests = _estimate(blocks, weights, cfg.spec, cfg.m, cfg.n, RngStream(cfg.seed).child(tag),
-                     cfg.gate_model, cfg.haar)
+    tag = SINGLE_STREAM_TAG if points[0].kind == "single" else TWO_QUBIT_STREAM_TAG
+    ests = _estimate([points[k].params for k in feasible], cfg.spec, cfg.m, cfg.n,
+                     RngStream(cfg.seed).child(tag), cfg.gate_model, cfg.haar, cfg.control_mode)
     for k, est in zip(feasible, ests):
         rows[k]["F_mean"] = est.mean
         rows[k]["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
@@ -247,7 +241,7 @@ PRESETS = {
         "delta_grid": tuple(np.linspace(0.0, 4.0, 41))}),
     "fig2": Preset(NoiseSpec(0.1, 0.1), None, {
         "delta1_list": (0.01, 0.02, 0.04, 0.06, 0.1), "omega0": 1e5, "beta": 1.5,
-        "delta0": 0.1, "branch": "minus"}, {
+        "branch": "minus"}, {
         "delta_grid": tuple(np.linspace(0.0, 5.0, 51))}),
     "fig3": Preset(NoiseSpec(0.1, 0.1), "fixed0", {"alpha": math.sqrt(3)}, {
         "omega0_grid": tuple(np.logspace(math.log10(5.0), math.log10(50.0), 31)),
@@ -272,18 +266,19 @@ def sweep_fig1(omega0_grid=_FIG1.grids["omega0_grid"], delta_grid=_FIG1.grids["d
 
 def sweep_fig2(delta_grid=_FIG2.grids["delta_grid"], delta1_list=_FIG2.options["delta1_list"],
                omega0: float = _FIG2.options["omega0"], beta: float = _FIG2.options["beta"],
-               delta0: float = _FIG2.options["delta0"], branch: str = _FIG2.options["branch"],
+               branch: str = _FIG2.options["branch"],
                cfg: EstimatorConfig | None = None) -> dict:
     """Single-qubit curves versus Delta/omega0, one per delta1 value.
 
-    Returns {delta1: SweepResult}. The phase columns are noise-independent,
-    so they repeat across the returned results.
+    Every curve runs at cfg.spec with its own delta1. Returns
+    {delta1: SweepResult}. The phase columns are noise-independent, so they
+    repeat across the returned results.
     """
     cfg = cfg or EstimatorConfig(spec=_FIG2.spec)
     points = [single_point(omega0, d, beta, branch) for d in delta_grid]
     out = {}
     for d1 in delta1_list:
-        sub = replace(cfg, spec=NoiseSpec(delta0, d1, cfg.spec.independent))
+        sub = replace(cfg, spec=replace(cfg.spec, delta1=d1))
         meta = {"preset": "fig2", "beta": beta, "branch": branch, "omega0": omega0,
                 "delta_grid": list(delta_grid), "delta1_list": list(delta1_list)}
         out[d1] = sweep_generic(points, sub, meta)

@@ -185,7 +185,7 @@ def test_criterion_5_fig1_structure():
 def test_criterion_6_fig2_regime_change():
     cfg = EstimatorConfig(m=500, n=500, seed=SEED)
     curves = sweep_fig2(delta_grid=np.linspace(0.0, 5.0, 51),
-                        delta1_list=[0.1, 0.01], delta0=0.1, cfg=cfg)
+                        delta1_list=[0.1, 0.01], cfg=cfg)
 
     big = curves[0.1].rows
     best = max(range(len(big)), key=lambda k: big[k]["F_mean"])

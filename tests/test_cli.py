@@ -11,7 +11,8 @@ import pytest
 
 import geomgate
 from geomgate import cli
-from geomgate.cli import main, read_config, write_kv
+from geomgate.cli import main, read_config, write_csv
+from geomgate.sweep import SweepResult
 
 SQRT3 = math.sqrt(3.0)
 
@@ -344,7 +345,7 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", failing)
     with pytest.raises(OSError):
-        write_kv(str(tmp_path / "run.meta"), {"seed": 1})
+        write_csv(SweepResult(["seed"], [{"seed": 1}], {"seed": 1}), str(tmp_path / "run.csv"))
     assert os.listdir(tmp_path) == []
 
 
@@ -353,9 +354,7 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
 
 def test_config_file_roundtrip_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    write_kv(str(cfg), {"beta": 1.5, "omega0": 1e5, "delta0": 0.1, "delta1": 0.1,
-                        "m": 30, "n": 30, "seed": 21})
-    # round-trip: values survive the file format losslessly
+    cfg.write_text("beta=1.5\nomega0=1e5\ndelta0=0.1\ndelta1=0.1\nm=30\nn=30\nseed=21\n")
     back = read_config(str(cfg))
     assert float(back["omega0"]) == 1e5 and int(back["m"]) == 30
 
@@ -407,18 +406,27 @@ def test_config_unknown_key_is_an_error(tmp_path, capsys):
     assert code == 1 and "delta0" in err
 
 
-@pytest.mark.parametrize("source", ["0", "-3", "config"])
-def test_workers_below_one_rejected(tmp_path, capsys, source):
-    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "5", "--n", "5"]
-    if source == "config":
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("workers=0\n")
+@pytest.mark.parametrize("key,value,in_config", [
+    ("workers", "0", False), ("workers", "-3", False), ("workers", "0", True),
+    ("m", "0", False), ("n", "-2", False), ("m", "0", True), ("n", "0", True),
+], ids=["0", "-3", "config", "m", "n", "config-m", "config-n"])
+def test_workers_below_one_rejected(tmp_path, capsys, key, value, in_config):
+    # every point of this grid is infeasible, so the estimator never runs and
+    # only the CLI can refuse a count below 1
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel", "-3:-2:2",
+            "--out", str(out)]
+    options = {"m": "5", "n": "5", key: value}
+    if in_config:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}={options.pop(key)}\n")
         argv += ["--config", str(cfg)]
-    else:
-        argv += ["--workers", source]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert "workers" in err
+    for option, text in options.items():
+        argv += [f"--{option}", text]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert f"{key} must be >= 1" in err
+    assert not out.exists()
 
 
 # --- import cost ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from geomgate.evolve import (
     ode_oracle,
     one_cycle_gate,
     propagator,
-    rotating_frame_propagator,
 )
 from geomgate.model import (
     DriveParams,
@@ -20,10 +19,9 @@ from geomgate.model import (
     chi_angle,
     phases,
     shifted_target,
+    two_qubit_from_alpha,
     two_qubit_geometric_point,
 )
-from geomgate.qmath import IDENTITY_2, SIGMA_X
-
 SQRT3 = math.sqrt(3.0)
 
 
@@ -51,7 +49,7 @@ def zero_dynamic_point(omega0=1e5):
 
 def test_propagator_t0_is_identity():
     p = DriveParams(2.0, 1.0, 0.5)
-    np.testing.assert_allclose(propagator(p, 0.0), IDENTITY_2, atol=1e-15)
+    np.testing.assert_allclose(propagator(p, 0.0), np.eye(2), atol=1e-15)
 
 
 def test_propagator_rejects_negative_time():
@@ -89,16 +87,6 @@ def test_propagator_opposite_cyclic_phases():
         u = propagator(p, 2.0 * math.pi / p.omega)
         prod = np.vdot(plus, u @ plus) * np.vdot(minus, u @ minus)
         assert abs(prod - 1.0) <= 1e-10
-
-
-def test_rotating_frame_composition():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        p = random_params(rng)
-        t1, t2 = rng.uniform(0.0, 5.0, 2) / p.omega
-        v12 = rotating_frame_propagator(p, t1 + t2)
-        composed = rotating_frame_propagator(p, t1) @ rotating_frame_propagator(p, t2)
-        np.testing.assert_allclose(v12, composed, atol=1e-12)
 
 
 # --- one-cycle gate vs the closed-form matrix ----------------------------
@@ -150,9 +138,10 @@ def test_one_cycle_gate_unit_determinant_modulus():
 
 
 def test_ideal_gate_u1_trivial():
-    np.testing.assert_allclose(ideal_gate_u1(0.0, 1.234), IDENTITY_2, atol=1e-15)
-    np.testing.assert_allclose(
-        ideal_gate_u1(math.pi / 2.0, math.pi / 2.0), 1j * SIGMA_X, atol=1e-15)
+    sigma_x = np.array([[0, 1], [1, 0]])
+    np.testing.assert_allclose(ideal_gate_u1(0.0, 1.234), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(ideal_gate_u1(math.pi / 2.0, math.pi / 2.0), 1j * sigma_x,
+                               atol=1e-15)
 
 
 def test_ideal_gate_u1_unitary_everywhere():
@@ -188,7 +177,32 @@ def test_ideal_gate_u2_zero_coupling_is_tensor_product():
     base = DriveParams(omega=3.0, omega0=1.0, omega1=2.0)
     p2 = TwoQubitParams(target=base, coupling_j=0.0)
     u1 = one_cycle_gate(base)
-    np.testing.assert_allclose(ideal_gate_u2(p2), np.kron(IDENTITY_2, u1), atol=1e-14)
+    np.testing.assert_allclose(ideal_gate_u2(p2), np.kron(np.eye(2), u1), atol=1e-14)
+
+
+def test_ideal_gate_u2_routes_each_block():
+    # control |0> gets the block at omega1 - J, control |1> the one at omega1 + J
+    p2 = two_qubit_from_alpha(20.0, 50.0, SQRT3)
+    u = ideal_gate_u2(p2)
+    for control in (0, 1):
+        block = one_cycle_gate(shifted_target(p2, control))
+        for target in (0, 1):
+            ket = np.zeros(4)
+            ket[2 * control + target] = 1.0
+            want = np.zeros(4, dtype=complex)
+            want[2 * control:2 * control + 2] = block[:, target]
+            np.testing.assert_array_equal(u @ ket, want)
+    assert np.abs(u[:2, :2] - u[2:, 2:]).max() > 0.1
+
+
+def test_ideal_gate_u2_block_diagonal_and_unitary():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        base = random_params(rng, ratio_hi=3.0)
+        u = ideal_gate_u2(TwoQubitParams(target=base,
+                                         coupling_j=base.omega0 * rng.uniform(0.0, 2.0)))
+        assert np.all(u[:2, 2:] == 0) and np.all(u[2:, :2] == 0)
+        assert unitarity_defect(u) <= 1e-12
 
 
 def test_ideal_gate_u2_geometric_point_blocks():
@@ -213,7 +227,7 @@ def test_ideal_gate_u2_blocks_match_phase_formulas():
 
 
 def test_ode_oracle_t0():
-    np.testing.assert_allclose(ode_oracle(2.0, 1.0, 0.5, 0.0, 5)[0], IDENTITY_2, atol=0)
+    np.testing.assert_allclose(ode_oracle(2.0, 1.0, 0.5, 0.0, 5)[0], np.eye(2), atol=0)
 
 
 def test_ode_oracle_fourth_order_convergence():

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from geomgate.evolve import ideal_gate_u1, one_cycle_gate
-from geomgate.fidelity import (
-    estimate_single,
-    estimate_two_qubit,
-    shot_fidelity,
-)
+from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
     DriveParams,
     chi_angle,
@@ -28,7 +24,6 @@ from geomgate.noise import (
     sample_input_state,
     sample_two_qubit_input,
 )
-from geomgate.qmath import IDENTITY_2, SIGMA_X, block_diag
 
 SQRT3 = math.sqrt(3.0)
 
@@ -44,7 +39,20 @@ def pinned_single():
     return DriveParams(omega_for_beta(w0, w1, 1.5), w0, w1)
 
 
-# --- shot_fidelity --------------------------------------------------------
+# --- shot_fidelity: the per-shot oracle of the reconstructions below -------
+
+
+def shot_fidelity(psi_in, u_ideal, u_noisy):
+    """Squared overlap |<psi_in| U_ideal^dag U_noisy |psi_in>|^2, capped at 1."""
+    amp = np.vdot(u_ideal @ psi_in, u_noisy @ psi_in)
+    return float(min(abs(amp) ** 2, 1.0))
+
+
+def block_diag(a, b):
+    """4x4 gate: block a on the control-0 sector (|00>, |01>), b on control-1."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2], out[2:, 2:] = a, b
+    return out
 
 
 def test_shot_fidelity_identical_gates():
@@ -65,12 +73,12 @@ def test_shot_fidelity_global_phase_invariance():
 
 def test_shot_fidelity_orthogonal_outcome():
     psi = np.array([1.0, 0.0], dtype=complex)
-    assert shot_fidelity(psi, IDENTITY_2, SIGMA_X) == 0.0
+    assert shot_fidelity(psi, np.eye(2), np.array([[0, 1], [1, 0]])) == 0.0
 
 
 def test_shot_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
-        shot_fidelity(np.array([1, 0], dtype=complex), IDENTITY_2, np.eye(4, dtype=complex))
+        shot_fidelity(np.array([1, 0], dtype=complex), np.eye(2), np.eye(4))
 
 
 # --- noiseless exactness ---------------------------------------------------

@@ -21,8 +21,6 @@ def test_noise_spec_bounds():
         NoiseSpec(-0.1, 0.0)
     with pytest.raises(ValueError):
         NoiseSpec(0.0, 1.0)
-    assert NoiseSpec(0.0, 0.0).noiseless
-    assert not NoiseSpec(0.0, 0.1).noiseless
 
 
 def test_same_seed_and_path_replays_identical_sequence():

@@ -107,6 +107,17 @@ def test_fig2_preset_returns_curve_per_delta1():
         assert res.metadata["delta0"] == 0.1
 
 
+def test_fig2_runs_at_the_given_noise_spec():
+    # delta0 and the channel coupling come from cfg.spec; delta1 from each curve
+    cfg = EstimatorConfig(m=3, n=3, spec=NoiseSpec(0.3, 0.3, independent=True))
+    res = sweep_fig2(delta_grid=[0.0], delta1_list=[0.01], cfg=cfg)[0.01]
+    assert (res.metadata["delta0"], res.metadata["delta1"]) == (0.3, 0.01)
+    assert res.metadata["independent"] is True
+    direct = sweep_generic([single_point(1e5, 0.0, 1.5, "minus")],
+                           EstimatorConfig(m=3, n=3, spec=NoiseSpec(0.3, 0.01, independent=True)))
+    assert res.rows[0]["F_mean"] == direct.rows[0]["F_mean"]
+
+
 def test_fig3_preset_argmax_on_diagonal():
     cfg = EstimatorConfig(m=120, n=120, spec=NoiseSpec(0.1, 0.1), seed=5,
                           control_mode="fixed0")
