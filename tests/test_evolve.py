@@ -195,14 +195,23 @@ def test_ideal_gate_u2_routes_each_block():
     assert np.abs(u[:2, :2] - u[2:, 2:]).max() > 0.1
 
 
-def test_ideal_gate_u2_block_diagonal_and_unitary():
+def random_u2(rng):
+    base = random_params(rng, ratio_hi=3.0)
+    return ideal_gate_u2(TwoQubitParams(target=base,
+                                        coupling_j=base.omega0 * rng.uniform(0.0, 2.0)))
+
+
+def test_ideal_gate_u2_sectors_exactly_zero():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        base = random_params(rng, ratio_hi=3.0)
-        u = ideal_gate_u2(TwoQubitParams(target=base,
-                                         coupling_j=base.omega0 * rng.uniform(0.0, 2.0)))
+        u = random_u2(rng)
         assert np.all(u[:2, 2:] == 0) and np.all(u[2:, :2] == 0)
-        assert unitarity_defect(u) <= 1e-12
+
+
+def test_ideal_gate_u2_unitary():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        assert unitarity_defect(random_u2(rng)) <= 1e-12
 
 
 def test_ideal_gate_u2_geometric_point_blocks():
