@@ -343,9 +343,6 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
     single-qubit run, which has no control qubit and reads no --control-mode."""
     counts = {key: s.get(key, default, parse=int)
               for key, default in (("m", 500), ("n", 500), ("workers", 1))}
-    for key, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
     spec = NoiseSpec(
         s.get("delta0", spec.delta0),
         s.get("delta1", spec.delta1),

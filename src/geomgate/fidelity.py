@@ -36,17 +36,20 @@ Two noisy-gate constructions are available:
   +-J applied afterwards. The block term is linear in the noisy one-cycle
   entries, with coefficients computed once per state.
 
-Draw layout per input state j (frozen; tests rely on it): the state comes
-from stream child (j, 0), control first then target when the control is
-sampled; the noise deviations come from child (j, 1) as one block of M
-draws (two blocks, omega0 first, if NoiseSpec.independent). The layout
-never depends on loop order, worker scheduling, or the deltas, so a sweep
-reusing one base stream sees common random numbers across its points.
+Draw layout (version 2; tests rely on it): a batch reads two streams of
+rng, each as a row-major block with one row per input state, in order and a
+chunk of states at a time, so state j's draws do not depend on N. The state
+stream rng.child(0) gives k doubles per row: theta, phi and a form bit
+(noise.sample_input_state), for the control when it is sampled, then the
+target. The noise stream rng.child(1) gives M deviations per row (2M, the
+omega0 half first, if NoiseSpec.independent). The layout never depends on
+loop order, worker scheduling or the deltas, so a sweep reusing one base
+stream sees common random numbers across its points.
 
-The core takes a batch of points that share the base stream: it draws each
-state once and evaluates every point of the batch on those draws, so a
-point's estimate is the same bit for bit in a batch of any size and in a
-one-point call (estimate_single, estimate_two_qubit).
+Every point of a batch is evaluated on each chunk of states, on (points,
+states, M) arrays; the states per chunk depend on M only, so a point's
+estimate is the same bit for bit in a batch of any size and in a one-point
+call (estimate_single, estimate_two_qubit).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 
 from .evolve import _cycle_entries
 from .model import DriveParams, TwoQubitParams
-from .noise import NoiseSpec, RngStream, relative_draws, sample_input_state
+from .noise import NoiseSpec, RngStream, _input_amplitudes, relative_draws
 
 GATE_MODELS = ("phase", "propagator")
 CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
@@ -66,24 +69,27 @@ CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """Grand-mean fidelity with its standard error and sample bookkeeping."""
+    """Grand-mean fidelity with its standard error over n_states input states."""
 
     mean: float
     stderr: float
     n_states: int
-    n_shots: int
-    seed: int
 
 
-#: elements of one (points, m) array; bounds the memory of a chunk of points
+#: elements of one (points, states, m) array; bounds the memory of a chunk
 _CHUNK_ELEMENTS = 1 << 12
 #: per-state means held at once; more points take more passes over the draws
 _PASS_ELEMENTS = 1 << 20
 
 
-def _columns(rows) -> np.ndarray:
-    """Per-point tuples of numbers as one (fields, points, 1) array."""
-    return np.array(list(zip(*rows)))[:, :, None]
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _column(values: list) -> np.ndarray:
+    """Per-point numbers as one contiguous (points, 1, 1) array."""
+    return np.array(values, dtype=float)[:, None, None]
 
 
 def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
@@ -92,15 +98,14 @@ def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
 
     params holds DriveParams, one block each, or TwoQubitParams, whose blocks
     sit at the target's omega1 -+ J and are weighted by control_mode (read
-    for these only). All points share the draws: each state is drawn once
-    and every point is evaluated on it, on (points, m) arrays of at most
-    _CHUNK_ELEMENTS elements per chunk. More points than _PASS_ELEMENTS // n
-    take one pass over the draws per group.
+    for these only). All points share the draws: each chunk of states is
+    drawn once and every point is evaluated on it, on (points, states, m)
+    arrays of at most _CHUNK_ELEMENTS elements. More points than
+    _PASS_ELEMENTS // n take one pass over the draws per group.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if gate_model not in GATE_MODELS:
-        raise ValueError(f"gate_model must be one of {GATE_MODELS}, got {gate_model!r}")
+    _check_choice("gate_model", gate_model, GATE_MODELS)
     size = max(1, _PASS_ELEMENTS // n)
     if len(params) > size:
         return [est for lo in range(0, len(params), size)
@@ -109,86 +114,76 @@ def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
     # each point as (p, shifts): its blocks sit at longitudinal frequencies
     # p.omega1 + shift; weights None samples the control per state
     if isinstance(params[0], TwoQubitParams):
-        if control_mode not in CONTROL_MODES:
-            raise ValueError(f"control_mode must be one of {CONTROL_MODES}, got {control_mode!r}")
+        _check_choice("control_mode", control_mode, CONTROL_MODES)
         weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
         points = [(p2.target, (-p2.coupling_j, p2.coupling_j)) for p2 in params]
     else:
         weights, points = (1.0,), [(p, (0.0,)) for p in params]
-    step = max(1, _CHUNK_ELEMENTS // m)
+    states = max(1, _CHUNK_ELEMENTS // m)
+    step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
     chunks = []
     for lo in range(0, len(points), step):
         chunk = points[lo:lo + step]
+        omega, omega0, omega1 = (_column([getattr(p, f) for p, _ in chunk])
+                                 for f in ("omega", "omega0", "omega1"))
         blocks = []
         for k in range(len(chunk[0][1])):
-            rows, ideals = [], []
-            for p, shifts in chunk:
-                wl = p.omega1 + shifts[k]
-                big = math.hypot(p.omega0, wl - p.omega)
-                # (cos chi, sin chi) of the block's cyclic axis
-                rows.append((shifts[k], wl, big, (wl - p.omega) / big, p.omega0 / big))
-                ideals.append(_cycle_entries(p.omega, p.omega0, wl))
-            blocks.append((_columns(rows), ideals))
-        consts = _columns([(p.omega, np.pi / p.omega, p.omega0, p.omega1) for p, _ in chunk])
-        chunks.append((slice(lo, lo + len(chunk)), consts, blocks))
+            if weights is not None and weights[k] == 0.0:
+                continue
+            shift = _column([shifts[k] for _, shifts in chunk])
+            wl = omega1 + shift
+            big = np.hypot(omega0, wl - omega)
+            # the block's cyclic axis (cos chi, sin chi) and its ideal entries
+            blocks.append((k, shift, wl, big, (wl - omega) / big, omega0 / big,
+                           _cycle_entries(omega, omega0, wl)))
+        chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, blocks))
 
+    state_rng, noise_rng = rng.child(0), rng.child(1)
+    width = 3 if weights is not None else 6
     per_state = np.empty((len(points), n))
-    for j in range(n):
-        state_rng = rng.child(j, 0)
-        w = weights
-        if w is None:
-            c0, c1 = sample_input_state(state_rng, haar=haar)
-            w = (abs(c0) ** 2, abs(c1) ** 2)
-        t0, t1 = sample_input_state(state_rng, haar=haar)
-        noise_rng = rng.child(j, 1)
-        u0 = relative_draws(noise_rng, m)
-        u1 = relative_draws(noise_rng, m) if spec.independent else u0
-        scale = 1.0 + spec.delta1 * u1
+    for first in range(0, n, states):
+        count = min(states, n - first)
+        u = state_rng.generator.random((count, width))
+        t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], haar))
+        w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], haar)]
+        draws = relative_draws(noise_rng, count * m * (1 + spec.independent)).reshape(1, count, -1)
+        # omega1 reads the last m columns: omega0's draws unless independent
+        noisy0 = 1.0 + spec.delta0 * draws[..., :m]
+        scale = 1.0 + spec.delta1 * draws[..., -m:]
         bz = abs(t0) ** 2 - abs(t1) ** 2
         bx = 2.0 * (t0.conjugate() * t1).real
-        for rows, consts, blocks in chunks:
-            omega, pio, omega0, omega1 = consts
-            w0 = omega0 * (1.0 + spec.delta0 * u0)
+        for rows, omega, pio, omega0, omega1, blocks in chunks:
+            w0 = omega0 * noisy0
             # the models differ in the noisy longitudinal field: "phase" scales
             # the block frequency omega1 + shift, "propagator" shifts omega1*scale
             if gate_model == "phase":
                 re = im = 0.0
-                for wk, (table, _) in zip(w, blocks):
-                    if wk == 0.0:
-                        continue
-                    _, wl, big, cos_chi, sin_chi = table
+                for k, _, wl, big, cos_chi, sin_chi, _ in blocks:
                     d = pio * (big - np.hypot(w0, wl * scale - omega))
-                    re = re + wk * np.cos(d)
-                    im = im + (wk * (cos_chi * bz + sin_chi * bx)) * np.sin(d)
+                    re = re + w[k] * np.cos(d)
+                    im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * np.sin(d)
                 fid = re * re + im * im
             else:
                 # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
                 # (evolve._cycle_entries), so its term is linear in cos(a) and
-                # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx,
-                # taken per point in scalar arithmetic as in a one-point call
+                # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx
                 amp = 0.0
-                for wk, (table, ideals) in zip(w, blocks):
-                    if wk == 0.0:
-                        continue
-                    shift = table[0]
-                    coefs = []
-                    for i00, i01, i11 in ideals:
-                        q0 = wk * (i00 * t0 + i01 * t1).conjugate()
-                        q1 = wk * (i01 * t0 + i11 * t1).conjugate()
-                        coefs.append((q0 * t0 + q1 * t1, 1j * (q0 * t0 - q1 * t1),
-                                      1j * (q0 * t1 + q1 * t0)))
-                    c_i, c_z, c_x = _columns(coefs)
+                for k, shift, _, _, _, _, (i00, i01, i11) in blocks:
+                    q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
+                    q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
+                    c_z, c_x = 1j * (q0 * t0 - q1 * t1), 1j * (q0 * t1 + q1 * t0)
                     det = omega1 * scale + shift - omega
                     big = np.hypot(w0, det)
                     a = pio * big
-                    amp = amp - c_i * np.cos(a) + (np.sin(a) / big) * (c_z * det + c_x * w0)
+                    amp = amp - (q0 * t0 + q1 * t1) * np.cos(a) \
+                        + (np.sin(a) / big) * (c_z * det + c_x * w0)
                 fid = amp.real ** 2 + amp.imag ** 2
-            per_state[rows, j] = np.minimum(fid, 1.0).mean(axis=1)
+            per_state[rows, first:first + count] = np.minimum(fid, 1.0).mean(axis=-1)
 
     # one state gives no spread, hence no standard error
     return [FidelityEstimate(mean=float(row.mean()),
                              stderr=float(row.std(ddof=1) / np.sqrt(n)) if n > 1 else math.nan,
-                             n_states=n, n_shots=m, seed=rng.seed)
+                             n_states=n)
             for row in per_state]
 
 

@@ -79,14 +79,18 @@ def relative_draws(rng: RngStream, n: int) -> np.ndarray:
     return rng.generator.uniform(-1.0, 1.0, n)
 
 
-def _state_from_angles(theta, phi, partner):
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    em = np.exp(-0.5j * phi)
-    ep = np.exp(0.5j * phi)
-    if partner:
-        return np.array([-s * em, c * ep], dtype=complex)
-    return np.array([c * em, s * ep], dtype=complex)
+def _input_amplitudes(u: np.ndarray, haar: bool = False):
+    """Amplitudes (a0, a1) of the states drawn from rows u[..., :3] of doubles
+    in [0, 1): theta, phi and a form bit taken as u < 1/2 (the partner form).
+
+    theta = pi*u (arccos(1 - 2u) on the sphere measure), phi = 2*pi*u.
+    """
+    theta = np.arccos(1.0 - 2.0 * u[..., 0]) if haar else np.pi * u[..., 0]
+    phi = 2.0 * np.pi * u[..., 1]
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    partner = u[..., 2] < 0.5
+    return np.where(partner, -s * em, c * em), np.where(partner, c * ep, s * ep)
 
 
 def sample_input_state(rng: RngStream, haar: bool = False) -> np.ndarray:
@@ -95,16 +99,10 @@ def sample_input_state(rng: RngStream, haar: bool = False) -> np.ndarray:
 
     theta is uniform on [0, pi] (set haar=True for the cos-weighted sphere
     measure instead), phi uniform on [0, 2*pi], and the partner form is
-    taken with probability 1/2. Draw order: theta, phi, form.
+    taken with probability 1/2. Draw order: three doubles theta, phi, form,
+    mapped by _input_amplitudes as one row of the estimator's state block.
     """
-    gen = rng.generator
-    if haar:
-        theta = float(np.arccos(1.0 - 2.0 * gen.random()))
-    else:
-        theta = gen.uniform(0.0, np.pi)
-    phi = gen.uniform(0.0, 2.0 * np.pi)
-    partner = bool(gen.integers(0, 2))
-    return _state_from_angles(theta, phi, partner)
+    return np.array(_input_amplitudes(rng.generator.random(3), haar), dtype=complex)
 
 
 def sample_two_qubit_input(rng: RngStream, haar: bool = False) -> np.ndarray:

@@ -10,9 +10,9 @@ noise spec, estimator options) - never on grid shape, point order, or the
 worker count. All points of a sweep share one base random stream (common
 random numbers), which makes curves smooth in the scan coordinate and
 argmax localization stable. A sweep cuts its points into contiguous
-batches, one per process used; each batch draws every input state and its
-noise shots once and evaluates all of its points on them, with the draw
-layout of a one-point estimate.
+batches, one per process used; each batch reads the two draw streams of
+fidelity's layout (rng_layout=2 in the metadata) and evaluates all of its
+points on them, with the values of one-point estimates.
 
 Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .fidelity import _estimate
+from .fidelity import CONTROL_MODES, GATE_MODELS, _check_choice, _estimate
 from .model import (
     DriveParams,
     InfeasibleParameters,
@@ -74,6 +74,13 @@ class EstimatorConfig:
     haar: bool = False
     control_mode: str = "unfixed"
     workers: int = 1
+
+    def __post_init__(self):
+        for key in ("m", "n", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        _check_choice("gate_model", self.gate_model, GATE_MODELS)
+        _check_choice("control_mode", self.control_mode, CONTROL_MODES)
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,6 @@ def _eval_batch(args) -> list:
     for k, est in zip(feasible, ests):
         rows[k]["F_mean"] = est.mean
         rows[k]["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
-        rows[k]["n"] = est.n_states
     return rows
 
 
@@ -206,6 +212,7 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
         "gate_model": cfg.gate_model,
         "haar": cfg.haar,
         "workers": cfg.workers,
+        "rng_layout": 2,
     }
     if points[0].kind == "two_qubit":
         meta["control_mode"] = cfg.control_mode

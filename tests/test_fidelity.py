@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from geomgate import fidelity
 from geomgate.evolve import ideal_gate_u1, one_cycle_gate
 from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
@@ -92,7 +93,7 @@ def test_single_noiseless_is_one(gate_model, m, n):
     assert abs(est.mean - 1.0) <= 1e-12
     # one state gives no error estimate
     assert est.stderr <= 1e-12 if n > 1 else math.isnan(est.stderr)
-    assert est.n_states == n and est.n_shots == m
+    assert est.n_states == n
 
 
 @pytest.mark.parametrize("gate_model", ["phase", "propagator"])
@@ -136,17 +137,20 @@ def test_one_state_gives_no_stderr():
 
 # --- draw-layout reconstruction oracle -------------------------------------
 # rebuild the estimator from scalar primitives, walking the documented
-# stream layout: state <- child(j, 0), noise <- child(j, 1)
+# stream layout: one state stream child(0) and one noise stream child(1),
+# each read in order, one input state after another
 
 
 def reconstruct_single(p, spec, m, n, rng, gate_model):
+    """Per-state mean fidelities of the first n input states."""
     ideal = one_cycle_gate(p)
     chi = chi_angle(p)
+    states, noise = rng.child(0), rng.child(1)
     per_state = []
     for j in range(n):
-        psi = sample_input_state(rng.child(j, 0))
-        u0 = relative_draws(rng.child(j, 1), m)
-        u1 = relative_draws(rng.child(j, 1), 2 * m)[m:] if spec.independent else u0
+        psi = sample_input_state(states)
+        u0 = relative_draws(noise, m)
+        u1 = relative_draws(noise, m) if spec.independent else u0
         shots = []
         for i in range(m):
             w0 = p.omega0 * (1.0 + spec.delta0 * u0[i])
@@ -158,7 +162,7 @@ def reconstruct_single(p, spec, m, n, rng, gate_model):
                 noisy = ideal_gate_u1(gamma, chi)
             shots.append(shot_fidelity(psi, ideal, noisy))
         per_state.append(np.mean(shots))
-    return float(np.mean(per_state))
+    return per_state
 
 
 @pytest.mark.parametrize("gate_model", ["phase", "propagator"])
@@ -169,7 +173,24 @@ def test_single_matches_scalar_reconstruction(gate_model, independent):
     rng = RngStream(321).child(1)
     est = estimate_single(p, spec, 6, 9, rng, gate_model=gate_model)
     want = reconstruct_single(p, spec, 6, 9, RngStream(321).child(1), gate_model)
-    assert est.mean == pytest.approx(want, abs=1e-12)
+    assert est.mean == pytest.approx(float(np.mean(want)), abs=1e-12)
+
+
+@pytest.mark.parametrize("gate_model,independent", [("phase", False), ("propagator", True)])
+def test_estimate_is_prefix_stable_in_n(gate_model, independent, monkeypatch):
+    # state j reads row j of each block whatever n is: an estimate over n
+    # states is the reconstruction over the first n rows of a longer block,
+    # also when the states are read in chunks of two
+    monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", 2 * 6)
+    p = pinned_single()
+    spec = NoiseSpec(0.1, 0.05, independent=independent)
+    rows = reconstruct_single(p, spec, 6, 9, RngStream(808).child(1), gate_model)
+    for n in (1, 4, 5, 9):
+        est = estimate_single(p, spec, 6, n, RngStream(808).child(1), gate_model=gate_model)
+        assert est.mean == pytest.approx(float(np.mean(rows[:n])), abs=1e-12)
+        if n > 1:
+            want = float(np.std(rows[:n], ddof=1) / math.sqrt(n))
+            assert est.stderr == pytest.approx(want, abs=1e-12)
 
 
 def test_two_qubit_matches_scalar_reconstruction():
@@ -181,11 +202,12 @@ def test_two_qubit_matches_scalar_reconstruction():
                        one_cycle_gate(shifted_target(p2, 1)))
     chi0 = chi_angle(shifted_target(p2, 0))
     chi1 = chi_angle(shifted_target(p2, 1))
+    states, noise = RngStream(99).child(2).child(0), RngStream(99).child(2).child(1)
     per_state = []
     for j in range(8):
-        target = sample_input_state(RngStream(99).child(2).child(j, 0))
+        target = sample_input_state(states)
         psi = np.kron(np.array([1.0, 0.0], dtype=complex), target)
-        u = relative_draws(RngStream(99).child(2).child(j, 1), 5)
+        u = relative_draws(noise, 5)
         shots = []
         for i in range(5):
             w0 = t.omega0 * (1.0 + 0.1 * u[i])
@@ -213,14 +235,15 @@ def test_two_qubit_modes_match_4x4_reconstruction(mode, gate_model):
     est = estimate_two_qubit(p2, spec, 5, 8, base, control_mode=mode, gate_model=gate_model)
     lo, hi = shifted_target(p2, 0), shifted_target(p2, 1)
     ideal = block_diag(one_cycle_gate(lo), one_cycle_gate(hi))
+    states, noise = base.child(0), base.child(1)
     per_state = []
     for j in range(8):
         if mode == "unfixed":
-            psi = sample_two_qubit_input(base.child(j, 0))
+            psi = sample_two_qubit_input(states)
         else:
-            psi = np.kron(np.array([0.0, 1.0], dtype=complex), sample_input_state(base.child(j, 0)))
-        u0 = relative_draws(base.child(j, 1), 5)
-        u1 = relative_draws(base.child(j, 1), 10)[5:]
+            psi = np.kron(np.array([0.0, 1.0], dtype=complex), sample_input_state(states))
+        u0 = relative_draws(noise, 5)
+        u1 = relative_draws(noise, 5)
         shots = []
         for i in range(5):
             w0 = t.omega0 * (1.0 + 0.1 * u0[i])
@@ -238,16 +261,18 @@ def test_two_qubit_modes_match_4x4_reconstruction(mode, gate_model):
     assert est.mean == pytest.approx(float(np.mean(per_state)), abs=1e-12)
 
 def test_loop_order_exchange_bit_identical():
-    # per-(state, shot) fidelities depend only on the stream paths, so the
-    # noise-outer iteration reproduces the state-outer matrix bit for bit
+    # per-(state, shot) fidelities depend only on the rows read from the two
+    # streams, so the noise-outer iteration reproduces the state-outer matrix
+    # bit for bit
     p = pinned_single()
     spec = NoiseSpec(0.1, 0.1)
     m, n = 7, 5
     base = RngStream(2468).child(1)
 
     def shot_matrix(noise_outer):
-        psis = [sample_input_state(base.child(j, 0)) for j in range(n)]
-        draws = [relative_draws(base.child(j, 1), m) for j in range(n)]
+        states, noise = base.child(0), base.child(1)
+        psis = [sample_input_state(states) for j in range(n)]
+        draws = [relative_draws(noise, m) for j in range(n)]
         i00, i01, i11 = one_cycle_gate(p).ravel()[[0, 1, 3]]
         chi = chi_angle(p)
         c2, s2 = math.cos(chi / 2) ** 2, math.sin(chi / 2) ** 2

@@ -8,11 +8,17 @@ import pytest
 from geomgate.noise import (
     NoiseSpec,
     RngStream,
-    _state_from_angles,
+    _input_amplitudes,
     relative_draws,
     sample_input_state,
     sample_two_qubit_input,
 )
+
+
+def state(theta, phi, partner):
+    """The state of the draw row (theta/pi, phi/(2*pi), form bit)."""
+    row = np.array([theta / math.pi, phi / (2.0 * math.pi), 0.25 if partner else 0.75])
+    return np.array(_input_amplitudes(row), dtype=complex)
 
 
 def test_noise_spec_bounds():
@@ -69,14 +75,24 @@ def test_fluctuated_field_bounds_mean_and_variance():
 
 
 def test_state_forms():
-    first = _state_from_angles(0.0, 0.0, False)
+    first = state(0.0, 0.0, False)
     np.testing.assert_allclose(first, [1.0, 0.0], atol=1e-15)
     rng = np.random.default_rng(5)
     for _ in range(100):
         theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-        a = _state_from_angles(theta, phi, False)
-        b = _state_from_angles(theta, phi, True)
+        a = state(theta, phi, False)
+        b = state(theta, phi, True)
         assert abs(np.vdot(a, b)) <= 1e-15
+
+
+def test_sample_input_state_reads_block_rows():
+    # one state per row of three doubles: consecutive calls on one stream walk
+    # the rows of the block the estimator reads from its state stream
+    block = RngStream(5, (0,)).generator.random((4, 3))
+    s = RngStream(5, (0,))
+    for row in block:
+        np.testing.assert_array_equal(sample_input_state(s, haar=True),
+                                      np.array(_input_amplitudes(row, True)))
 
 
 def test_sample_input_state_normalized():
@@ -112,7 +128,7 @@ def test_control_marginal_unpolarized():
 
 def test_two_qubit_product_structure():
     np.testing.assert_allclose(
-        np.kron(_state_from_angles(0.0, 0.0, False), _state_from_angles(math.pi, 0.0, False)),
+        np.kron(state(0.0, 0.0, False), state(math.pi, 0.0, False)),
         [0.0, 1.0, 0.0, 0.0], atol=1e-12)
     s = RngStream(11, (0,))
     for _ in range(2000):

@@ -211,8 +211,10 @@ def test_batched_rows_equal_one_point_estimates(kind, cfg):
 def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
     points = batch_points(kind)
     whole = sweep_generic(points, cfg)
-    monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", 1)  # one point per chunk
-    assert sweep_generic(points, cfg).rows == whole.rows
+    # one point and one state per chunk, then three states per chunk
+    for elements in (1, 3 * cfg.m):
+        monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
+        assert sweep_generic(points, cfg).rows == whole.rows
     monkeypatch.setattr(fidelity, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per pass
     assert sweep_generic(points, cfg).rows == whole.rows
 
@@ -226,13 +228,25 @@ def test_sweep_builds_the_streams_once_per_batch(monkeypatch):
         return child(self, *indices)
 
     monkeypatch.setattr(RngStream, "child", counted)
-    cfg = EstimatorConfig(m=5, n=11, spec=NoiseSpec(0.1, 0.1), seed=2)
     points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 1.5, 2.0)]
-    sweep_generic(points, cfg)
-    # one batch: the base stream plus state and shot streams for n states
-    state_streams = [c for c in calls if len(c) == 2]
-    assert len(state_streams) == 2 * cfg.n
-    assert len(calls) <= 2 * cfg.n + 1
+    for n in (1, 11, 3000):
+        calls.clear()
+        sweep_generic(points, EstimatorConfig(m=5, n=n, spec=NoiseSpec(0.1, 0.1), seed=2))
+        # one batch: the base stream, then its state and noise streams
+        assert calls == [(SINGLE_STREAM_TAG,), (0,), (1,)]
+
+
+@pytest.mark.parametrize("delta_rel,bad,message", [
+    (-3.0, {"m": 0, "n": 0}, "m must be >= 1, got 0"),  # infeasible: nothing estimated
+    (0.0, {"workers": 0}, "workers must be >= 1, got 0"),
+    (-3.0, {"gate_model": "bogus"}, "gate_model must be one of"),
+    (-3.0, {"control_mode": "both"}, "control_mode must be one of"),
+], ids=["zero-counts", "zero-workers", "gate-model", "control-mode"])
+def test_sweep_rejects_bad_config(delta_rel, bad, message):
+    # the library refuses these itself, before anything runs or is reported
+    with pytest.raises(ValueError, match=message):
+        sweep_generic([single_point(1e5, delta_rel, 1.5, "minus")],
+                      EstimatorConfig(**{"m": 3, "n": 3, **bad}))
 
 
 class RecordingPool:
