@@ -33,8 +33,11 @@ Two noisy-gate constructions are available:
 * ``gate_model="propagator"``: the noisy gate is the exact one-cycle
   propagator at the fluctuated fields (axis wobble included); for
   conditional gates the physical omega1 is fluctuated first and the shift
-  +-J applied afterwards. The block term is linear in the noisy one-cycle
-  entries, with coefficients computed once per state.
+  +-J applied afterwards. Its block term is linear in cos(a), sin(a)/Omega'
+  at the noisy cycle angle a, with real and imaginary per-state coefficients.
+
+Per shot both models run only real arithmetic, sqrt and tan, which numpy
+vectorises: cos and sin come from one tan of the half angle (_cos_sin).
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -92,6 +95,13 @@ def _column(values: list) -> np.ndarray:
     return np.array(values, dtype=float)[:, None, None]
 
 
+def _cos_sin(a):
+    """cos(a), sin(a) from t = tan(a/2); t*t cannot overflow for a double a."""
+    t = np.tan(0.5 * a)
+    tt = t * t
+    return (1.0 - tt) / (1.0 + tt), (t + t) / (1.0 + tt)
+
+
 def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
               gate_model: str, haar: bool, control_mode: str | None) -> list:
     """Two-level average at each point; one FidelityEstimate per point.
@@ -132,9 +142,11 @@ def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
                 continue
             shift = _column([shifts[k] for _, shifts in chunk])
             wl = omega1 + shift
-            big = np.hypot(omega0, wl - omega)
+            det = wl - omega
+            # the noisy magnitude is this expression too: no noise gives d == 0
+            big = np.sqrt(omega0 * omega0 + det * det)
             # the block's cyclic axis (cos chi, sin chi) and its ideal entries
-            blocks.append((k, shift, wl, big, (wl - omega) / big, omega0 / big,
+            blocks.append((k, shift, wl, big, det / big, omega0 / big,
                            _cycle_entries(omega, omega0, wl)))
         chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, blocks))
 
@@ -154,30 +166,33 @@ def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
         bx = 2.0 * (t0.conjugate() * t1).real
         for rows, omega, pio, omega0, omega1, blocks in chunks:
             w0 = omega0 * noisy0
+            w0sq = w0 * w0
+            re = im = 0.0
             # the models differ in the noisy longitudinal field: "phase" scales
             # the block frequency omega1 + shift, "propagator" shifts omega1*scale
             if gate_model == "phase":
-                re = im = 0.0
                 for k, _, wl, big, cos_chi, sin_chi, _ in blocks:
-                    d = pio * (big - np.hypot(w0, wl * scale - omega))
-                    re = re + w[k] * np.cos(d)
-                    im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * np.sin(d)
-                fid = re * re + im * im
+                    det = wl * scale - omega
+                    cos_d, sin_d = _cos_sin(pio * (big - np.sqrt(w0sq + det * det)))
+                    re = re + w[k] * cos_d
+                    im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * sin_d
             else:
                 # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
                 # (evolve._cycle_entries), so its term is linear in cos(a) and
                 # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx
-                amp = 0.0
+                w1 = omega1 * scale
                 for k, shift, _, _, _, _, (i00, i01, i11) in blocks:
                     q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
                     q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-                    c_z, c_x = 1j * (q0 * t0 - q1 * t1), 1j * (q0 * t1 + q1 * t0)
-                    det = omega1 * scale + shift - omega
-                    big = np.hypot(w0, det)
-                    a = pio * big
-                    amp = amp - (q0 * t0 + q1 * t1) * np.cos(a) \
-                        + (np.sin(a) / big) * (c_z * det + c_x * w0)
-                fid = amp.real ** 2 + amp.imag ** 2
+                    c_1, c_z, c_x = (-(q0 * t0 + q1 * t1), 1j * (q0 * t0 - q1 * t1),
+                                     1j * (q0 * t1 + q1 * t0))
+                    det = w1 + (shift - omega)
+                    big = np.sqrt(w0sq + det * det)
+                    cos_a, sin_a = _cos_sin(pio * big)
+                    sin_a = sin_a / big
+                    re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
+                    im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
+            fid = re * re + im * im
             per_state[rows, first:first + count] = np.minimum(fid, 1.0).mean(axis=-1)
 
     # one state gives no spread, hence no standard error

@@ -11,6 +11,7 @@ from geomgate.evolve import ideal_gate_u1, one_cycle_gate
 from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
     DriveParams,
+    TwoQubitParams,
     chi_angle,
     omega_for_beta,
     shifted_target,
@@ -103,6 +104,57 @@ def test_two_qubit_noiseless_is_one(gate_model, mode):
     est = estimate_two_qubit(p2, NoiseSpec(0.0, 0.0), 5, 9, RngStream(6).child(2),
                              control_mode=mode, gate_model=gate_model)
     assert abs(est.mean - 1.0) <= 1e-12
+
+
+def strong_drives():
+    """Points with omega0/omega ~ 1e9: one rounding step in the field magnitude
+    moves the phase by ~1e-7, which shows in F, so a noisy magnitude that
+    rounds apart from the ideal one leaves F below 1."""
+    return [DriveParams(1.0, 1e9 * (1.0 + k / 7.0), 3e8 * (k - 11.5)) for k in range(24)]
+
+
+def test_phase_noiseless_is_exactly_one():
+    # under "phase" no noise gives d == 0 bit for bit, hence F == 1 exactly
+    zero = NoiseSpec(0.0, 0.0)
+    for p in strong_drives():
+        assert estimate_single(p, zero, 3, 2, RngStream(5).child(1)).mean == 1.0
+        p2 = TwoQubitParams(target=p, coupling_j=0.3 * p.omega0)
+        for mode in ("fixed0", "fixed1"):
+            est = estimate_two_qubit(p2, zero, 3, 2, RngStream(6).child(2), control_mode=mode)
+            assert est.mean == 1.0
+
+
+def test_cos_sin_half_angle_matches_libm():
+    rng = np.random.default_rng(11)
+    a = np.concatenate([rng.uniform(-1e4, 1e4, 100_000),
+                        [(2 * k + 1) * math.pi for k in range(-20, 21)],
+                        [0.0, 1e-300, -1e-300, 1e-20, -1e-20]])
+    cos_a, sin_a = fidelity._cos_sin(a)
+    assert np.isfinite(cos_a).all() and np.isfinite(sin_a).all()
+    tol = 4 * 2.0**-52
+    assert np.max(np.abs(cos_a - [math.cos(x) for x in a])) <= tol
+    assert np.max(np.abs(sin_a - [math.sin(x) for x in a])) <= tol
+
+
+def test_kernel_calls_no_libm_per_shot(monkeypatch):
+    # numpy's hypot, sin and cos run through scalar libm; the per-shot kernel
+    # must not call them. The state map and the ideal entries may, once per
+    # input state or per point
+    sizes = []
+
+    def counted(ufunc):
+        def call(*args, **kwargs):
+            sizes.append(max(np.size(x) for x in args))
+            return ufunc(*args, **kwargs)
+        return call
+
+    for name in ("hypot", "sin", "cos"):
+        monkeypatch.setattr(np, name, counted(getattr(np, name)))
+    m, n = 64, 4
+    estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), NoiseSpec(0.05, 0.05), m, n,
+                       RngStream(4).child(2), control_mode="unfixed", gate_model="propagator")
+    estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), m, n, RngStream(4).child(1))
+    assert sizes and max(sizes) <= n
 
 
 def test_estimates_within_unit_interval():
