@@ -137,9 +137,9 @@ def test_cos_sin_half_angle_matches_libm():
 
 
 def test_kernel_calls_no_libm_per_shot(monkeypatch):
-    # numpy's hypot, sin and cos run through scalar libm; the per-shot kernel
-    # must not call them. The state map and the ideal entries may, once per
-    # input state or per point
+    # numpy's float64 hypot, sin and cos can run through scalar libm, so the
+    # per-shot kernel must not call them. The state map and the ideal entries
+    # may, once per input state or per point
     sizes = []
 
     def counted(ufunc):
