@@ -26,9 +26,8 @@ from .evolve import (
     propagator,
 )
 from .noise import NoiseSpec, RngStream, sample_input_state, sample_two_qubit_input
-from .fidelity import FidelityEstimate, estimate_single, estimate_two_qubit
+from .fidelity import EstimatorConfig, FidelityEstimate, estimate_single, estimate_two_qubit
 from .sweep import (
-    EstimatorConfig,
     SweepPoint,
     SweepResult,
     sweep_fig1,

@@ -339,25 +339,19 @@ def cmd_gate(ns: argparse.Namespace) -> int:
 
 
 def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
-    """Estimator options over the given defaults; control_mode is None for a
-    single-qubit run, which has no control qubit and reads no --control-mode."""
-    counts = {key: s.get(key, default, parse=int)
-              for key, default in (("m", 500), ("n", 500), ("workers", 1))}
+    """Estimator options given as flags or config keys, else the given spec and
+    control mode, else EstimatorConfig's; control_mode None reads no --control-mode."""
+    given = {key: s.get(key, parse=parse) for key, parse in
+             (("m", int), ("n", int), ("workers", int), ("gate_model", str), ("haar", bool))}
+    if control_mode is not None:
+        given["control_mode"] = s.get("control_mode", control_mode, parse=str)
     spec = NoiseSpec(
         s.get("delta0", spec.delta0),
         s.get("delta1", spec.delta1),
         s.get("independent", spec.independent, parse=bool),
     )
-    mode = {} if control_mode is None else \
-        {"control_mode": s.get("control_mode", control_mode, parse=str)}
-    return EstimatorConfig(
-        spec=spec,
-        seed=s.seed(),
-        gate_model=s.get("gate_model", "phase", parse=str),
-        haar=s.get("haar", False, parse=bool),
-        **counts,
-        **mode,
-    )
+    return EstimatorConfig(spec=spec, seed=s.seed(),
+                           **{key: val for key, val in given.items() if val is not None})
 
 
 def cmd_fidelity(ns: argparse.Namespace) -> int:

@@ -52,13 +52,14 @@ stream sees common random numbers across its points.
 Every point of a batch is evaluated on each chunk of states, on (points,
 states, M) arrays; the states per chunk depend on M only, so a point's
 estimate is the same bit for bit in a batch of any size and in a one-point
-call (estimate_single, estimate_two_qubit).
+call (estimate_single, estimate_two_qubit). EstimatorConfig is the one
+input and one check of options; sweep.sweep_generic bounds the points per batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,15 +80,30 @@ class FidelityEstimate:
     n_states: int
 
 
-#: elements of one (points, states, m) array; bounds the memory of a chunk
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """Sampling configuration of the estimator, shared by every point of a sweep."""
+
+    m: int = 500
+    n: int = 500
+    spec: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.1, 0.1))
+    seed: int = 0
+    gate_model: str = "phase"
+    haar: bool = False
+    control_mode: str = "unfixed"
+    workers: int = 1
+
+    def __post_init__(self):
+        for key in ("m", "n", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, choices in (("gate_model", GATE_MODELS), ("control_mode", CONTROL_MODES)):
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
+
+
+#: a (points, states, m) chunk array holds at most max(_CHUNK_ELEMENTS, m) elements
 _CHUNK_ELEMENTS = 1 << 12
-#: per-state means held at once; more points take more passes over the draws
-_PASS_ELEMENTS = 1 << 20
-
-
-def _check_choice(name: str, value, choices: tuple) -> None:
-    if value not in choices:
-        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _column(values: list) -> np.ndarray:
@@ -102,30 +118,21 @@ def _cos_sin(a):
     return (1.0 - tt) / (1.0 + tt), (t + t) / (1.0 + tt)
 
 
-def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
-              gate_model: str, haar: bool, control_mode: str | None) -> list:
+def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     """Two-level average at each point; one FidelityEstimate per point.
 
     params holds DriveParams, one block each, or TwoQubitParams, whose blocks
-    sit at the target's omega1 -+ J and are weighted by control_mode (read
-    for these only). All points share the draws: each chunk of states is
-    drawn once and every point is evaluated on it, on (points, states, m)
-    arrays of at most _CHUNK_ELEMENTS elements. More points than
-    _PASS_ELEMENTS // n take one pass over the draws per group.
+    sit at the target's omega1 -+ J and are weighted by cfg.control_mode
+    (read for these only). All points share the draws: each chunk of states
+    is drawn once and every point is evaluated on it, on (points, states, m)
+    arrays of at most max(_CHUNK_ELEMENTS, m) elements. The (points, n)
+    per-state means are held at once, so a caller bounds the points per call.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    _check_choice("gate_model", gate_model, GATE_MODELS)
-    size = max(1, _PASS_ELEMENTS // n)
-    if len(params) > size:
-        return [est for lo in range(0, len(params), size)
-                for est in _estimate(params[lo:lo + size], spec, m, n, rng,
-                                     gate_model, haar, control_mode)]
+    m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # each point as (p, shifts): its blocks sit at longitudinal frequencies
     # p.omega1 + shift; weights None samples the control per state
     if isinstance(params[0], TwoQubitParams):
-        _check_choice("control_mode", control_mode, CONTROL_MODES)
-        weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(control_mode)
+        weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(cfg.control_mode)
         points = [(p2.target, (-p2.coupling_j, p2.coupling_j)) for p2 in params]
     else:
         weights, points = (1.0,), [(p, (0.0,)) for p in params]
@@ -170,7 +177,7 @@ def _estimate(params: list, spec: NoiseSpec, m: int, n: int, rng: RngStream,
             re = im = 0.0
             # the models differ in the noisy longitudinal field: "phase" scales
             # the block frequency omega1 + shift, "propagator" shifts omega1*scale
-            if gate_model == "phase":
+            if cfg.gate_model == "phase":
                 for k, _, wl, big, cos_chi, sin_chi, _ in blocks:
                     det = wl * scale - omega
                     cos_d, sin_d = _cos_sin(pio * (big - np.sqrt(w0sq + det * det)))
@@ -216,7 +223,8 @@ def estimate_single(
     m noise shots per state, n input states. The drive rate omega is never
     fluctuated.
     """
-    return _estimate([p], spec, m, n, rng, gate_model, haar, None)[0]
+    cfg = EstimatorConfig(m=m, n=n, spec=spec, gate_model=gate_model, haar=haar)
+    return _estimate([p], cfg, rng)[0]
 
 
 def estimate_two_qubit(
@@ -235,4 +243,6 @@ def estimate_two_qubit(
     control_mode fixes the control qubit to |0> or |1>, or samples it
     ("unfixed") as an independent single-qubit state.
     """
-    return _estimate([p2], spec, m, n, rng, gate_model, haar, control_mode)[0]
+    cfg = EstimatorConfig(m=m, n=n, spec=spec, gate_model=gate_model, haar=haar,
+                          control_mode=control_mode)
+    return _estimate([p2], cfg, rng)[0]

@@ -29,9 +29,10 @@ class InfeasibleParameters(ValueError):
 class DriveParams:
     """Single-qubit drive point.
 
-    omega:  rotation rate of the transverse field (> 0)
-    omega0: transverse field strength (> 0)
-    omega1: longitudinal field strength (any real)
+    omega:  rotation rate of the transverse field, in [1e-100, 1e100]
+    omega0: transverse field strength, in [1e-100, 1e100]
+    omega1: longitudinal field strength, in [-1e100, 1e100]; in this range the
+            squares of the fields and their sums, noisy ones included, are normal doubles
     """
 
     omega: float
@@ -39,12 +40,11 @@ class DriveParams:
     omega1: float
 
     def __post_init__(self):
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise InfeasibleParameters(f"omega must be positive, got {self.omega}")
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise InfeasibleParameters(f"omega0 must be positive, got {self.omega0}")
-        if not math.isfinite(self.omega1):
-            raise InfeasibleParameters(f"omega1 must be finite, got {self.omega1}")
+        for name, value in (("omega", self.omega), ("omega0", self.omega0)):
+            if not 1e-100 <= value <= 1e100:
+                raise InfeasibleParameters(f"{name} must lie in [1e-100, 1e100], got {value}")
+        if not abs(self.omega1) <= 1e100:
+            raise InfeasibleParameters(f"omega1 must lie in [-1e100, 1e100], got {self.omega1}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,16 @@ class TwoQubitParams:
     The control qubit conditions the target's longitudinal frequency:
     control state d in {0, 1} shifts omega1 -> omega1 + (2*d - 1)*coupling_j.
     `alpha` records the generator J = alpha*omega0 when the point was built
-    from one; it is bookkeeping only.
+    from one; it is bookkeeping only. Both blocks' fields must be in range.
     """
 
     target: DriveParams
     coupling_j: float
     alpha: float | None = None
+
+    def __post_init__(self):
+        for control in (0, 1):
+            shifted_target(self, control)
 
 
 def big_omega(p: DriveParams) -> float:

@@ -10,9 +10,10 @@ noise spec, estimator options) - never on grid shape, point order, or the
 worker count. All points of a sweep share one base random stream (common
 random numbers), which makes curves smooth in the scan coordinate and
 argmax localization stable. A sweep cuts its points into contiguous
-batches, one per process used; each batch reads the two draw streams of
-fidelity's layout (rng_layout=2 in the metadata) and evaluates all of its
-points on them, with the values of one-point estimates.
+batches, at least one per process and at most _PASS_ELEMENTS // n points
+each; a batch reads the two draw streams of fidelity's layout (rng_layout=2
+in the metadata) and evaluates all of its points on them, with the values
+of one-point estimates. fidelity.EstimatorConfig holds and checks the options.
 
 Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
@@ -31,12 +32,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .fidelity import CONTROL_MODES, GATE_MODELS, _check_choice, _estimate
+from .fidelity import EstimatorConfig, _estimate
 from .model import (
     DriveParams,
     InfeasibleParameters,
@@ -61,26 +62,8 @@ TWO_QUBIT_COLUMNS = SINGLE_COLUMNS + [
     "alpha", "J", "gamma_d_0", "gamma_d_1", "chi_0", "chi_1", "control_mode",
 ]
 
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Sampling configuration shared by every point of a sweep."""
-
-    m: int = 500
-    n: int = 500
-    spec: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.1, 0.1))
-    seed: int = 0
-    gate_model: str = "phase"
-    haar: bool = False
-    control_mode: str = "unfixed"
-    workers: int = 1
-
-    def __post_init__(self):
-        for key in ("m", "n", "workers"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        _check_choice("gate_model", self.gate_model, GATE_MODELS)
-        _check_choice("control_mode", self.control_mode, CONTROL_MODES)
+#: per-state means a batch holds at once, (points, n); bounds its points
+_PASS_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -169,8 +152,7 @@ def _eval_batch(args) -> list:
     if not feasible:
         return rows
     tag = SINGLE_STREAM_TAG if points[0].kind == "single" else TWO_QUBIT_STREAM_TAG
-    ests = _estimate([points[k].params for k in feasible], cfg.spec, cfg.m, cfg.n,
-                     RngStream(cfg.seed).child(tag), cfg.gate_model, cfg.haar, cfg.control_mode)
+    ests = _estimate([points[k].params for k in feasible], cfg, RngStream(cfg.seed).child(tag))
     for k, est in zip(feasible, ests):
         rows[k]["F_mean"] = est.mean
         rows[k]["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
@@ -181,10 +163,11 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
                   metadata: dict | None = None) -> SweepResult:
     """Evaluate the configured estimator at every point, in point order.
 
-    The points are cut into contiguous batches, one per process used:
-    min(cfg.workers, os.cpu_count(), len(points)). A single batch runs in
-    process; more go to a process pool. Output is identical byte for byte
-    whatever the batching.
+    The points are cut into contiguous batches, at least one per process
+    used, min(cfg.workers, os.cpu_count(), len(points)), and at most
+    _PASS_ELEMENTS // cfg.n points each. With one process the batches run in
+    process; with more they go to a pool of that many. Output is identical
+    byte for byte whatever the batching.
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -193,10 +176,11 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
         raise ValueError(f"mixed point kinds in one sweep: {kinds}")
     columns = SINGLE_COLUMNS if points[0].kind == "single" else TWO_QUBIT_COLUMNS
     procs = min(cfg.workers, os.cpu_count() or 1, len(points))
-    cuts = [len(points) * b // procs for b in range(procs + 1)]
+    count = max(procs, math.ceil(len(points) / max(1, _PASS_ELEMENTS // cfg.n)))
+    cuts = [len(points) * b // count for b in range(count + 1)]
     jobs = [(points[lo:hi], cfg) for lo, hi in zip(cuts, cuts[1:])]
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             batches = list(pool.map(_eval_batch, jobs))
     else:
         batches = [_eval_batch(job) for job in jobs]

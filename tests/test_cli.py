@@ -54,6 +54,22 @@ def test_gate_infeasible_is_an_error(capsys):
     assert "eta*omega0^2 <= (1-eta)*omega1^2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--omega", "1", "--omega0", "1e154", "--omega1", "1e154", "--delta0", "0.1",
+     "--delta1", "0.1", "--m", "4", "--n", "4"],
+    ["fidelity", "--omega", "1", "--omega0", "1e-170", "--omega1", "1"],
+    ["gate", "--omega", "1", "--omega0", "1e155", "--omega1", "1"],
+], ids=["fidelity-large", "fidelity-small", "gate-large"])
+def test_fields_out_of_range_are_an_error(tmp_path, capsys, argv):
+    # squares of these fields overflow or underflow: no made-up row, no traceback
+    if argv[0] == "fidelity":
+        argv = argv + ["--out", str(tmp_path / "z.csv")]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: omega0 must lie in [1e-100, 1e100]")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gate_two_qubit_geometric_report(capsys):
     code, out, _ = run_cli(capsys, "gate", "--two-qubit", "--alpha", "1.7320508",
                            "--omega0", "30")

@@ -166,14 +166,30 @@ def test_estimates_within_unit_interval():
 
 
 def test_argument_validation():
+    # the messages of EstimatorConfig, the check sweep_generic runs as well
     p = pinned_single()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
         estimate_single(p, NoiseSpec(0.1, 0.1), 0, 5, RngStream(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        estimate_single(p, NoiseSpec(0.1, 0.1), 5, 0, RngStream(0))
+    with pytest.raises(ValueError, match="gate_model must be one of"):
         estimate_single(p, NoiseSpec(0.1, 0.1), 5, 5, RngStream(0), gate_model="exact")
     p2 = two_qubit_geometric_point(30.0, SQRT3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="control_mode must be one of"):
         estimate_two_qubit(p2, NoiseSpec(0.1, 0.1), 5, 5, RngStream(0), control_mode="both")
+
+
+@pytest.mark.parametrize("gate_model", ["phase", "propagator"])
+@pytest.mark.parametrize("omega,omega0,omega1", [
+    (1.0, 1e-100, 1.0), (1.0, 1e100, 1e100), (1e-100, 1e100, 1e100),
+    (1e100, 1e-100, -1e100), (1e-100, 1e-100, -1e100),
+], ids=["resonant", "strong", "slow-strong", "fast-weak", "slow-weak"])
+def test_estimates_finite_at_the_field_range_edges(gate_model, omega, omega0, omega1):
+    # no square or sum of squares leaves the normal doubles (RuntimeWarnings
+    # fail the suite), so the estimate is a real fidelity
+    est = estimate_single(DriveParams(omega, omega0, omega1), NoiseSpec(0.3, 0.3), 16, 4,
+                          RngStream(5).child(1), gate_model=gate_model)
+    assert 0.0 <= est.mean <= 1.0 and math.isfinite(est.stderr)
 
 
 def test_one_state_gives_no_stderr():

@@ -41,6 +41,28 @@ def test_drive_params_validation():
         DriveParams(omega=1.0, omega0=1.0, omega1=math.inf)
 
 
+@pytest.mark.parametrize("field,low,high", [
+    ("omega", 1e-100, 1e100), ("omega0", 1e-100, 1e100), ("omega1", -1e100, 1e100),
+])
+def test_drive_params_field_range(field, low, high):
+    # within the bounds every square and sum of squares of the fields is a
+    # normal double; one step outside either bound is refused
+    base = {"omega": 1.0, "omega0": 1.0, "omega1": 1.0}
+    for value in (low, high):
+        assert getattr(DriveParams(**{**base, field: value}), field) == value
+    for value in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+        with pytest.raises(InfeasibleParameters, match=f"{field} must lie in"):
+            DriveParams(**{**base, field: value})
+
+
+def test_two_qubit_params_blocks_in_range():
+    # each control state's block omega1 -+ J is a drive point of its own
+    target = DriveParams(omega=1.0, omega0=1.0, omega1=0.0)
+    assert TwoQubitParams(target, coupling_j=1e100).coupling_j == 1e100
+    with pytest.raises(InfeasibleParameters, match="omega1 must lie in"):
+        TwoQubitParams(target, coupling_j=math.nextafter(1e100, math.inf))
+
+
 def test_big_omega_trivial():
     assert big_omega(DriveParams(2.0, 3.0, 2.0)) == 3.0
     # 3-4-5 triangle: detuning omega1 - omega = 4

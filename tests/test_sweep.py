@@ -215,11 +215,13 @@ def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
     for elements in (1, 3 * cfg.m):
         monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
         assert sweep_generic(points, cfg).rows == whole.rows
-    monkeypatch.setattr(fidelity, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per pass
+    monkeypatch.setattr(sweep, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per pass
     assert sweep_generic(points, cfg).rows == whole.rows
 
 
-def test_sweep_builds_the_streams_once_per_batch(monkeypatch):
+@pytest.fixture
+def child_calls(monkeypatch):
+    """The indices of every RngStream.child call, in order."""
     calls = []
     child = RngStream.child
 
@@ -228,12 +230,16 @@ def test_sweep_builds_the_streams_once_per_batch(monkeypatch):
         return child(self, *indices)
 
     monkeypatch.setattr(RngStream, "child", counted)
+    return calls
+
+
+def test_sweep_builds_the_streams_once_per_batch(child_calls):
     points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 1.5, 2.0)]
     for n in (1, 11, 3000):
-        calls.clear()
+        child_calls.clear()
         sweep_generic(points, EstimatorConfig(m=5, n=n, spec=NoiseSpec(0.1, 0.1), seed=2))
         # one batch: the base stream, then its state and noise streams
-        assert calls == [(SINGLE_STREAM_TAG,), (0,), (1,)]
+        assert child_calls == [(SINGLE_STREAM_TAG,), (0,), (1,)]
 
 
 @pytest.mark.parametrize("delta_rel,bad,message", [
@@ -288,6 +294,26 @@ def test_pool_never_exceeds_the_cpus(recording_pool, monkeypatch):
     res = sweep_generic(points, EstimatorConfig(m=20, n=20, seed=7, workers=8))
     assert recording_pool == []  # one CPU: one batch, in process
     assert res.metadata["workers"] == 8
+
+
+def test_pass_bound_cuts_more_batches_in_process(recording_pool, child_calls, monkeypatch):
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    cfg = EstimatorConfig(m=5, n=7, spec=NoiseSpec(0.1, 0.1), seed=2)
+    whole = sweep_generic(points, cfg)
+    child_calls.clear()
+    monkeypatch.setattr(sweep, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per batch
+    assert sweep_generic(points, cfg).rows == whole.rows
+    # batches of 1, 2 and 2 points, each with its own streams, and no pool
+    assert child_calls == [(SINGLE_STREAM_TAG,), (0,), (1,)] * 3
+    assert recording_pool == []
+
+
+def test_block_out_of_range_is_infeasible():
+    # the target is in range, its control-0 block at omega1 - J = -1.9e100 is not
+    point = two_qubit_point(1e100, -9e99, 1.0)
+    assert not point.feasible and "omega1 must lie in" in point.reason
+    row = sweep_generic([point], FAST).rows[0]
+    assert row["feasible"] is False and row["F_mean"] is None
 
 
 def test_pool_maps_contiguous_batches(recording_pool, monkeypatch):
