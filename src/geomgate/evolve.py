@@ -134,8 +134,12 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
     dt = omega * t / steps
     # entries of -i*H(t): a00 = -a11 constant, a01 = ax*exp(-i*t), a10 = ax*exp(i*t)
     a00, ax = -0.5j * w1, -0.5j * w0
-    u = [np.ones(n, dtype=complex), np.zeros(n, dtype=complex),
-         np.zeros(n, dtype=complex), np.ones(n, dtype=complex)]
+    # u holds the entries (u00, u01, u10, u11) as rows; the stage slopes, the
+    # stage input and one scratch row pair are work buffers, updated in place
+    # in the summation order of the plain RK4 formulas
+    u = np.zeros((4, n), dtype=complex)
+    u[0] = u[3] = 1.0
+    k1, k2, k3, k4, arg, tmp = np.empty((6, 4, n), dtype=complex)
     # the drive phase is evaluated once per distinct step size: one-cycle
     # runs all take 2*pi (up to rounding) in rescaled units
     dts, which = np.unique(dt, return_inverse=True)
@@ -145,19 +149,32 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
         rot = np.exp(-0.5j * j * dts)[which]
         return ax * rot, ax * np.conj(rot)
 
-    def rhs(u0, u1, u2, u3, a01, a10):
-        return a00 * u0 + a01 * u2, a00 * u1 + a01 * u3, a10 * u0 - a00 * u2, a10 * u1 - a00 * u3
+    def rhs(v, a01, a10, out):
+        """-i*H*v into out, by row pairs: a00*v[:2] + a01*v[2:], a10*v[:2] - a00*v[2:]."""
+        np.add(np.multiply(a00, v[:2], out=out[:2]), np.multiply(a01, v[2:], out=tmp[:2]),
+               out=out[:2])
+        np.subtract(np.multiply(a10, v[:2], out=out[2:]), np.multiply(a00, v[2:], out=tmp[2:]),
+                    out=out[2:])
 
-    half, sixth = 0.5 * dt, dt / 6.0
+    def stage(h, slope):
+        """u + h*slope, into arg."""
+        return np.add(u, np.multiply(h, slope, out=arg), out=arg)
+
+    # the step sizes as complex numbers, as each multiply would cast them
+    half, full, sixth = (h.astype(complex) for h in (0.5 * dt, dt, dt / 6.0))
     end = drive(0)
-    for k in range(steps):
-        start, mid, end = end, drive(2 * k + 1), drive(2 * k + 2)
-        k1 = rhs(*u, *start)
-        k2 = rhs(*(u[i] + half * k1[i] for i in range(4)), *mid)
-        k3 = rhs(*(u[i] + half * k2[i] for i in range(4)), *mid)
-        k4 = rhs(*(u[i] + dt * k3[i] for i in range(4)), *end)
-        u = [u[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4)]
-    return np.stack(u, axis=-1).reshape(n, 2, 2)
+    for s in range(steps):
+        start, mid, end = end, drive(2 * s + 1), drive(2 * s + 2)
+        rhs(u, *start, k1)
+        rhs(stage(half, k1), *mid, k2)
+        rhs(stage(half, k2), *mid, k3)
+        rhs(stage(full, k3), *end, k4)
+        # u + sixth*(k1 + 2*k2 + 2*k3 + k4)
+        np.add(k1, np.multiply(2.0, k2, out=arg), out=arg)
+        np.add(arg, np.multiply(2.0, k3, out=tmp), out=arg)
+        np.add(arg, k4, out=arg)
+        np.add(u, np.multiply(sixth, arg, out=arg), out=u)
+    return u.T.reshape(n, 2, 2)
 
 
 def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:

@@ -37,7 +37,10 @@ Two noisy-gate constructions are available:
   at the noisy cycle angle a, with real and imaginary per-state coefficients.
 
 Per shot both models run only real arithmetic, sqrt and tan, which numpy
-vectorises: cos and sin come from one tan of the half angle (_cos_sin).
+vectorises: cos and sin come from one tan of the half angle (_cos_sin). The
+propagator model allocates ten work buffers once per call and runs each
+per-shot pass in place in them (ufunc out=); its passes round as the plain
+expression does, so a buffer never changes a value.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -153,13 +156,17 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             # the noisy magnitude is this expression too: no noise gives d == 0
             big = np.sqrt(omega0 * omega0 + det * det)
             # the block's cyclic axis (cos chi, sin chi) and its ideal entries
-            blocks.append((k, shift, wl, big, det / big, omega0 / big,
+            blocks.append((k, shift - omega, wl, big, det / big, omega0 / big,
                            _cycle_entries(omega, omega0, wl)))
         chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, blocks))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
     width = 3 if weights is not None else 6
     per_state = np.empty((len(points), n))
+    # the propagator's work buffers, sized for the first chunk, the largest;
+    # a smaller chunk views the leading elements of each, once per shape
+    if cfg.gate_model == "propagator":
+        work, views = np.empty((10, min(step, len(points)) * min(states, n) * m)), {}
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.generator.random((count, width))
@@ -172,35 +179,61 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
         bz = abs(t0) ** 2 - abs(t1) ** 2
         bx = 2.0 * (t0.conjugate() * t1).real
         for rows, omega, pio, omega0, omega1, blocks in chunks:
-            w0 = omega0 * noisy0
-            w0sq = w0 * w0
-            re = im = 0.0
             # the models differ in the noisy longitudinal field: "phase" scales
             # the block frequency omega1 + shift, "propagator" shifts omega1*scale
             if cfg.gate_model == "phase":
+                w0 = omega0 * noisy0
+                w0sq = w0 * w0
+                re = im = 0.0
                 for k, _, wl, big, cos_chi, sin_chi, _ in blocks:
                     det = wl * scale - omega
                     cos_d, sin_d = _cos_sin(pio * (big - np.sqrt(w0sq + det * det)))
                     re = re + w[k] * cos_d
                     im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * sin_d
+                fid = re * re + im * im
             else:
                 # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
                 # (evolve._cycle_entries), so its term is linear in cos(a) and
-                # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx
-                w1 = omega1 * scale
-                for k, shift, _, _, _, _, (i00, i01, i11) in blocks:
+                # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx.
+                # Each pass writes into a work buffer and rounds as the sum
+                # re + c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) does
+                shape = (rows.stop - rows.start, count, m)
+                if shape not in views:
+                    views[shape] = [b[:math.prod(shape)].reshape(shape) for b in work]
+                w0, w0sq, w1, det, big, t, tt, den, re, im = views[shape]
+                np.multiply(omega0, noisy0, out=w0)
+                np.multiply(w0, w0, out=w0sq)
+                np.multiply(omega1, scale, out=w1)
+                for j, (k, offset, _, _, _, _, (i00, i01, i11)) in enumerate(blocks):
                     q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
                     q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
                     c_1, c_z, c_x = (-(q0 * t0 + q1 * t1), 1j * (q0 * t0 - q1 * t1),
                                      1j * (q0 * t1 + q1 * t0))
-                    det = w1 + (shift - omega)
-                    big = np.sqrt(w0sq + det * det)
-                    cos_a, sin_a = _cos_sin(pio * big)
-                    sin_a = sin_a / big
-                    re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
-                    im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
-            fid = re * re + im * im
-            per_state[rows, first:first + count] = np.minimum(fid, 1.0).mean(axis=-1)
+                    np.add(w1, offset, out=det)
+                    np.multiply(det, det, out=big)
+                    np.sqrt(np.add(w0sq, big, out=big), out=big)
+                    # _cos_sin(pio*big) with the half angle folded into pio, exactly
+                    np.tan(np.multiply(0.5 * pio, big, out=t), out=t)
+                    np.multiply(t, t, out=tt)
+                    np.add(1.0, tt, out=den)
+                    np.divide(np.subtract(1.0, tt, out=tt), den, out=tt)  # cos(a)
+                    np.divide(np.add(t, t, out=t), den, out=t)
+                    np.divide(t, big, out=t)  # sin(a)/big
+                    # big and den are free now: they hold the sums' terms
+                    for acc, c1, cz, cx in ((re, c_1.real, c_z.real, c_x.real),
+                                            (im, c_1.imag, c_z.imag, c_x.imag)):
+                        np.add(np.multiply(cz, det, out=big), np.multiply(cx, w0, out=den),
+                               out=big)
+                        np.multiply(t, big, out=big)
+                        if j == 0:
+                            np.multiply(c1, tt, out=acc)
+                        else:
+                            np.add(acc, np.multiply(c1, tt, out=den), out=acc)
+                        np.add(acc, big, out=acc)
+                fid = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
+            np.minimum(fid, 1.0, out=fid)
+            # fid.mean(axis=-1) without its Python overhead, the same sum and division
+            per_state[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
 
     # one state gives no spread, hence no standard error
     return [FidelityEstimate(mean=float(row.mean()),

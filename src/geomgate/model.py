@@ -25,6 +25,16 @@ class InfeasibleParameters(ValueError):
     """Requested parameter point violates a reality/domain constraint."""
 
 
+def _check_fields(**fields):
+    """Raise InfeasibleParameters for a field outside DriveParams' range."""
+    for name, value in fields.items():
+        if name == "omega1":
+            if not abs(value) <= 1e100:
+                raise InfeasibleParameters(f"omega1 must lie in [-1e100, 1e100], got {value}")
+        elif not 1e-100 <= value <= 1e100:
+            raise InfeasibleParameters(f"{name} must lie in [1e-100, 1e100], got {value}")
+
+
 @dataclass(frozen=True)
 class DriveParams:
     """Single-qubit drive point.
@@ -40,11 +50,7 @@ class DriveParams:
     omega1: float
 
     def __post_init__(self):
-        for name, value in (("omega", self.omega), ("omega0", self.omega0)):
-            if not 1e-100 <= value <= 1e100:
-                raise InfeasibleParameters(f"{name} must lie in [1e-100, 1e100], got {value}")
-        if not abs(self.omega1) <= 1e100:
-            raise InfeasibleParameters(f"omega1 must lie in [-1e100, 1e100], got {self.omega1}")
+        _check_fields(omega=self.omega, omega0=self.omega0, omega1=self.omega1)
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,10 @@ def omega_for_beta(omega0: float, omega1: float, beta: float, branch: str = "min
 
     For beta in (1, 2) the resulting total phase is exactly -beta*pi; for
     beta in (0, 1) the same eta is reached from the mirror exponent and the
-    attained phase is -(2-beta)*pi (gamma <= -pi always holds).
+    attained phase is -(2-beta)*pi (gamma <= -pi always holds). The fields
+    are checked first: out of range, their squares overflow or underflow.
     """
+    _check_fields(omega0=omega0, omega1=omega1)
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     eta = _eta(beta)

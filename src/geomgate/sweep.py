@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,6 +179,9 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     cuts = [len(points) * b // count for b in range(count + 1)]
     jobs = [(points[lo:hi], cfg) for lo, hi in zip(cuts, cuts[1:])]
     if procs > 1:
+        # imported here: a one-process run, any CLI call, never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=procs) as pool:
             batches = list(pool.map(_eval_batch, jobs))
     else:

@@ -59,7 +59,9 @@ def test_gate_infeasible_is_an_error(capsys):
      "--delta1", "0.1", "--m", "4", "--n", "4"],
     ["fidelity", "--omega", "1", "--omega0", "1e-170", "--omega1", "1"],
     ["gate", "--omega", "1", "--omega0", "1e155", "--omega1", "1"],
-], ids=["fidelity-large", "fidelity-small", "gate-large"])
+    ["gate", "--beta", "1.5", "--omega0", "1e200"],
+    ["gate", "--beta", "1.5", "--omega0", "1e-200"],
+], ids=["fidelity-large", "fidelity-small", "gate-large", "gate-beta-large", "gate-beta-small"])
 def test_fields_out_of_range_are_an_error(tmp_path, capsys, argv):
     # squares of these fields overflow or underflow: no made-up row, no traceback
     if argv[0] == "fidelity":
@@ -448,13 +450,24 @@ def test_workers_below_one_rejected(tmp_path, capsys, key, value, in_config):
 # --- import cost ------------------------------------------------------------------
 
 
-def test_import_loads_no_scipy():
-    # every CLI call pays the package import; scipy alone used to cost most of it
+def fresh_output(code):
+    """What code prints in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(geomgate.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, geomgate; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays the package import; scipy alone used to cost most of it
+    assert fresh_output("import sys, geomgate; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only a sweep on more than one process starts a pool; the CLI's import,
+    # which every call pays, leaves concurrent.futures unloaded
+    assert fresh_output("import sys, geomgate.cli; "
+                        "print('concurrent.futures' in sys.modules)") == "False"

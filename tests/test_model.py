@@ -147,6 +147,17 @@ def test_omega_for_beta_reality_violation():
         omega_for_beta(1e5, 1e5, 1.5)
 
 
+@pytest.mark.parametrize("omega0,omega1,field", [
+    (1e200, 1.0, "omega0"), (1e-200, 1.0, "omega0"), (math.nan, 1.0, "omega0"),
+    (1.0, 1e200, "omega1"), (1.0, -1e200, "omega1"), (1.0, math.inf, "omega1"),
+])
+def test_omega_for_beta_checks_the_fields_first(omega0, omega1, field):
+    # out of range the fields' squares overflow or underflow, and the solver
+    # would return a NaN omega: the given field is named, as DriveParams does
+    with pytest.raises(InfeasibleParameters, match=f"^{field} must lie in"):
+        omega_for_beta(omega0, omega1, 1.5)
+
+
 def test_omega_for_beta_invalid_beta():
     with pytest.raises(InfeasibleParameters, match="eta"):
         omega_for_beta(1.0, 10.0, -0.5)

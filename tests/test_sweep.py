@@ -1,5 +1,6 @@
 """Sweep determinism, feasibility flagging, and preset structure at desk scale."""
 
+import concurrent.futures
 import math
 import os
 
@@ -276,7 +277,8 @@ class RecordingPool:
 @pytest.fixture
 def recording_pool(monkeypatch):
     RecordingPool.started = []
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # sweep_generic imports the pool class where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool.started
 
 
