@@ -179,7 +179,7 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     cuts = [len(points) * b // count for b in range(count + 1)]
     jobs = [(points[lo:hi], cfg) for lo, hi in zip(cuts, cuts[1:])]
     if procs > 1:
-        # imported here: a one-process run, any CLI call, never loads it
+        # imported only here: one-process runs and the CLI's import never load it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=procs) as pool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geomgate import fidelity
-from geomgate.evolve import ideal_gate_u1, one_cycle_gate
+from geomgate.evolve import _cycle_entries, ideal_gate_u1, one_cycle_gate
 from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
     DriveParams,
@@ -22,6 +22,7 @@ from geomgate.model import (
 from geomgate.noise import (
     NoiseSpec,
     RngStream,
+    _input_amplitudes,
     relative_draws,
     sample_input_state,
     sample_two_qubit_input,
@@ -201,6 +202,71 @@ def test_one_state_gives_no_stderr():
     assert 0.0 < est.mean <= 1.0 and math.isnan(est.stderr)
     assert estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), 10, 2,
                            RngStream(3).child(1)).stderr > 0.0
+
+
+# --- propagator kernel: the allocating expression it replaces ---------------
+
+
+def allocating_propagator_estimates(params, cfg, rng):
+    """(mean, stderr) per two-qubit point, as the propagator kernel computed
+    them when every pass built a new (points, states, m) array.
+
+    Reads the estimator's draws all at once: both streams are read in order,
+    so its chunks of states see the same doubles.
+    """
+    m, n, spec = cfg.m, cfg.n, cfg.spec
+    weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(cfg.control_mode)
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None, None]
+
+    omega, omega0, omega1 = (column([getattr(p2.target, f) for p2 in params])
+                             for f in ("omega", "omega0", "omega1"))
+    u = rng.child(0).generator.random((n, 3 if weights else 6))
+    t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], cfg.haar))
+    w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], cfg.haar)]
+    draws = relative_draws(rng.child(1), n * m * (1 + spec.independent)).reshape(1, n, -1)
+    w0 = omega0 * (1.0 + spec.delta0 * draws[..., :m])
+    w1 = omega1 * (1.0 + spec.delta1 * draws[..., -m:])
+    w0sq = w0 * w0
+    re = im = 0.0
+    for k, sign in enumerate((-1.0, 1.0)):
+        if weights is not None and weights[k] == 0.0:
+            continue
+        shift = column([sign * p2.coupling_j for p2 in params])
+        i00, i01, i11 = _cycle_entries(omega, omega0, omega1 + shift)
+        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
+        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
+        c_1, c_z, c_x = (-(q0 * t0 + q1 * t1), 1j * (q0 * t0 - q1 * t1),
+                         1j * (q0 * t1 + q1 * t0))
+        det = w1 + (shift - omega)
+        big = np.sqrt(w0sq + det * det)
+        cos_a, sin_a = fidelity._cos_sin(np.pi / omega * big)
+        sin_a = sin_a / big
+        re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
+        im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
+    per_state = np.minimum(re * re + im * im, 1.0).mean(axis=-1)
+    return [(row.mean(), row.std(ddof=1) / np.sqrt(n)) for row in per_state]
+
+
+@pytest.mark.parametrize("mode,spec,haar,elements", [
+    ("unfixed", NoiseSpec(0.05, 0.05), False, None),
+    ("fixed1", NoiseSpec(0.1, 0.1, True), True, None),
+    ("unfixed", NoiseSpec(0.1, 0.05, True), True, 3 * 7),  # three states, one point a chunk
+    ("fixed1", NoiseSpec(0.05, 0.05), False, 2 * 11 * 7),  # all states, two points a chunk
+])
+def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, elements,
+                                                            monkeypatch):
+    # the kernel's passes write into work buffers and must round exactly as
+    # the plain expression does, in full chunks and in shorter trailing ones
+    if elements is not None:
+        monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
+    params = [two_qubit_from_alpha(w0, 60.0, math.sqrt(a))
+              for w0, a in ((2.0, 3), (10.0, 8), (21.0, 15), (33.0, 35), (40.0, 143))]
+    cfg = fidelity.EstimatorConfig(m=7, n=11, spec=spec, gate_model="propagator", haar=haar,
+                                   control_mode=mode)
+    got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
+    assert got == allocating_propagator_estimates(params, cfg, RngStream(8).child(2))
 
 
 # --- draw-layout reconstruction oracle -------------------------------------

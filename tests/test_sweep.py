@@ -216,6 +216,10 @@ def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
     for elements in (1, 3 * cfg.m):
         monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
         assert sweep_generic(points, cfg).rows == whole.rows
+    # all states and two points per chunk over three feasible points: the last
+    # chunk's one point reads shorter views of the propagator's work buffers
+    monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", 2 * cfg.n * cfg.m)
+    assert sweep_generic(points[:-1], cfg).rows == whole.rows[:-1]
     monkeypatch.setattr(sweep, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per pass
     assert sweep_generic(points, cfg).rows == whole.rows
 
