@@ -462,8 +462,9 @@ def fresh_output(code):
 
 def test_import_loads_no_scipy():
     # every CLI call pays the package import; scipy alone used to cost most of it
-    assert fresh_output("import sys, geomgate; "
-                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+    code = ("import sys, geomgate; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert fresh_output(code) == "[]"
 
 
 def test_import_loads_no_process_pool():
