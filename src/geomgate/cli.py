@@ -6,14 +6,14 @@ Subcommands
     sweep      generic grid scan, CSV output
     reproduce  run a built-in figure preset (fig1..fig4)
 
-Configuration values may come from a key=value config file (--config); CLI
-flags override file values. A subcommand refuses, before it estimates or
-writes anything, any option it does not read, whether given as a flag or
-as a config key. The default seed comes from --seed, else the SIM_SEED
-environment variable, else 0. Every CSV gets a sidecar <name>.meta
-recording the full configuration; reruns with an identical configuration
-are byte-identical, whatever --workers is. Preset defaults live in
-sweep.PRESETS.
+Configuration values may come from a key=value config file (--config), each
+parsed as its flag's value; CLI flags override file values. A subcommand
+refuses, before it estimates or writes anything, any option it does not
+read, whether given as a flag or as a config key. The default seed comes
+from --seed, else the SIM_SEED environment variable, else 0. Every CSV gets
+a sidecar <name>.meta recording the full configuration; reruns with an
+identical configuration are byte-identical, whatever --workers is. Preset
+defaults live in sweep.PRESETS.
 """
 
 from __future__ import annotations
@@ -145,39 +145,78 @@ def _parse_grid(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
 
+#: every option, dest -> (parser, help); the parser reads the flag's value and
+#: the config key's. A parser of bool makes a flag, a tuple the choices of a string
+_OPTIONS = {
+    "config": (str, "key=value config file supplying defaults"),
+    "seed": (int, "RNG seed (default: $SIM_SEED or 0)"),
+    "beta": (float, "total phase targeted as -beta*pi"),
+    "omega": (float, "drive rotation rate (direct entry)"),
+    "omega0": (float, "transverse field strength"),
+    "omega1": (float, "longitudinal field strength"),
+    "delta": (float, "offset added to the zero-dynamic omega1 (absolute)"),
+    "branch": (("plus", "minus"), "root branch of the drive-rate solver (default minus)"),
+    "two_qubit": (bool, "conditional two-qubit gate"),
+    "alpha": (float, "coupling generator J = alpha*omega0"),
+    "coupling_j": (float, "Ising coupling J (direct entry)"),
+    "zero_dynamic": (bool, "place omega1 on the zero-dynamic-phase line (with --beta)"),
+    "delta0": (float, "relative half-width on omega0"),
+    "delta1": (float, "relative half-width on omega1"),
+    "independent": (bool, "draw the two noise channels independently"),
+    "m": (int, "noise shots per input state"),
+    "n": (int, "number of input states"),
+    "control_mode": (CONTROL_MODES, "control-qubit handling (two-qubit)"),
+    "gate_model": (GATE_MODELS, "noisy-gate construction (default: phase)"),
+    "haar": (bool, "sample input states from the sphere measure"),
+    "workers": (int, "parallel worker processes"),
+    "out": (str, "output CSV path"),
+    "grid_delta_rel": (_parse_grid, "Delta/omega0 grid as START:STOP:NUM or comma list"),
+    "grid_omega0": (_parse_grid, "omega0 grid as START:STOP:NUM or comma list"),
+}
+
+#: each subcommand's options, in the order of its --help and of its errors
+_GATE_OPTIONS = ("config", "seed", "beta", "omega", "omega0", "omega1", "delta", "branch",
+                 "two_qubit", "alpha", "coupling_j", "zero_dynamic")
+_RUN_OPTIONS = _GATE_OPTIONS + ("delta0", "delta1", "independent", "m", "n", "control_mode",
+                                "gate_model", "haar", "workers", "out")
+_SWEEP_OPTIONS = _RUN_OPTIONS + ("grid_delta_rel", "grid_omega0")
+
+
 class _Settings:
     """Layered lookup: CLI flag, then config file, then hard default.
 
     A config key that names no option of the subcommand is an error, so a
-    misspelt key cannot silently fall back to its default. Every key asked
-    for is recorded, so refuse_unread() can name the options given that the
-    command never read.
+    misspelt key cannot silently fall back to its default. A key's value is
+    parsed as its flag's value, when the key is read. Every key asked for is
+    recorded, so refuse_unread() can name the options given that the command
+    never read.
     """
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.file = read_config(ns.config) if getattr(ns, "config", None) else {}
-        # every option dest; not the subcommand bookkeeping or the positional
-        self.options = [k for k in vars(ns) if k not in {"command", "func", "config", "figure"}]
+        self.file = read_config(ns.config) if ns.config else {}
+        # the subcommand's options in their order; --config names no value
+        self.options = [k for k in vars(ns) if k in _OPTIONS and k != "config"]
         unknown = sorted(set(self.file) - set(self.options))
         if unknown:
             raise ValueError(f"{ns.config}: unknown config key(s): {', '.join(unknown)}")
         self.read = set()
 
-    def get(self, key: str, default=None, parse=float):
+    def get(self, key: str, default=None):
         self.read.add(key)
         cli = getattr(self.ns, key, None)
         if cli is not None:
             return cli
-        if key in self.file:
-            raw = self.file[key]
-            if parse is bool:
-                return _parse_bool(raw)
-            return parse(raw)
-        return default
+        if key not in self.file:
+            return default
+        raw = self.file[key]
+        parse = _OPTIONS[key][0]
+        if parse is bool:
+            return _parse_bool(raw)
+        return raw if isinstance(parse, tuple) else parse(raw)
 
     def seed(self) -> int:
-        explicit = self.get("seed", default=None, parse=int)
+        explicit = self.get("seed")
         if explicit is not None:
             return explicit
         env = os.environ.get("SIM_SEED")
@@ -199,46 +238,6 @@ class _Settings:
             raise ValueError(f"{command} does not read {', '.join(unread)}")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file supplying defaults")
-    sub.add_argument("--seed", type=int, help="RNG seed (default: $SIM_SEED or 0)")
-
-
-def _add_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--beta", type=float, help="total phase targeted as -beta*pi")
-    sub.add_argument("--omega", type=float, help="drive rotation rate (direct entry)")
-    sub.add_argument("--omega0", type=float, help="transverse field strength")
-    sub.add_argument("--omega1", type=float, help="longitudinal field strength")
-    sub.add_argument("--delta", type=float,
-                     help="offset added to the zero-dynamic omega1 (absolute)")
-    sub.add_argument("--branch", choices=["plus", "minus"],
-                     help="root branch of the drive-rate solver (default minus)")
-    sub.add_argument("--two-qubit", action="store_const", const=True, dest="two_qubit",
-                     help="conditional two-qubit gate")
-    sub.add_argument("--alpha", type=float, help="coupling generator J = alpha*omega0")
-    sub.add_argument("--coupling-j", type=float, dest="coupling_j",
-                     help="Ising coupling J (direct entry)")
-    sub.add_argument("--zero-dynamic", action="store_const", const=True, dest="zero_dynamic",
-                     help="place omega1 on the zero-dynamic-phase line (with --beta)")
-
-
-def _add_estimator(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--delta0", type=float, help="relative half-width on omega0")
-    sub.add_argument("--delta1", type=float, help="relative half-width on omega1")
-    sub.add_argument("--independent", action="store_const", const=True,
-                     help="draw the two noise channels independently")
-    sub.add_argument("--m", type=int, help="noise shots per input state")
-    sub.add_argument("--n", type=int, help="number of input states")
-    sub.add_argument("--control-mode", choices=CONTROL_MODES,
-                     dest="control_mode", help="control-qubit handling (two-qubit)")
-    sub.add_argument("--gate-model", choices=GATE_MODELS, dest="gate_model",
-                     help="noisy-gate construction (default: phase)")
-    sub.add_argument("--haar", action="store_const", const=True,
-                     help="sample input states from the sphere measure")
-    sub.add_argument("--workers", type=int, help="parallel worker processes")
-    sub.add_argument("--out", help="output CSV path")
-
-
 def _resolve_single(s: _Settings) -> tuple[DriveParams, float | None]:
     """DriveParams from flags; returns (params, delta_rel or None)."""
     omega0 = s.get("omega0")
@@ -253,10 +252,10 @@ def _resolve_single(s: _Settings) -> tuple[DriveParams, float | None]:
     beta = s.get("beta")
     if beta is None:
         raise InfeasibleParameters("give either --omega or --beta")
-    branch = s.get("branch", "minus", parse=str)
+    branch = s.get("branch", "minus")
     omega1 = s.get("omega1")
     # read either way: without --omega1 the zero-dynamic line is the default
-    if s.get("zero_dynamic", False, parse=bool) and omega1 is not None:
+    if s.get("zero_dynamic", False) and omega1 is not None:
         raise InfeasibleParameters("--zero-dynamic and --omega1 are mutually exclusive")
     delta_rel = None
     if omega1 is None:
@@ -297,42 +296,36 @@ def _gate_lines(m) -> list:
             for row in m]
 
 
+def _block_lines(p: DriveParams, indent: str = "", width: int = 7) -> list:
+    """Report lines of one block: rotation rate, axis angle and phases."""
+    tri = phases(p)
+    return [f"{indent}{name:<{width}} = {_fmt(value)}" for name, value in (
+        ("Omega", big_omega(p)), ("chi", chi_angle(p)), ("gamma", tri.gamma),
+        ("gamma_g", tri.gamma_g), ("gamma_d", tri.gamma_d))]
+
+
 def cmd_gate(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
-    two_qubit = s.get("two_qubit", False, parse=bool)
+    two_qubit = s.get("two_qubit", False)
     p = _resolve_two_qubit(s) if two_qubit else _resolve_single(s)[0]
     s.refuse_unread()
-    lines = []
+    t = p.target if two_qubit else p
+    lines = [f"omega   = {_fmt(t.omega)}",
+             f"omega0  = {_fmt(t.omega0)}",
+             f"omega1  = {_fmt(t.omega1)}"]
     if two_qubit:
-        t = p.target
-        lines += [f"omega   = {_fmt(t.omega)}",
-                  f"omega0  = {_fmt(t.omega0)}",
-                  f"omega1  = {_fmt(t.omega1)}",
-                  f"J       = {_fmt(p.coupling_j)}"]
+        lines.append(f"J       = {_fmt(p.coupling_j)}")
         if p.alpha is not None:
             lines.append(f"alpha   = {_fmt(p.alpha)}")
         for d in (0, 1):
             blk = shifted_target(p, d)
-            tri = phases(blk)
-            lines += [f"block {d}: omega1_eff = {_fmt(blk.omega1)}",
-                      f"  Omega    = {_fmt(big_omega(blk))}",
-                      f"  chi      = {_fmt(chi_angle(blk))}",
-                      f"  gamma    = {_fmt(tri.gamma)}",
-                      f"  gamma_g  = {_fmt(tri.gamma_g)}",
-                      f"  gamma_d  = {_fmt(tri.gamma_d)}"]
+            lines.append(f"block {d}: omega1_eff = {_fmt(blk.omega1)}")
+            lines += _block_lines(blk, "  ", 8)
         lines.append("gate (4x4, basis |00>,|01>,|10>,|11>):")
         lines += _gate_lines(ideal_gate_u2(p))
     else:
-        tri = phases(p)
-        lines += [f"omega   = {_fmt(p.omega)}",
-                  f"omega0  = {_fmt(p.omega0)}",
-                  f"omega1  = {_fmt(p.omega1)}",
-                  f"Omega   = {_fmt(big_omega(p))}",
-                  f"chi     = {_fmt(chi_angle(p))}",
-                  f"gamma   = {_fmt(tri.gamma)}",
-                  f"gamma_g = {_fmt(tri.gamma_g)}",
-                  f"gamma_d = {_fmt(tri.gamma_d)}",
-                  "gate (2x2):"]
+        lines += _block_lines(p)
+        lines.append("gate (2x2):")
         lines += _gate_lines(one_cycle_gate(p))
     print("\n".join(lines))
     return 0
@@ -341,14 +334,13 @@ def cmd_gate(ns: argparse.Namespace) -> int:
 def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
     """Estimator options given as flags or config keys, else the given spec and
     control mode, else EstimatorConfig's; control_mode None reads no --control-mode."""
-    given = {key: s.get(key, parse=parse) for key, parse in
-             (("m", int), ("n", int), ("workers", int), ("gate_model", str), ("haar", bool))}
+    given = {key: s.get(key) for key in ("m", "n", "workers", "gate_model", "haar")}
     if control_mode is not None:
-        given["control_mode"] = s.get("control_mode", control_mode, parse=str)
+        given["control_mode"] = s.get("control_mode", control_mode)
     spec = NoiseSpec(
         s.get("delta0", spec.delta0),
         s.get("delta1", spec.delta1),
-        s.get("independent", spec.independent, parse=bool),
+        s.get("independent", spec.independent),
     )
     return EstimatorConfig(spec=spec, seed=s.seed(),
                            **{key: val for key, val in given.items() if val is not None})
@@ -356,7 +348,7 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
 
 def cmd_fidelity(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
-    two_qubit = s.get("two_qubit", False, parse=bool)
+    two_qubit = s.get("two_qubit", False)
     cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
     if two_qubit:
         p2 = _resolve_two_qubit(s)
@@ -365,7 +357,7 @@ def cmd_fidelity(ns: argparse.Namespace) -> int:
         p, delta_rel = _resolve_single(s)
         coords = {} if delta_rel is None else {"delta_over_omega0": delta_rel}
         point = SweepPoint(coords=coords, kind="single", params=p)
-    out = s.get("out", None, parse=str)
+    out = s.get("out")
     s.refuse_unread()
     result = sweep_generic([point], cfg, {"preset": "point"})
     row = result.rows[0]
@@ -382,14 +374,14 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     """A two-qubit sweep is one fig4 curve, a single-qubit one a fig1 line at
     fig2's omega0; each on a grid of its own, with the presets' defaults."""
     s = _Settings(ns)
-    if s.get("two_qubit", False, parse=bool):
+    if s.get("two_qubit", False):
         fig4 = PRESETS["fig4"]
         cfg = _estimator_config(s, fig4.spec, fig4.control_mode)
         alpha = s.get("alpha")
         if alpha is None:
             raise InfeasibleParameters("--alpha is required for a two-qubit sweep")
         omega1 = s.get("omega1", fig4.options["omega1"])
-        grid = s.get("grid_omega0", None, parse=_parse_grid) or list(fig4.grids["omega0_grid"])
+        grid = s.get("grid_omega0") or list(fig4.grids["omega0_grid"])
         points = [two_qubit_point(w0, omega1, alpha) for w0 in grid]
         meta = {"preset": "sweep", "alpha": alpha, "omega1": omega1,
                 "omega0_grid": grid}
@@ -397,13 +389,13 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         fig1 = PRESETS["fig1"]
         cfg = _estimator_config(s, fig1.spec, None)
         beta = s.get("beta", fig1.options["beta"])
-        branch = s.get("branch", fig1.options["branch"], parse=str)
+        branch = s.get("branch", fig1.options["branch"])
         omega0 = s.get("omega0", PRESETS["fig2"].options["omega0"])
-        grid = s.get("grid_delta_rel", None, parse=_parse_grid) or list(fig1.grids["delta_grid"])
+        grid = s.get("grid_delta_rel") or list(fig1.grids["delta_grid"])
         points = [single_point(omega0, d, beta, branch) for d in grid]
         meta = {"preset": "sweep", "beta": beta, "branch": branch,
                 "omega0": omega0, "delta_grid": grid}
-    out = s.get("out", "sweep.csv", parse=str)
+    out = s.get("out", "sweep.csv")
     s.refuse_unread()
     result = sweep_generic(points, cfg, meta)
     write_csv(result, out)
@@ -417,7 +409,7 @@ def _preset_option(s: _Settings, key: str, default):
     if isinstance(default, tuple):
         value = s.get(key.removesuffix("_list"))
         return default if value is None else (value,)
-    return s.get(key, default, parse=type(default))
+    return s.get(key, default)
 
 
 def cmd_reproduce(ns: argparse.Namespace) -> int:
@@ -425,7 +417,7 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
     preset = PRESETS[ns.figure]
     cfg = _estimator_config(s, preset.spec, preset.control_mode)
     kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
-    out = s.get("out", f"{ns.figure}.csv", parse=str)
+    out = s.get("out", f"{ns.figure}.csv")
     s.refuse_unread()
     results = _SWEEPS[ns.figure](cfg=cfg, **kwargs)
     if isinstance(results, SweepResult):
@@ -458,33 +450,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    g = subs.add_parser("gate", help="solve one gate point and print phases and matrix")
-    _add_common(g)
-    _add_params(g)
-    g.set_defaults(func=cmd_gate)
-
-    f = subs.add_parser("fidelity", help="Monte Carlo fidelity at one point")
-    _add_common(f)
-    _add_params(f)
-    _add_estimator(f)
-    f.set_defaults(func=cmd_fidelity)
-
-    w = subs.add_parser("sweep", help="generic grid scan to CSV")
-    _add_common(w)
-    _add_params(w)
-    _add_estimator(w)
-    w.add_argument("--grid-delta-rel", dest="grid_delta_rel", type=_parse_grid,
-                   help="Delta/omega0 grid as START:STOP:NUM or comma list")
-    w.add_argument("--grid-omega0", dest="grid_omega0", type=_parse_grid,
-                   help="omega0 grid as START:STOP:NUM or comma list")
-    w.set_defaults(func=cmd_sweep)
-
-    r = subs.add_parser("reproduce", help="run a built-in figure preset")
-    r.add_argument("figure", choices=list(PRESETS))
-    _add_common(r)
-    _add_params(r)
-    _add_estimator(r)
-    r.set_defaults(func=cmd_reproduce)
+    for name, func, summary, options in (
+            ("gate", cmd_gate, "solve one gate point and print phases and matrix", _GATE_OPTIONS),
+            ("fidelity", cmd_fidelity, "Monte Carlo fidelity at one point", _RUN_OPTIONS),
+            ("sweep", cmd_sweep, "generic grid scan to CSV", _SWEEP_OPTIONS),
+            ("reproduce", cmd_reproduce, "run a built-in figure preset", _RUN_OPTIONS)):
+        sub = subs.add_parser(name, help=summary)
+        if name == "reproduce":
+            sub.add_argument("figure", choices=list(PRESETS))
+        for dest in options:
+            parse, text = _OPTIONS[dest]
+            flag = "--" + dest.replace("_", "-")
+            if parse is bool:
+                sub.add_argument(flag, dest=dest, action="store_const", const=True, help=text)
+            elif isinstance(parse, tuple):
+                sub.add_argument(flag, dest=dest, choices=parse, help=text)
+            else:
+                sub.add_argument(flag, dest=dest, type=parse, help=text)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -62,6 +62,7 @@ input and one check of options; sweep.sweep_generic bounds the points per batch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,11 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for key in ("m", "n", "workers"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         for key, choices in (("gate_model", GATE_MODELS), ("control_mode", CONTROL_MODES)):
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
@@ -207,8 +211,8 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 for j, (k, offset, _, _, _, _, (i00, i01, i11)) in enumerate(blocks):
                     q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
                     q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-                    c_1, c_z, c_x = (-(q0 * t0 + q1 * t1), 1j * (q0 * t0 - q1 * t1),
-                                     1j * (q0 * t1 + q1 * t0))
+                    q0t0, q1t1 = q0 * t0, q1 * t1
+                    c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
                     np.add(w1, offset, out=det)
                     np.multiply(det, det, out=big)
                     np.sqrt(np.add(w0sq, big, out=big), out=big)

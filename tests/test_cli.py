@@ -1,9 +1,11 @@
 """Command-line surface: reports, CSV stability, config files, seeds."""
 
+import argparse
 import importlib
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -318,6 +320,71 @@ def test_config_file_turns_on_flags(tmp_path, capsys):
     cfg.write_text("beta=1.5\nomega0=1e5\nzero_dynamic=1\nomega1=5\n")
     code, printed, err = run_cli(capsys, "gate", "--config", str(cfg))
     assert code == 1 and printed == "" and "mutually exclusive" in err
+
+
+def subcommand_parsers():
+    """{name: parser} of every subcommand."""
+    actions = cli.build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+#: a sample value per value parser of the option table
+SAMPLES = {float: "2.5", int: "3", str: "x.csv", cli._parse_grid: "0:1:3"}
+
+
+def test_every_option_reads_alike_as_flag_and_as_config_key(tmp_path):
+    # a config key's value parses exactly as its flag's; walking the parsers
+    # covers an option as soon as it is added
+    parser = cli.build_parser()
+    cfg = tmp_path / "one.cfg"
+    covered = set()
+    for command, sub in subcommand_parsers().items():
+        head = [command, "fig1"] if command == "reproduce" else [command]
+        for action in sub._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            if action.const is True:
+                value, flag = "1", [action.option_strings[0]]
+            else:
+                value = action.choices[0] if action.choices else SAMPLES[action.type]
+                flag = [action.option_strings[0], value]
+            cfg.write_text(f"{action.dest}={value}\n")
+            from_flag, from_file = (cli._Settings(parser.parse_args(head + argv)).get(action.dest)
+                                    for argv in (flag, ["--config", str(cfg)]))
+            assert type(from_file) is type(from_flag) and from_file == from_flag, \
+                (command, action.dest, from_flag, from_file)
+            covered.add(action.dest)
+    assert covered == set(cli._OPTIONS) - {"config"}
+
+
+def test_unread_error_keeps_option_order(tmp_path, capsys):
+    # flags and config keys are named in the subcommand's option order
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("coupling_j=2\nalpha=4\n")
+    result = run_cli(capsys, "gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic",
+                     "--seed", "3", "--config", str(cfg))
+    assert result == (1, "", "error: gate does not read --seed, alpha, coupling_j\n")
+
+
+def readme_command_lines():
+    """Arguments of each `geomgate ...` line in the README's Command line section."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in section.splitlines()
+            if line.startswith("geomgate ")]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_run(tmp_path, capsys, argv):
+    # at tiny sizes, with the output under tmp_path where the command writes one
+    reads = subcommand_parsers()[argv[0]]._option_string_actions
+    for flag, value in (("--m", "2"), ("--n", "2"), ("--out", str(tmp_path / "out.csv"))):
+        if flag in reads:
+            argv = argv + [flag, value]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert ("--out" in reads) == bool(os.listdir(tmp_path))
 
 
 def test_benchmark_command_lines_run(tmp_path, capsys, monkeypatch):

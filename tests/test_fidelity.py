@@ -180,6 +180,24 @@ def test_argument_validation():
         estimate_two_qubit(p2, NoiseSpec(0.1, 0.1), 5, 5, RngStream(0), control_mode="both")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("m", 2.5), ("n", 3.0), ("workers", 1.5), ("m", np.float64(4.0)), ("n", True),
+    ("workers", "2"),
+], ids=["m-float", "n-float", "workers-float", "m-numpy-float", "n-bool", "workers-str"])
+def test_counts_must_be_integers(key, value):
+    # a float m or n used to fail deep in the estimator, a float workers to run
+    with pytest.raises(ValueError) as err:
+        fidelity.EstimatorConfig(**{key: value})
+    assert str(err.value) == f"{key} must be an integer, got {value!r}"
+
+
+def test_counts_accept_numpy_integers():
+    p = pinned_single()
+    plain = estimate_single(p, NoiseSpec(0.1, 0.1), 5, 4, RngStream(3))
+    assert estimate_single(p, NoiseSpec(0.1, 0.1), np.int64(5), np.int32(4),
+                           RngStream(3)) == plain
+
+
 @pytest.mark.parametrize("gate_model", ["phase", "propagator"])
 @pytest.mark.parametrize("omega,omega0,omega1", [
     (1.0, 1e-100, 1.0), (1.0, 1e100, 1e100), (1e-100, 1e100, 1e100),
