@@ -18,34 +18,34 @@ from .model import (
     two_qubit_geometric_point,
     zero_dynamic_omega1,
 )
-from .evolve import (
-    dynamic_phase_oracle,
-    ideal_gate_u1,
-    ideal_gate_u2,
-    one_cycle_gate,
-    propagator,
-)
-from .noise import NoiseSpec, RngStream, sample_input_state, sample_two_qubit_input
-from .fidelity import EstimatorConfig, FidelityEstimate, estimate_single, estimate_two_qubit
-from .sweep import (
-    SweepPoint,
-    SweepResult,
-    sweep_fig1,
-    sweep_fig2,
-    sweep_fig3,
-    sweep_fig4,
-    sweep_generic,
-)
+
+#: every other public name, by the submodule that defines it; each is imported
+#: on first access (PEP 562), so importing the package loads no numpy
+_LAZY = {name: module for module, names in (
+    ("evolve", "dynamic_phase_oracle ideal_gate_u1 ideal_gate_u2 one_cycle_gate propagator"),
+    ("noise", "NoiseSpec RngStream sample_input_state sample_two_qubit_input"),
+    ("fidelity", "FidelityEstimate estimate_single estimate_two_qubit EstimatorConfig"),
+    ("sweep", "SweepPoint SweepResult sweep_fig1 sweep_fig2 sweep_fig3 sweep_fig4 sweep_generic"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",
     "DriveParams", "InfeasibleParameters", "PhaseTriple", "TwoQubitParams",
     "big_omega", "chi_angle", "omega_for_beta", "phases", "shifted_target",
     "two_qubit_from_alpha", "two_qubit_geometric_point", "zero_dynamic_omega1",
-    "dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2",
-    "one_cycle_gate", "propagator",
-    "NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input",
-    "FidelityEstimate", "estimate_single", "estimate_two_qubit",
-    "EstimatorConfig", "SweepPoint", "SweepResult",
-    "sweep_fig1", "sweep_fig2", "sweep_fig3", "sweep_fig4", "sweep_generic",
+    *_LAZY,
 ]

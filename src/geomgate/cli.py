@@ -23,39 +23,19 @@ import itertools
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (
-    DriveParams,
-    InfeasibleParameters,
-    TwoQubitParams,
-    big_omega,
-    chi_angle,
-    omega_for_beta,
-    phases,
-    shifted_target,
-    two_qubit_from_alpha,
-    two_qubit_geometric_point,
-    zero_dynamic_omega1,
-)
-from .evolve import ideal_gate_u2, one_cycle_gate
-from .fidelity import CONTROL_MODES, GATE_MODELS
-from .noise import NoiseSpec
-from .sweep import (
-    PRESETS,
-    EstimatorConfig,
-    SweepPoint,
-    SweepResult,
-    single_point,
-    sweep_fig1,
-    sweep_fig2,
-    sweep_fig3,
-    sweep_fig4,
-    sweep_generic,
-    two_qubit_point,
-)
+from .model import (CONTROL_MODES, GATE_MODELS, PRESET_NAMES, DriveParams, InfeasibleParameters,
+                    TwoQubitParams, big_omega, chi_angle, gate_rows, omega_for_beta, phases,
+                    shifted_target, two_qubit_from_alpha, two_qubit_geometric_point,
+                    zero_dynamic_omega1)
 
-_SWEEPS = {"fig1": sweep_fig1, "fig2": sweep_fig2, "fig3": sweep_fig3, "fig4": sweep_fig4}
+# only the commands that estimate import numpy's modules, when they run
+if TYPE_CHECKING:
+    from .fidelity import EstimatorConfig
+    from .noise import NoiseSpec
+    from .sweep import SweepResult
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -211,9 +191,12 @@ class _Settings:
             return default
         raw = self.file[key]
         parse = _OPTIONS[key][0]
-        if parse is bool:
-            return _parse_bool(raw)
-        return raw if isinstance(parse, tuple) else parse(raw)
+        try:
+            if parse is bool:
+                return _parse_bool(raw)
+            return raw if isinstance(parse, tuple) else parse(raw)
+        except ValueError as err:
+            raise ValueError(f"{self.ns.config}: {key}: {err}") from err
 
     def seed(self) -> int:
         explicit = self.get("seed")
@@ -322,11 +305,10 @@ def cmd_gate(ns: argparse.Namespace) -> int:
             lines.append(f"block {d}: omega1_eff = {_fmt(blk.omega1)}")
             lines += _block_lines(blk, "  ", 8)
         lines.append("gate (4x4, basis |00>,|01>,|10>,|11>):")
-        lines += _gate_lines(ideal_gate_u2(p))
     else:
         lines += _block_lines(p)
         lines.append("gate (2x2):")
-        lines += _gate_lines(one_cycle_gate(p))
+    lines += _gate_lines(gate_rows(p))
     print("\n".join(lines))
     return 0
 
@@ -334,6 +316,9 @@ def cmd_gate(ns: argparse.Namespace) -> int:
 def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
     """Estimator options given as flags or config keys, else the given spec and
     control mode, else EstimatorConfig's; control_mode None reads no --control-mode."""
+    from .fidelity import EstimatorConfig
+    from .noise import NoiseSpec
+
     given = {key: s.get(key) for key in ("m", "n", "workers", "gate_model", "haar")}
     if control_mode is not None:
         given["control_mode"] = s.get("control_mode", control_mode)
@@ -347,6 +332,9 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
 
 
 def cmd_fidelity(ns: argparse.Namespace) -> int:
+    from .noise import NoiseSpec
+    from .sweep import SweepPoint, sweep_generic
+
     s = _Settings(ns)
     two_qubit = s.get("two_qubit", False)
     cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
@@ -373,6 +361,8 @@ def cmd_fidelity(ns: argparse.Namespace) -> int:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     """A two-qubit sweep is one fig4 curve, a single-qubit one a fig1 line at
     fig2's omega0; each on a grid of its own, with the presets' defaults."""
+    from .sweep import PRESETS, single_point, sweep_generic, two_qubit_point
+
     s = _Settings(ns)
     if s.get("two_qubit", False):
         fig4 = PRESETS["fig4"]
@@ -413,14 +403,16 @@ def _preset_option(s: _Settings, key: str, default):
 
 
 def cmd_reproduce(ns: argparse.Namespace) -> int:
+    from . import sweep
+
     s = _Settings(ns)
-    preset = PRESETS[ns.figure]
+    preset = sweep.PRESETS[ns.figure]
     cfg = _estimator_config(s, preset.spec, preset.control_mode)
     kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
     out = s.get("out", f"{ns.figure}.csv")
     s.refuse_unread()
-    results = _SWEEPS[ns.figure](cfg=cfg, **kwargs)
-    if isinstance(results, SweepResult):
+    results = getattr(sweep, f"sweep_{ns.figure}")(cfg=cfg, **kwargs)
+    if isinstance(results, sweep.SweepResult):
         results = {out: results}
     else:  # one file per delta1 curve
         stem, ext = os.path.splitext(out)
@@ -457,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("reproduce", cmd_reproduce, "run a built-in figure preset", _RUN_OPTIONS)):
         sub = subs.add_parser(name, help=summary)
         if name == "reproduce":
-            sub.add_argument("figure", choices=list(PRESETS))
+            sub.add_argument("figure", choices=list(PRESET_NAMES))
         for dest in options:
             parse, text = _OPTIONS[dest]
             flag = "--" + dest.replace("_", "-")

@@ -27,22 +27,7 @@ import math
 
 import numpy as np
 
-from .model import DriveParams, TwoQubitParams, shifted_target
-
-
-def _cycle_entries(omega, w0, w1):
-    """One-cycle gate entries (u00, u01, u11); u10 == u01.
-
-    Accepts scalars or broadcastable arrays for w0/w1, which is what the
-    Monte Carlo estimator leans on.
-    """
-    det = w1 - omega
-    big = np.hypot(w0, det)
-    a = np.pi * big / omega
-    c, s = np.cos(a), np.sin(a)
-    nz = det / big
-    nx = w0 / big
-    return -c + 1j * s * nz, 1j * s * nx, -c - 1j * s * nz
+from .model import DriveParams, TwoQubitParams, gate_rows
 
 
 def _propagator_entries(omega, w0, w1, t):
@@ -74,8 +59,7 @@ def one_cycle_gate(p: DriveParams) -> np.ndarray:
     Uses R(2*pi/omega) = -I exactly rather than evaluating exp(-i*pi), so
     the result matches ideal_gate_u1(gamma, chi) to machine precision.
     """
-    u00, u01, u11 = _cycle_entries(p.omega, p.omega0, p.omega1)
-    return np.array([[u00, u01], [u01, u11]], dtype=complex)
+    return np.array(gate_rows(p), dtype=complex)
 
 
 def ideal_gate_u1(gamma: float, chi: float) -> np.ndarray:
@@ -101,10 +85,7 @@ def ideal_gate_u2(p2: TwoQubitParams) -> np.ndarray:
     Control in |0> applies the block at omega1 - J, control in |1> the block
     at omega1 + J; both run for the same cycle 2*pi/omega.
     """
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = one_cycle_gate(shifted_target(p2, 0))
-    out[2:, 2:] = one_cycle_gate(shifted_target(p2, 1))
-    return out
+    return np.array(gate_rows(p2), dtype=complex)
 
 
 def _hamiltonian_entries(w0, w1, t):
@@ -145,8 +126,10 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
     dts, which = np.unique(dt, return_inverse=True)
 
     def drive(j):
-        """(a01, a10) at the drive phase j*dt/2."""
-        rot = np.exp(-0.5j * j * dts)[which]
+        """(a01, a10) at the drive phase j*dt/2; one step size broadcasts, no gather."""
+        rot = np.exp(-0.5j * j * dts)
+        if dts.size > 1:
+            rot = rot[which]
         return ax * rot, ax * np.conj(rot)
 
     def rhs(v, a01, a10, out):
@@ -190,9 +173,7 @@ def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:
     # rescaled units: omega=1, one cycle = 2*pi
     w0 = p.omega0 / p.omega
     w1 = p.omega1 / p.omega
-    det = w1 - 1.0
-    big = math.hypot(w0, det)
-    chi = math.atan2(w0, det)
+    chi = math.atan2(w0, w1 - 1.0)
     psi0 = np.array([math.cos(chi / 2.0), math.sin(chi / 2.0)], dtype=complex)
 
     t = np.linspace(0.0, 2.0 * np.pi, steps + 1)

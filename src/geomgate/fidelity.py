@@ -67,12 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import _cycle_entries
-from .model import DriveParams, TwoQubitParams
+from .model import CONTROL_MODES, GATE_MODELS, DriveParams, TwoQubitParams, cycle_entries
 from .noise import NoiseSpec, RngStream, _input_amplitudes, relative_draws
-
-GATE_MODELS = ("phase", "propagator")
-CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
 
 
 @dataclass(frozen=True)
@@ -159,9 +155,12 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             det = wl - omega
             # the noisy magnitude is this expression too: no noise gives d == 0
             big = np.sqrt(omega0 * omega0 + det * det)
-            # the block's cyclic axis (cos chi, sin chi) and its ideal entries
-            blocks.append((k, shift - omega, wl, big, det / big, omega0 / big,
-                           _cycle_entries(omega, omega0, wl)))
+            # the block's cyclic axis (cos chi, sin chi) and, for the propagator
+            # model only, its ideal entries as (points, 1, 1) columns
+            ideal = None if cfg.gate_model == "phase" else [
+                np.array(column, dtype=complex)[:, None, None] for column in zip(*(cycle_entries(
+                    DriveParams(p.omega, p.omega0, p.omega1 + shifts[k])) for p, shifts in chunk))]
+            blocks.append((k, shift - omega, wl, big, det / big, omega0 / big, ideal))
         chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, blocks))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
@@ -197,7 +196,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 fid = re * re + im * im
             else:
                 # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
-                # (evolve._cycle_entries), so its term is linear in cos(a) and
+                # (model.cycle_entries), so its term is linear in cos(a) and
                 # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx.
                 # Each pass writes into a work buffer and rounds as the sum
                 # re + c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) does

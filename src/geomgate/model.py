@@ -1,4 +1,4 @@
-"""Control-parameter bookkeeping and closed-form phase formulas.
+"""Control-parameter bookkeeping and the closed forms of the phases and the gate.
 
 A drive point is (omega, omega0, omega1): the rotation rate of the
 transverse field, its strength, and the static longitudinal field. For one
@@ -19,6 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+#: the estimator's options and the scan presets' names, here for the numpy-free CLI parser
+GATE_MODELS = ("phase", "propagator")
+CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
+PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4")
 
 
 class InfeasibleParameters(ValueError):
@@ -102,6 +107,26 @@ def phases(p: DriveParams) -> PhaseTriple:
     gamma_g = -math.pi * (1.0 - (p.omega1 - p.omega) / om)
     gamma_d = -math.pi * (p.omega0**2 + p.omega1 * (p.omega1 - p.omega)) / (p.omega * om)
     return PhaseTriple(gamma=gamma, gamma_g=gamma_g, gamma_d=gamma_d)
+
+
+def cycle_entries(p: DriveParams) -> tuple[complex, complex, complex]:
+    """One-cycle gate entries (u00, u01, u11), u10 == u01, of the gate
+    -cos(a)*I + i*sin(a)*(omega0*sx + (omega1-omega)*sz)/Omega, a = pi*Omega/omega."""
+    big = big_omega(p)
+    a = math.pi * big / p.omega
+    c, s = math.cos(a), math.sin(a)
+    nz, nx = (p.omega1 - p.omega) / big, p.omega0 / big
+    return -c + 1j * s * nz, 1j * s * nx, -c - 1j * s * nz
+
+
+def gate_rows(p: DriveParams | TwoQubitParams) -> list:
+    """Rows of the one-cycle gate: 2x2 at a drive point; block diagonal 4x4 in
+    the basis |00>, |01>, |10>, |11> for a conditional gate, control first."""
+    if isinstance(p, DriveParams):
+        a, b, c = cycle_entries(p)
+        return [[a, b], [b, c]]
+    (a, b, c), (d, e, f) = (cycle_entries(shifted_target(p, k)) for k in (0, 1))
+    return [[a, b, 0j, 0j], [b, c, 0j, 0j], [0j, 0j, d, e], [0j, 0j, e, f]]
 
 
 def _eta(beta: float) -> float:

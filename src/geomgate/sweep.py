@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .fidelity import EstimatorConfig, _estimate
 from .model import (
+    PRESET_NAMES,
     DriveParams,
     InfeasibleParameters,
     TwoQubitParams,
@@ -228,22 +229,22 @@ class Preset:
     grids: dict
 
 
-PRESETS = {
-    "fig1": Preset(NoiseSpec(0.1, 0.1), None, {"beta": 1.5, "branch": "minus"}, {
+_FIG1, _FIG2, _FIG3, _FIG4 = (
+    Preset(NoiseSpec(0.1, 0.1), None, {"beta": 1.5, "branch": "minus"}, {
         "omega0_grid": tuple((0.25 * k) * 1e5 for k in range(1, 9)),
         "delta_grid": tuple(np.linspace(0.0, 4.0, 41))}),
-    "fig2": Preset(NoiseSpec(0.1, 0.1), None, {
+    Preset(NoiseSpec(0.1, 0.1), None, {
         "delta1_list": (0.01, 0.02, 0.04, 0.06, 0.1), "omega0": 1e5, "beta": 1.5,
         "branch": "minus"}, {
         "delta_grid": tuple(np.linspace(0.0, 5.0, 51))}),
-    "fig3": Preset(NoiseSpec(0.1, 0.1), "fixed0", {"alpha": math.sqrt(3)}, {
+    Preset(NoiseSpec(0.1, 0.1), "fixed0", {"alpha": math.sqrt(3)}, {
         "omega0_grid": tuple(np.logspace(math.log10(5.0), math.log10(50.0), 31)),
         "omega1_grid": tuple(np.logspace(math.log10(10.0), math.log10(100.0), 31))}),
-    "fig4": Preset(NoiseSpec(0.05, 0.05), "unfixed", {"omega1": 60.0}, {
+    Preset(NoiseSpec(0.05, 0.05), "unfixed", {"omega1": 60.0}, {
         "omega0_grid": tuple(np.linspace(2.0, 40.0, 39)),
         "alpha_list": tuple(math.sqrt(a) for a in (3, 8, 15, 35, 143))}),
-}
-_FIG1, _FIG2, _FIG3, _FIG4 = PRESETS.values()
+)
+PRESETS = dict(zip(PRESET_NAMES, (_FIG1, _FIG2, _FIG3, _FIG4), strict=True))
 
 
 def sweep_fig1(omega0_grid=_FIG1.grids["omega0_grid"], delta_grid=_FIG1.grids["delta_grid"],

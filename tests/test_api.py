@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import geomgate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,3 +29,13 @@ def test_every_public_name_has_a_caller():
         if not any(use.search(line) and not definition.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_every_public_name_resolves_and_is_listed():
+    # names outside model.py load on first access; dir() lists them before that
+    listed = dir(geomgate)
+    for name in geomgate.__all__:
+        assert name in listed
+        assert getattr(geomgate, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        geomgate.no_such_name

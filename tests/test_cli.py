@@ -13,7 +13,15 @@ import pytest
 
 import geomgate
 from geomgate import cli
+from geomgate import sweep
 from geomgate.cli import main, read_config, write_csv
+from geomgate.evolve import ideal_gate_u2, one_cycle_gate
+from geomgate.model import (
+    DriveParams,
+    omega_for_beta,
+    two_qubit_geometric_point,
+    zero_dynamic_omega1,
+)
 from geomgate.sweep import SweepResult
 
 SQRT3 = math.sqrt(3.0)
@@ -92,6 +100,34 @@ def test_gate_needs_parameters(capsys):
     code, _, err = run_cli(capsys, "gate", "--two-qubit", "--alpha", "1.7", "--omega0", "30",
                            "--coupling-j", "5")
     assert code == 1 and "--coupling-j needs --omega and --omega1" in err
+
+
+def printed(z):
+    """z as the report prints it, read back: each part to 13 significant digits."""
+    return complex(float("%.12e" % z.real), float("%.12e" % z.imag))
+
+
+def report_matrix(text):
+    """The gate matrix of a report, one list of complex entries per row."""
+    return [[complex(z) for z in re.findall(r"\(([^()]*j)\)", line)]
+            for line in text.splitlines() if line.startswith("  (")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"],
+    ["gate", "--two-qubit", "--alpha", "1.7320508", "--omega0", "30"],
+], ids=["single", "two-qubit"])
+def test_gate_report_matrix_is_the_library_gate(capsys, argv):
+    # the report reads the scalar closed form; the library gates build their
+    # arrays from the same entries
+    if "--two-qubit" in argv:
+        gate = ideal_gate_u2(two_qubit_geometric_point(30.0, 1.7320508))
+    else:
+        omega1 = zero_dynamic_omega1(1e5, 1.5)
+        gate = one_cycle_gate(DriveParams(omega_for_beta(1e5, omega1, 1.5), 1e5, omega1))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report_matrix(out) == [[printed(z) for z in row] for row in gate]
 
 
 # --- fidelity -----------------------------------------------------------------
@@ -357,6 +393,32 @@ def test_every_option_reads_alike_as_flag_and_as_config_key(tmp_path):
     assert covered == set(cli._OPTIONS) - {"config"}
 
 
+def test_reproduce_choices_are_the_presets():
+    figure = next(a for a in subcommand_parsers()["reproduce"]._actions if a.dest == "figure")
+    assert tuple(figure.choices) == tuple(sweep.PRESETS)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("m", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("zero_dynamic", "maybe", "expected a boolean, got 'maybe'"),
+], ids=["m", "seed", "zero_dynamic"])
+def test_bad_config_value_names_its_file_and_key(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--n", "4"]
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}: {key}: {message}\n"
+    if key == "zero_dynamic":  # a flag, which takes no value
+        return
+    # the same value as a flag stays argparse's usage error
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [f"--{key}", value])
+    assert exit_info.value.code == 2
+    assert f"argument --{key}: invalid int value: '{value}'" in capsys.readouterr().err
+
+
 def test_unread_error_keeps_option_order(tmp_path, capsys):
     # flags and config keys are named in the subcommand's option order
     cfg = tmp_path / "c.cfg"
@@ -539,3 +601,14 @@ def test_import_loads_no_process_pool():
     # which every call pays, leaves concurrent.futures unloaded
     assert fresh_output("import sys, geomgate.cli; "
                         "print('concurrent.futures' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"],
+    ["gate", "--two-qubit", "--alpha", "1.7320508", "--omega0", "30"],
+], ids=["single", "two-qubit"])
+def test_gate_loads_no_numpy(argv):
+    # a gate report is closed forms in math only; a cold call pays no numpy import
+    code = (f"import sys\nfrom geomgate import cli\nassert cli.main({argv!r}) == 0\n"
+            "print('numpy' in sys.modules)")
+    assert fresh_output(code).splitlines()[-1] == "False"

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from geomgate import fidelity
-from geomgate.evolve import _cycle_entries, ideal_gate_u1, one_cycle_gate
+from geomgate.evolve import ideal_gate_u1, one_cycle_gate
 from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
     DriveParams,
     TwoQubitParams,
     chi_angle,
+    cycle_entries,
     omega_for_beta,
     shifted_target,
     two_qubit_from_alpha,
@@ -252,7 +253,8 @@ def allocating_propagator_estimates(params, cfg, rng):
         if weights is not None and weights[k] == 0.0:
             continue
         shift = column([sign * p2.coupling_j for p2 in params])
-        i00, i01, i11 = _cycle_entries(omega, omega0, omega1 + shift)
+        i00, i01, i11 = (np.array(e)[:, None, None] for e in zip(
+            *(cycle_entries(shifted_target(p2, k)) for p2 in params)))
         q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
         q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
         c_1, c_z, c_x = (-(q0 * t0 + q1 * t1), 1j * (q0 * t0 - q1 * t1),
