@@ -19,27 +19,33 @@ from .model import (
     zero_dynamic_omega1,
 )
 
-#: every other public name, by the submodule that defines it; each is imported
-#: on first access (PEP 562), so importing the package loads no numpy
-_LAZY = {name: module for module, names in (
-    ("evolve", "dynamic_phase_oracle ideal_gate_u1 ideal_gate_u2 one_cycle_gate propagator"),
-    ("noise", "NoiseSpec RngStream sample_input_state sample_two_qubit_input"),
-    ("fidelity", "FidelityEstimate estimate_single estimate_two_qubit EstimatorConfig"),
-    ("sweep", "SweepPoint SweepResult sweep_fig1 sweep_fig2 sweep_fig3 sweep_fig4 sweep_generic"),
-) for name in names.split()}
+#: every other public name, by the submodule that defines it; the submodule
+#: and each name are imported on first access (PEP 562), so importing the
+#: package loads no numpy
+_SUBMODULES = {
+    "evolve": ("dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2", "one_cycle_gate",
+               "propagator"),
+    "noise": ("NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input"),
+    "fidelity": ("FidelityEstimate", "estimate_single", "estimate_two_qubit", "EstimatorConfig"),
+    "sweep": ("SweepPoint", "SweepResult", "sweep_fig1", "sweep_fig2", "sweep_fig3",
+              "sweep_fig4", "sweep_generic"),
+}
+_LAZY = {name: module for module, names in _SUBMODULES.items() for name in names}
 
 
 def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_SUBMODULES) | set(_LAZY))
 
 
 __all__ = [

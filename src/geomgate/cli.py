@@ -26,10 +26,23 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .model import (CONTROL_MODES, GATE_MODELS, PRESET_NAMES, DriveParams, InfeasibleParameters,
-                    TwoQubitParams, big_omega, chi_angle, gate_rows, omega_for_beta, phases,
-                    shifted_target, two_qubit_from_alpha, two_qubit_geometric_point,
-                    zero_dynamic_omega1)
+from .model import (
+    CONTROL_MODES,
+    GATE_MODELS,
+    PRESET_NAMES,
+    DriveParams,
+    InfeasibleParameters,
+    TwoQubitParams,
+    big_omega,
+    chi_angle,
+    gate_rows,
+    omega_for_beta,
+    phases,
+    shifted_target,
+    two_qubit_from_alpha,
+    two_qubit_geometric_point,
+    zero_dynamic_omega1,
+)
 
 # only the commands that estimate import numpy's modules, when they run
 if TYPE_CHECKING:
@@ -411,7 +424,9 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
     kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
     out = s.get("out", f"{ns.figure}.csv")
     s.refuse_unread()
-    results = getattr(sweep, f"sweep_{ns.figure}")(cfg=cfg, **kwargs)
+    run = {"fig1": sweep.sweep_fig1, "fig2": sweep.sweep_fig2, "fig3": sweep.sweep_fig3,
+           "fig4": sweep.sweep_fig4}[ns.figure]
+    results = run(cfg=cfg, **kwargs)
     if isinstance(results, sweep.SweepResult):
         results = {out: results}
     else:  # one file per delta1 curve

@@ -126,10 +126,8 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
     dts, which = np.unique(dt, return_inverse=True)
 
     def drive(j):
-        """(a01, a10) at the drive phase j*dt/2; one step size broadcasts, no gather."""
-        rot = np.exp(-0.5j * j * dts)
-        if dts.size > 1:
-            rot = rot[which]
+        """(a01, a10) at the drive phase j*dt/2."""
+        rot = np.exp(-0.5j * j * dts)[which]
         return ax * rot, ax * np.conj(rot)
 
     def rhs(v, a01, a10, out):

@@ -157,9 +157,12 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             big = np.sqrt(omega0 * omega0 + det * det)
             # the block's cyclic axis (cos chi, sin chi) and, for the propagator
             # model only, its ideal entries as (points, 1, 1) columns
-            ideal = None if cfg.gate_model == "phase" else [
-                np.array(column, dtype=complex)[:, None, None] for column in zip(*(cycle_entries(
-                    DriveParams(p.omega, p.omega0, p.omega1 + shifts[k])) for p, shifts in chunk))]
+            ideal = None
+            if cfg.gate_model == "propagator":
+                entries = [cycle_entries(DriveParams(p.omega, p.omega0, p.omega1 + shifts[k]))
+                           for p, shifts in chunk]
+                ideal = [np.array(column, dtype=complex)[:, None, None]
+                         for column in zip(*entries)]
             blocks.append((k, shift - omega, wl, big, det / big, omega0 / big, ideal))
         chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, blocks))
 

@@ -1,6 +1,9 @@
 """The public API holds only what the package, demos, benchmark or README use."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,14 @@ def test_every_public_name_resolves_and_is_listed():
         assert getattr(geomgate, name) is not None
     with pytest.raises(AttributeError, match="no_such_name"):
         geomgate.no_such_name
+    # the submodules resolve as package attributes too; a fresh interpreter,
+    # so no other test has imported them yet
+    src = Path(geomgate.__file__).resolve().parents[1]
+    code = ("import geomgate\n"
+            "for name in ('evolve', 'noise', 'fidelity', 'sweep'):\n"
+            "    assert name in dir(geomgate)\n"
+            "print(sorted(geomgate.sweep.PRESETS), geomgate.evolve.one_cycle_gate.__name__)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['fig1',", "'fig2',", "'fig3',", "'fig4']", "one_cycle_gate"]
