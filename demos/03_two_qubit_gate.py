@@ -15,7 +15,7 @@ from geomgate import (
     NoiseSpec,
     RngStream,
     estimate_two_qubit,
-    ideal_gate_u2,
+    one_cycle_gate,
     phases,
     shifted_target,
     two_qubit_from_alpha,
@@ -35,7 +35,7 @@ for delta in (0, 1):
     print(f"  control |{delta}>: gamma={tri.gamma:+.6f}  gamma_d={tri.gamma_d:+.2e}")
 
 print("  4x4 gate (|00>,|01>,|10>,|11>):")
-print(np.array_str(ideal_gate_u2(p2), precision=4, suppress_small=True))
+print(np.array_str(one_cycle_gate(p2), precision=4, suppress_small=True))
 
 # --- fidelity scan across the geometric point ---------------------------------
 # omega1 fixed at 60, omega0 swept: the noise-robustness maximum sits where

@@ -23,8 +23,7 @@ from .model import (
 #: and each name are imported on first access (PEP 562), so importing the
 #: package loads no numpy
 _SUBMODULES = {
-    "evolve": ("dynamic_phase_oracle", "ideal_gate_u1", "ideal_gate_u2", "one_cycle_gate",
-               "propagator"),
+    "evolve": ("dynamic_phase_oracle", "ideal_gate_u1", "one_cycle_gate", "propagator"),
     "noise": ("NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input"),
     "fidelity": ("FidelityEstimate", "estimate_single", "estimate_two_qubit", "EstimatorConfig"),
     "sweep": ("SweepPoint", "SweepResult", "sweep_fig1", "sweep_fig2", "sweep_fig3",

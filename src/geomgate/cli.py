@@ -207,6 +207,9 @@ class _Settings:
         try:
             if parse is bool:
                 return _parse_bool(raw)
+            if isinstance(parse, tuple) and raw not in parse:
+                choices = ", ".join(map(repr, parse))
+                raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
             return raw if isinstance(parse, tuple) else parse(raw)
         except ValueError as err:
             raise ValueError(f"{self.ns.config}: {key}: {err}") from err
@@ -216,7 +219,10 @@ class _Settings:
         if explicit is not None:
             return explicit
         env = os.environ.get("SIM_SEED")
-        return int(env) if env else 0
+        try:
+            return int(env) if env else 0
+        except ValueError as err:
+            raise ValueError(f"SIM_SEED: {err}") from err
 
     def refuse_unread(self) -> None:
         """Raise ValueError naming each option given, as a flag or a config

@@ -53,11 +53,13 @@ def propagator(p: DriveParams, t: float) -> np.ndarray:
     return np.array([[u00, u01], [u10, u11]], dtype=complex)
 
 
-def one_cycle_gate(p: DriveParams) -> np.ndarray:
+def one_cycle_gate(p: DriveParams | TwoQubitParams) -> np.ndarray:
     """Gate after one full drive cycle, t = 2*pi/omega.
 
     Uses R(2*pi/omega) = -I exactly rather than evaluating exp(-i*pi), so
-    the result matches ideal_gate_u1(gamma, chi) to machine precision.
+    the result matches ideal_gate_u1(gamma, chi) to machine precision. For
+    TwoQubitParams it is the conditional 4x4 gate: control |0> applies the
+    block at omega1 - J, control |1> the block at omega1 + J.
     """
     return np.array(gate_rows(p), dtype=complex)
 
@@ -79,28 +81,14 @@ def ideal_gate_u1(gamma: float, chi: float) -> np.ndarray:
     )
 
 
-def ideal_gate_u2(p2: TwoQubitParams) -> np.ndarray:
-    """Conditional 4x4 gate: one-cycle target gate per control state.
-
-    Control in |0> applies the block at omega1 - J, control in |1> the block
-    at omega1 + J; both run for the same cycle 2*pi/omega.
-    """
-    return np.array(gate_rows(p2), dtype=complex)
-
-
-def _hamiltonian_entries(w0, w1, t):
-    """Lab-frame H(t) entries (h00, h01); h10 = conj(h01), h11 = -h00."""
-    h00 = 0.5 * w1
-    h01 = 0.5 * w0 * (np.cos(t) - 1j * np.sin(t))
-    return h00, h01
-
-
 def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
     """Classic fixed-step RK4 integration of i dU/dt = H(t) U, U(0) = I.
 
     Fully independent of the closed forms above: integrates the raw
     time-dependent Hamiltonian (in rescaled units) and converges to
-    propagator at O(steps^-4). Vectorized over parameter triples:
+    propagator at O(steps^-4). H(t) is traceless and Hermitian, so U(t) stays
+    in SU(2), U = [[a, -conj(b)], [b, conj(a)]]; only the first column (a, b),
+    started from (1, 0), is integrated. Vectorized over parameter triples:
     the arguments broadcast together, t giving each triple its end time
     (2*pi/omega for one cycle). Returns an array of shape (n, 2, 2).
     """
@@ -110,17 +98,9 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (omega, omega0, omega1, t)))
     if np.any(t < 0):
         raise ValueError(f"t must be >= 0, got {t.min()}")
-    n = omega.shape[0]
-    w0, w1 = omega0 / omega, omega1 / omega
     dt = omega * t / steps
     # entries of -i*H(t): a00 = -a11 constant, a01 = ax*exp(-i*t), a10 = ax*exp(i*t)
-    a00, ax = -0.5j * w1, -0.5j * w0
-    # u holds the entries (u00, u01, u10, u11) as rows; the stage slopes, the
-    # stage input and one scratch row pair are work buffers, updated in place
-    # in the summation order of the plain RK4 formulas
-    u = np.zeros((4, n), dtype=complex)
-    u[0] = u[3] = 1.0
-    k1, k2, k3, k4, arg, tmp = np.empty((6, 4, n), dtype=complex)
+    a00, ax = -0.5j * (omega1 / omega), -0.5j * (omega0 / omega)
     # the drive phase is evaluated once per distinct step size: one-cycle
     # runs all take 2*pi (up to rounding) in rescaled units
     dts, which = np.unique(dt, return_inverse=True)
@@ -130,32 +110,21 @@ def ode_oracle(omega, omega0, omega1, t, steps: int) -> np.ndarray:
         rot = np.exp(-0.5j * j * dts)[which]
         return ax * rot, ax * np.conj(rot)
 
-    def rhs(v, a01, a10, out):
-        """-i*H*v into out, by row pairs: a00*v[:2] + a01*v[2:], a10*v[:2] - a00*v[2:]."""
-        np.add(np.multiply(a00, v[:2], out=out[:2]), np.multiply(a01, v[2:], out=tmp[:2]),
-               out=out[:2])
-        np.subtract(np.multiply(a10, v[:2], out=out[2:]), np.multiply(a00, v[2:], out=tmp[2:]),
-                    out=out[2:])
+    def rhs(a, b, a01, a10):
+        """-i*H*(a, b)."""
+        return a00 * a + a01 * b, a10 * a - a00 * b
 
-    def stage(h, slope):
-        """u + h*slope, into arg."""
-        return np.add(u, np.multiply(h, slope, out=arg), out=arg)
-
-    # the step sizes as complex numbers, as each multiply would cast them
-    half, full, sixth = (h.astype(complex) for h in (0.5 * dt, dt, dt / 6.0))
+    a, b = np.ones(dt.shape, dtype=complex), np.zeros(dt.shape, dtype=complex)
     end = drive(0)
     for s in range(steps):
         start, mid, end = end, drive(2 * s + 1), drive(2 * s + 2)
-        rhs(u, *start, k1)
-        rhs(stage(half, k1), *mid, k2)
-        rhs(stage(half, k2), *mid, k3)
-        rhs(stage(full, k3), *end, k4)
-        # u + sixth*(k1 + 2*k2 + 2*k3 + k4)
-        np.add(k1, np.multiply(2.0, k2, out=arg), out=arg)
-        np.add(arg, np.multiply(2.0, k3, out=tmp), out=arg)
-        np.add(arg, k4, out=arg)
-        np.add(u, np.multiply(sixth, arg, out=arg), out=u)
-    return u.T.reshape(n, 2, 2)
+        ka1, kb1 = rhs(a, b, *start)
+        ka2, kb2 = rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1, *mid)
+        ka3, kb3 = rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2, *mid)
+        ka4, kb4 = rhs(a + dt * ka3, b + dt * kb3, *end)
+        a = a + dt / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+        b = b + dt / 6.0 * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+    return np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(-1, 2, 2)
 
 
 def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:
@@ -178,11 +147,10 @@ def dynamic_phase_oracle(p: DriveParams, steps: int) -> float:
     u00, u01, u10, u11 = _propagator_entries(1.0, w0, w1, t)
     psi_a = u00 * psi0[0] + u01 * psi0[1]
     psi_b = u10 * psi0[0] + u11 * psi0[1]
-    h00, h01 = _hamiltonian_entries(w0, w1, t)
-    energy = (
-        h00 * (np.abs(psi_a) ** 2 - np.abs(psi_b) ** 2)
-        + 2.0 * np.real(np.conj(psi_a) * h01 * psi_b)
-    )
-    f = np.real(energy)
+    # lab-frame H(t) entries: h11 = -h00, h10 = conj(h01)
+    h00 = 0.5 * w1
+    h01 = 0.5 * w0 * (np.cos(t) - 1j * np.sin(t))
+    f = (h00 * (np.abs(psi_a) ** 2 - np.abs(psi_b) ** 2)
+         + 2.0 * np.real(np.conj(psi_a) * h01 * psi_b))
     h = 2.0 * np.pi / steps
     return float(-(h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))

@@ -15,7 +15,7 @@ import geomgate
 from geomgate import cli
 from geomgate import sweep
 from geomgate.cli import main, read_config, write_csv
-from geomgate.evolve import ideal_gate_u2, one_cycle_gate
+from geomgate.evolve import one_cycle_gate
 from geomgate.model import (
     DriveParams,
     omega_for_beta,
@@ -121,7 +121,7 @@ def test_gate_report_matrix_is_the_library_gate(capsys, argv):
     # the report reads the scalar closed form; the library gates build their
     # arrays from the same entries
     if "--two-qubit" in argv:
-        gate = ideal_gate_u2(two_qubit_geometric_point(30.0, 1.7320508))
+        gate = one_cycle_gate(two_qubit_geometric_point(30.0, 1.7320508))
     else:
         omega1 = zero_dynamic_omega1(1e5, 1.5)
         gate = one_cycle_gate(DriveParams(omega_for_beta(1e5, omega1, 1.5), 1e5, omega1))
@@ -398,25 +398,42 @@ def test_reproduce_choices_are_the_presets():
     assert tuple(figure.choices) == tuple(sweep.PRESETS)
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("m", "2.5", "invalid literal for int() with base 10: '2.5'"),
-    ("seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
-    ("zero_dynamic", "maybe", "expected a boolean, got 'maybe'"),
-], ids=["m", "seed", "zero_dynamic"])
-def test_bad_config_value_names_its_file_and_key(tmp_path, capsys, key, value, message):
+@pytest.mark.parametrize("key,value,message,flag_message", [
+    ("m", "2.5", "invalid literal for int() with base 10: '2.5'", "invalid int value: '2.5'"),
+    ("seed", "1.5", "invalid literal for int() with base 10: '1.5'", "invalid int value: '1.5'"),
+    ("zero_dynamic", "maybe", "expected a boolean, got 'maybe'", None),
+    ("gate_model", "foo", "invalid choice: 'foo' (choose from 'phase', 'propagator')",
+     "invalid choice: 'foo'"),
+    ("control_mode", "both", "invalid choice: 'both' (choose from 'fixed0', 'fixed1', 'unfixed')",
+     "invalid choice: 'both'"),
+    ("branch", "sideways", "invalid choice: 'sideways' (choose from 'plus', 'minus')",
+     "invalid choice: 'sideways'"),
+], ids=["m", "seed", "zero_dynamic", "gate_model", "control_mode", "branch"])
+def test_bad_config_value_names_its_file_and_key(tmp_path, capsys, key, value, message,
+                                                 flag_message):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{key}={value}\n")
-    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--n", "4"]
+    if key == "control_mode":  # read by two-qubit points only
+        argv = ["fidelity", "--two-qubit", "--alpha", "1.7320508", "--omega0", "30", "--n", "4"]
+    else:
+        argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--n", "4"]
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 1 and out == ""
     assert err == f"error: {cfg}: {key}: {message}\n"
-    if key == "zero_dynamic":  # a flag, which takes no value
+    if flag_message is None:  # a flag, which takes no value
         return
     # the same value as a flag stays argparse's usage error
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exit_info:
-        main(argv + [f"--{key}", value])
+        main(argv + [flag, value])
     assert exit_info.value.code == 2
-    assert f"argument --{key}: invalid int value: '{value}'" in capsys.readouterr().err
+    assert f"argument {flag}: {flag_message}" in capsys.readouterr().err
+
+
+def test_bad_sim_seed_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SIM_SEED", "abc")
+    result = run_cli(capsys, "fidelity", "--beta", "1.5", "--omega0", "1e5", "--n", "4")
+    assert result == (1, "", "error: SIM_SEED: invalid literal for int() with base 10: 'abc'\n")
 
 
 def test_unread_error_keeps_option_order(tmp_path, capsys):

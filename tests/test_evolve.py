@@ -8,7 +8,6 @@ import pytest
 from geomgate.evolve import (
     dynamic_phase_oracle,
     ideal_gate_u1,
-    ideal_gate_u2,
     ode_oracle,
     one_cycle_gate,
     propagator,
@@ -177,13 +176,13 @@ def test_ideal_gate_u2_zero_coupling_is_tensor_product():
     base = DriveParams(omega=3.0, omega0=1.0, omega1=2.0)
     p2 = TwoQubitParams(target=base, coupling_j=0.0)
     u1 = one_cycle_gate(base)
-    np.testing.assert_allclose(ideal_gate_u2(p2), np.kron(np.eye(2), u1), atol=1e-14)
+    np.testing.assert_allclose(one_cycle_gate(p2), np.kron(np.eye(2), u1), atol=1e-14)
 
 
 def test_ideal_gate_u2_routes_each_block():
     # control |0> gets the block at omega1 - J, control |1> the one at omega1 + J
     p2 = two_qubit_from_alpha(20.0, 50.0, SQRT3)
-    u = ideal_gate_u2(p2)
+    u = one_cycle_gate(p2)
     for control in (0, 1):
         block = one_cycle_gate(shifted_target(p2, control))
         for target in (0, 1):
@@ -197,8 +196,8 @@ def test_ideal_gate_u2_routes_each_block():
 
 def random_u2(rng):
     base = random_params(rng, ratio_hi=3.0)
-    return ideal_gate_u2(TwoQubitParams(target=base,
-                                        coupling_j=base.omega0 * rng.uniform(0.0, 2.0)))
+    return one_cycle_gate(TwoQubitParams(target=base,
+                                         coupling_j=base.omega0 * rng.uniform(0.0, 2.0)))
 
 
 def test_ideal_gate_u2_sectors_exactly_zero():
@@ -225,7 +224,7 @@ def test_ideal_gate_u2_blocks_match_phase_formulas():
     for _ in range(100):
         base = random_params(rng, ratio_hi=3.0)
         p2 = TwoQubitParams(target=base, coupling_j=base.omega0 * rng.uniform(0.0, 2.0))
-        u = ideal_gate_u2(p2)
+        u = one_cycle_gate(p2)
         for delta, block in ((0, u[:2, :2]), (1, u[2:, 2:])):
             blk = shifted_target(p2, delta)
             want = ideal_gate_u1(phases(blk).gamma, chi_angle(blk))
@@ -237,6 +236,13 @@ def test_ideal_gate_u2_blocks_match_phase_formulas():
 
 def test_ode_oracle_t0():
     np.testing.assert_allclose(ode_oracle(2.0, 1.0, 0.5, 0.0, 5)[0], np.eye(2), atol=0)
+
+
+def test_ode_oracle_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        ode_oracle(2.0, 1.0, 0.5, 1.0, 0)
+    with pytest.raises(ValueError, match="t must be >= 0, got -1.0"):
+        ode_oracle(2.0, 1.0, 0.5, [1.0, -1.0], 5)
 
 
 def test_ode_oracle_fourth_order_convergence():
