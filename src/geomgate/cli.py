@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .model import (
+    BRANCHES,
     CONTROL_MODES,
     GATE_MODELS,
     PRESET_NAMES,
@@ -34,11 +35,11 @@ from .model import (
     InfeasibleParameters,
     TwoQubitParams,
     big_omega,
+    blocks,
     chi_angle,
     gate_rows,
     omega_for_beta,
     phases,
-    shifted_target,
     two_qubit_from_alpha,
     two_qubit_geometric_point,
     zero_dynamic_omega1,
@@ -148,7 +149,7 @@ _OPTIONS = {
     "omega0": (float, "transverse field strength"),
     "omega1": (float, "longitudinal field strength"),
     "delta": (float, "offset added to the zero-dynamic omega1 (absolute)"),
-    "branch": (("plus", "minus"), "root branch of the drive-rate solver (default minus)"),
+    "branch": (BRANCHES, "root branch of the drive-rate solver (default minus)"),
     "two_qubit": (bool, "conditional two-qubit gate"),
     "alpha": (float, "coupling generator J = alpha*omega0"),
     "coupling_j": (float, "Ising coupling J (direct entry)"),
@@ -319,8 +320,7 @@ def cmd_gate(ns: argparse.Namespace) -> int:
         lines.append(f"J       = {_fmt(p.coupling_j)}")
         if p.alpha is not None:
             lines.append(f"alpha   = {_fmt(p.alpha)}")
-        for d in (0, 1):
-            blk = shifted_target(p, d)
+        for d, blk in enumerate(blocks(p)):
             lines.append(f"block {d}: omega1_eff = {_fmt(blk.omega1)}")
             lines += _block_lines(blk, "  ", 8)
         lines.append("gate (4x4, basis |00>,|01>,|10>,|11>):")

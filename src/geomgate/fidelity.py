@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CONTROL_MODES, GATE_MODELS, DriveParams, TwoQubitParams, cycle_entries
+from .model import CONTROL_MODES, GATE_MODELS, DriveParams, TwoQubitParams, blocks, cycle_entries
 from .noise import NoiseSpec, RngStream, _input_amplitudes, relative_draws
 
 
@@ -105,6 +105,9 @@ class EstimatorConfig:
                 raise ValueError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
 
 
+#: the version of the draw layout above, which a sweep records as rng_layout
+RNG_LAYOUT = 2
+
 #: a (points, states, m) chunk array holds at most max(_CHUNK_ELEMENTS, m) elements
 _CHUNK_ELEMENTS = 1 << 12
 
@@ -124,55 +127,55 @@ def _cos_sin(a):
 def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     """Two-level average at each point; one FidelityEstimate per point.
 
-    params holds DriveParams, one block each, or TwoQubitParams, whose blocks
-    sit at the target's omega1 -+ J and are weighted by cfg.control_mode
-    (read for these only). All points share the draws: each chunk of states
-    is drawn once and every point is evaluated on it, on (points, states, m)
-    arrays of at most max(_CHUNK_ELEMENTS, m) elements. The (points, n)
-    per-state means are held at once, so a caller bounds the points per call.
+    params holds DriveParams or TwoQubitParams, whose blocks (model.blocks)
+    are weighted by cfg.control_mode, read for a conditional gate only. All
+    points share the draws: each chunk of states is drawn once and every
+    point is evaluated on it, on (points, states, m) arrays of at most
+    max(_CHUNK_ELEMENTS, m) elements. The (points, n) per-state means are
+    held at once, so a caller bounds the points per call.
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
-    # each point as (p, shifts): its blocks sit at longitudinal frequencies
-    # p.omega1 + shift; weights None samples the control per state
-    if isinstance(params[0], TwoQubitParams):
-        weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(cfg.control_mode)
-        points = [(p2.target, (-p2.coupling_j, p2.coupling_j)) for p2 in params]
-    else:
-        weights, points = (1.0,), [(p, (0.0,)) for p in params]
+    # weights None samples the control per state
+    fixed = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}
+    weights = (1.0,) if len(blocks(params[0])) == 1 else fixed.get(cfg.control_mode)
     states = max(1, _CHUNK_ELEMENTS // m)
     step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
     chunks = []
-    for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
-        omega, omega0, omega1 = (_column([getattr(p, f) for p, _ in chunk])
+    for lo in range(0, len(params), step):
+        chunk = params[lo:lo + step]
+        gates = [blocks(p) for p in chunk]
+        # the physical fields; a drive point is its own target, with no coupling
+        targets = [getattr(p, "target", p) for p in chunk]
+        omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
                                  for f in ("omega", "omega0", "omega1"))
-        blocks = []
-        for k in range(len(chunk[0][1])):
+        # each model builds only the terms its kernel reads, per block of nonzero weight
+        terms = []
+        for k in range(len(gates[0])):
             if weights is not None and weights[k] == 0.0:
                 continue
-            shift = _column([shifts[k] for _, shifts in chunk])
-            wl = omega1 + shift
-            det = wl - omega
-            # the noisy magnitude is this expression too: no noise gives d == 0
-            big = np.sqrt(omega0 * omega0 + det * det)
-            # the block's cyclic axis (cos chi, sin chi) and, for the propagator
-            # model only, its ideal entries as (points, 1, 1) columns
-            ideal = None
-            if cfg.gate_model == "propagator":
-                entries = [cycle_entries(DriveParams(p.omega, p.omega0, p.omega1 + shifts[k]))
-                           for p, shifts in chunk]
-                ideal = [np.array(column, dtype=complex)[:, None, None]
-                         for column in zip(*entries)]
-            blocks.append((k, shift - omega, wl, big, det / big, omega0 / big, ideal))
-        chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, blocks))
+            if cfg.gate_model == "phase":
+                # the block's frequency, rotation rate and cyclic axis (cos chi,
+                # sin chi); the noisy rate is this expression too: no noise gives d == 0
+                wl = _column([g[k].omega1 for g in gates])
+                det = wl - omega
+                big = np.sqrt(omega0 * omega0 + det * det)
+                terms.append((k, wl, big, det / big, omega0 / big))
+            else:
+                # the block's shift (2k - 1)*J (shifted_target) minus omega, and
+                # its ideal entries as (points, 1, 1) columns
+                shift = (2 * k - 1) * _column([getattr(p, "coupling_j", 0.0) for p in chunk])
+                entries = zip(*(cycle_entries(g[k]) for g in gates))
+                ideal = [np.array(column, dtype=complex)[:, None, None] for column in entries]
+                terms.append((k, shift - omega, ideal))
+        chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, terms))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
     width = 3 if weights is not None else 6
-    per_state = np.empty((len(points), n))
+    per_state = np.empty((len(params), n))
     # the propagator's work buffers, sized for the first chunk, the largest;
     # a smaller chunk views the leading elements of each, once per shape
     if cfg.gate_model == "propagator":
-        work, views = np.empty((10, min(step, len(points)) * min(states, n) * m)), {}
+        work, views = np.empty((10, min(step, len(params)) * min(states, n) * m)), {}
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.generator.random((count, width))
@@ -184,14 +187,14 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
         scale = 1.0 + spec.delta1 * draws[..., -m:]
         bz = abs(t0) ** 2 - abs(t1) ** 2
         bx = 2.0 * (t0.conjugate() * t1).real
-        for rows, omega, pio, omega0, omega1, blocks in chunks:
+        for rows, omega, pio, omega0, omega1, terms in chunks:
             # the models differ in the noisy longitudinal field: "phase" scales
             # the block frequency omega1 + shift, "propagator" shifts omega1*scale
             if cfg.gate_model == "phase":
                 w0 = omega0 * noisy0
                 w0sq = w0 * w0
                 re = im = 0.0
-                for k, _, wl, big, cos_chi, sin_chi, _ in blocks:
+                for k, wl, big, cos_chi, sin_chi in terms:
                     det = wl * scale - omega
                     cos_d, sin_d = _cos_sin(pio * (big - np.sqrt(w0sq + det * det)))
                     re = re + w[k] * cos_d
@@ -210,7 +213,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 np.multiply(omega0, noisy0, out=w0)
                 np.multiply(w0, w0, out=w0sq)
                 np.multiply(omega1, scale, out=w1)
-                for j, (k, offset, _, _, _, _, (i00, i01, i11)) in enumerate(blocks):
+                for j, (k, offset, (i00, i01, i11)) in enumerate(terms):
                     q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
                     q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
                     q0t0, q1t1 = q0 * t0, q1 * t1

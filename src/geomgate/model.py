@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: the estimator's options and the scan presets' names, here for the numpy-free CLI parser
+#: the option vocabularies and the scan presets' names, here for the numpy-free CLI parser
 GATE_MODELS = ("phase", "propagator")
 CONTROL_MODES = ("fixed0", "fixed1", "unfixed")
+BRANCHES = ("plus", "minus")
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4")
 
 
@@ -82,8 +83,7 @@ class TwoQubitParams:
     alpha: float | None = None
 
     def __post_init__(self):
-        for control in (0, 1):
-            shifted_target(self, control)
+        blocks(self)
 
 
 def big_omega(p: DriveParams) -> float:
@@ -125,7 +125,7 @@ def gate_rows(p: DriveParams | TwoQubitParams) -> list:
     if isinstance(p, DriveParams):
         a, b, c = cycle_entries(p)
         return [[a, b], [b, c]]
-    (a, b, c), (d, e, f) = (cycle_entries(shifted_target(p, k)) for k in (0, 1))
+    (a, b, c), (d, e, f) = (cycle_entries(blk) for blk in blocks(p))
     return [[a, b, 0j, 0j], [b, c, 0j, 0j], [0j, 0j, d, e], [0j, 0j, e, f]]
 
 
@@ -147,8 +147,8 @@ def omega_for_beta(omega0: float, omega1: float, beta: float, branch: str = "min
     are checked first: out of range, their squares overflow or underflow.
     """
     _check_fields(omega0=omega0, omega1=omega1)
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     eta = _eta(beta)
     if not 0.0 < eta <= 1.0:
         raise InfeasibleParameters(f"beta={beta} gives eta={eta}, need 0 < eta <= 1")
@@ -193,6 +193,14 @@ def shifted_target(p2: TwoQubitParams, delta: int) -> DriveParams:
         omega0=t.omega0,
         omega1=t.omega1 + (2 * delta - 1) * p2.coupling_j,
     )
+
+
+def blocks(p: DriveParams | TwoQubitParams) -> tuple[DriveParams, ...]:
+    """The gate's 2x2 blocks in control order: (p,) for a drive point; the
+    target at control 0 and at control 1 (shifted_target) for a conditional gate."""
+    if isinstance(p, DriveParams):
+        return (p,)
+    return shifted_target(p, 0), shifted_target(p, 1)
 
 
 def two_qubit_from_alpha(omega0: float, omega1: float, alpha: float) -> TwoQubitParams:

@@ -11,9 +11,10 @@ worker count. All points of a sweep share one base random stream (common
 random numbers), which makes curves smooth in the scan coordinate and
 argmax localization stable. A sweep cuts its points into contiguous
 batches, at least one per process and at most _PASS_ELEMENTS // n points
-each; a batch reads the two draw streams of fidelity's layout (rng_layout=2
-in the metadata) and evaluates all of its points on them, with the values
-of one-point estimates. fidelity.EstimatorConfig holds and checks the options.
+each; a batch reads the two draw streams of fidelity's layout (rng_layout
+in the metadata, fidelity.RNG_LAYOUT) and evaluates all of its points on
+them, with the values of one-point estimates. fidelity.EstimatorConfig
+holds and checks the options.
 
 Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
@@ -36,16 +37,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .fidelity import EstimatorConfig, _estimate
+from .fidelity import RNG_LAYOUT, EstimatorConfig, _estimate
 from .model import (
     PRESET_NAMES,
     DriveParams,
     InfeasibleParameters,
     TwoQubitParams,
+    blocks,
     chi_angle,
     omega_for_beta,
     phases,
-    shifted_target,
     two_qubit_from_alpha,
     zero_dynamic_omega1,
 )
@@ -88,60 +89,47 @@ class SweepResult:
     metadata: dict
 
 
+def _point(coords: dict, kind: str, resolve) -> SweepPoint:
+    """The point whose parameters resolve() returns; where they are infeasible
+    the point is flagged with the violation, never given made-up values."""
+    try:
+        return SweepPoint(coords=coords, kind=kind, params=resolve())
+    except InfeasibleParameters as err:
+        return SweepPoint(coords=coords, kind=kind, params=None, feasible=False, reason=str(err))
+
+
 def single_point(omega0: float, delta_rel: float, beta: float, branch: str) -> SweepPoint:
     """Single-qubit point at total phase -beta*pi, Delta/omega0 off the zero-dynamic line."""
-    coords = {"omega0": omega0, "delta_over_omega0": delta_rel}
     omega1 = zero_dynamic_omega1(omega0, beta) + delta_rel * omega0
-    try:
-        omega = omega_for_beta(omega0, omega1, beta, branch=branch)
-        params = DriveParams(omega=omega, omega0=omega0, omega1=omega1)
-    except InfeasibleParameters as err:
-        return SweepPoint(coords=coords, kind="single", params=None,
-                          feasible=False, reason=str(err))
-    return SweepPoint(coords=coords, kind="single", params=params)
+    return _point({"omega0": omega0, "delta_over_omega0": delta_rel}, "single",
+                  lambda: DriveParams(omega_for_beta(omega0, omega1, beta, branch), omega0, omega1))
 
 
 def two_qubit_point(omega0: float, omega1: float, alpha: float) -> SweepPoint:
     """Conditional-gate point with coupling J = alpha*omega0."""
-    coords = {"omega0": omega0, "omega1": omega1, "alpha": alpha}
-    try:
-        params = two_qubit_from_alpha(omega0, omega1, alpha)
-    except InfeasibleParameters as err:
-        return SweepPoint(coords=coords, kind="two_qubit", params=None,
-                          feasible=False, reason=str(err))
-    return SweepPoint(coords=coords, kind="two_qubit", params=params)
+    return _point({"omega0": omega0, "omega1": omega1, "alpha": alpha}, "two_qubit",
+                  lambda: two_qubit_from_alpha(omega0, omega1, alpha))
 
 
 def _row(point: SweepPoint, cfg: EstimatorConfig) -> dict:
-    """A point's row: coordinates, resolved parameters and noise-free phases."""
+    """A point's row: coordinates, resolved parameters and noise-free phases;
+    the base phase columns are block 0's, gamma_d_k and chi_k block k's."""
     columns = SINGLE_COLUMNS if point.kind == "single" else TWO_QUBIT_COLUMNS
-    row = {c: None for c in columns}
-    row.update({"m": cfg.m, "n": cfg.n, "seed": cfg.seed,
-                "feasible": point.feasible})
-    for key, val in point.coords.items():
-        if key in row:
-            row[key] = val
-    if not point.feasible:
-        return row
-    if point.kind == "single":
+    values = {**point.coords, "m": cfg.m, "n": cfg.n, "seed": cfg.seed,
+              "feasible": point.feasible}
+    if point.feasible:
         p = point.params
-        row["omega0"], row["omega1"], row["omega"] = p.omega0, p.omega1, p.omega
-        tri = phases(p)
-        row["gamma"], row["gamma_g"], row["gamma_d"] = tri.gamma, tri.gamma_g, tri.gamma_d
-        row["chi"] = chi_angle(p)
-    else:
-        p2 = point.params
-        t = p2.target
-        row["omega0"], row["omega1"], row["omega"] = t.omega0, t.omega1, t.omega
-        row["alpha"], row["J"] = p2.alpha, p2.coupling_j
-        row["control_mode"] = cfg.control_mode
-        lo, hi = shifted_target(p2, 0), shifted_target(p2, 1)
-        tri0, tri1 = phases(lo), phases(hi)
-        row["gamma"], row["gamma_g"], row["gamma_d"] = tri0.gamma, tri0.gamma_g, tri0.gamma_d
-        row["chi"] = chi_angle(lo)
-        row["gamma_d_0"], row["gamma_d_1"] = tri0.gamma_d, tri1.gamma_d
-        row["chi_0"], row["chi_1"] = chi_angle(lo), chi_angle(hi)
-    return row
+        # a drive point is its own target, with no coupling
+        t = getattr(p, "target", p)
+        values.update(omega0=t.omega0, omega1=t.omega1, omega=t.omega,
+                      alpha=getattr(p, "alpha", None), J=getattr(p, "coupling_j", None),
+                      control_mode=cfg.control_mode)
+        for k, blk in enumerate(blocks(p)):
+            tri, chi = phases(blk), chi_angle(blk)
+            if k == 0:
+                values.update(gamma=tri.gamma, gamma_g=tri.gamma_g, gamma_d=tri.gamma_d, chi=chi)
+            values[f"gamma_d_{k}"], values[f"chi_{k}"] = tri.gamma_d, chi
+    return {c: values.get(c) for c in columns}
 
 
 def _eval_batch(args) -> list:
@@ -199,7 +187,7 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
         "gate_model": cfg.gate_model,
         "haar": cfg.haar,
         "workers": cfg.workers,
-        "rng_layout": 2,
+        "rng_layout": RNG_LAYOUT,
     }
     if points[0].kind == "two_qubit":
         meta["control_mode"] = cfg.control_mode
@@ -270,11 +258,11 @@ def sweep_fig2(delta_grid=_FIG2.grids["delta_grid"], delta1_list=_FIG2.options["
     """
     cfg = cfg or EstimatorConfig(spec=_FIG2.spec)
     points = [single_point(omega0, d, beta, branch) for d in delta_grid]
+    meta = {"preset": "fig2", "beta": beta, "branch": branch, "omega0": omega0,
+            "delta_grid": list(delta_grid), "delta1_list": list(delta1_list)}
     out = {}
     for d1 in delta1_list:
         sub = replace(cfg, spec=replace(cfg.spec, delta1=d1))
-        meta = {"preset": "fig2", "beta": beta, "branch": branch, "omega0": omega0,
-                "delta_grid": list(delta_grid), "delta1_list": list(delta1_list)}
         out[d1] = sweep_generic(points, sub, meta)
     return out
 

@@ -256,12 +256,16 @@ def test_ode_oracle_fourth_order_convergence():
 
 
 def test_ode_oracle_matches_propagator():
+    # five triples in one broadcast call, each at its own end time
     rng = np.random.default_rng(10)
+    points, times = [], []
     for _ in range(5):
-        p = random_params(rng, ratio_hi=3.0)
-        t = rng.uniform(0.5, 2.0) * 2.0 * math.pi / p.omega
-        got = ode_oracle(p.omega, p.omega0, p.omega1, t, 4000)[0]
-        np.testing.assert_allclose(got, propagator(p, t), atol=1e-8)
+        points.append(random_params(rng, ratio_hi=3.0))
+        times.append(rng.uniform(0.5, 2.0) * 2.0 * math.pi / points[-1].omega)
+    fields = (np.array([getattr(p, f) for p in points]) for f in ("omega", "omega0", "omega1"))
+    got = ode_oracle(*fields, np.array(times), 4000)
+    for k, (p, t) in enumerate(zip(points, times)):
+        np.testing.assert_allclose(got[k], propagator(p, t), atol=1e-8)
 
 
 def test_ode_oracle_cycles_batch():

@@ -10,6 +10,7 @@ from geomgate.model import (
     InfeasibleParameters,
     TwoQubitParams,
     big_omega,
+    blocks,
     chi_angle,
     omega_for_beta,
     phases,
@@ -61,6 +62,27 @@ def test_two_qubit_params_blocks_in_range():
     assert TwoQubitParams(target, coupling_j=1e100).coupling_j == 1e100
     with pytest.raises(InfeasibleParameters, match="omega1 must lie in"):
         TwoQubitParams(target, coupling_j=math.nextafter(1e100, math.inf))
+
+
+@pytest.mark.parametrize("omega1", [-5e99, 5e99], ids=["block0", "block1"])
+def test_two_qubit_params_refuses_either_out_of_range_block(omega1):
+    # at J = 1e100 exactly one block, omega1 - J or omega1 + J, leaves [-1e100, 1e100]:
+    # the one on omega1's side of zero
+    target = DriveParams(omega=1.0, omega0=1.0, omega1=omega1)
+    with pytest.raises(InfeasibleParameters) as err:
+        TwoQubitParams(target, coupling_j=1e100)
+    bad = omega1 + math.copysign(1e100, omega1)
+    assert str(err.value) == f"omega1 must lie in [-1e100, 1e100], got {bad}"
+
+
+def test_blocks_in_control_order():
+    p = DriveParams(omega=100.0, omega0=10.0, omega1=60.0)
+    assert blocks(p) == (p,)
+    p2 = TwoQubitParams(target=p, coupling_j=5.0)
+    assert blocks(p2) == (shifted_target(p2, 0), shifted_target(p2, 1))
+    assert [blk.omega1 for blk in blocks(p2)] == [55.0, 65.0]
+    assert blocks(two_qubit_from_alpha(10.0, 60.0, SQRT3)) == tuple(
+        shifted_target(two_qubit_from_alpha(10.0, 60.0, SQRT3), k) for k in (0, 1))
 
 
 def test_big_omega_trivial():
