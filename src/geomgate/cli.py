@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import re
 import sys
@@ -69,7 +70,8 @@ def _fmt(value) -> str:
 
 
 def read_config(path: str) -> dict:
-    """Parse a flat key=value file; '#' starts a comment, blank lines ignored."""
+    """Parse a flat key=value file; '#' starts a comment, blank lines ignored.
+    An empty or repeated key is an error naming the file and the line."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -78,8 +80,11 @@ def read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if not key or key in out:
+                problem = f"repeated key {key!r}" if key else "empty key"
+                raise ValueError(f"{path}:{lineno}: {problem} in {raw!r}")
+            out[key] = val
     return out
 
 
@@ -126,17 +131,24 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_grid(text: str) -> list:
-    """START:STOP:NUM inclusive linear grid, or a comma list of values."""
+    """START:STOP:NUM inclusive linear grid, or a comma list of values; the
+    numbers given and the grid's values must be finite."""
     if ":" in text:
         start, stop, num = text.split(":")
-        num = int(num)
+        start, stop, num = float(start), float(stop), int(num)
         if num < 1:
             raise ValueError(f"grid needs >= 1 points, got {num}")
         if num == 1:
-            return [float(start)]
-        step = (float(stop) - float(start)) / (num - 1)
-        return [float(start) + step * k for k in range(num)]
-    return [float(v) for v in text.split(",")]
+            values = [start]
+        else:
+            step = (stop - start) / (num - 1)
+            values = [start + step * k for k in range(num)]
+        given = [start, stop]
+    else:
+        values = given = [float(v) for v in text.split(",")]
+    if not all(map(math.isfinite, given + values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    return values
 
 
 #: every option, dest -> (parser, help); the parser reads the flag's value and

@@ -94,12 +94,15 @@ class EstimatorConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for key in ("m", "n", "workers"):
+        for key in ("m", "n", "workers", "seed"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < 1:
+            if key != "seed" and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        # RngStream keeps a seed's low 64 bits, so a wider seed would replay another
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         for key, choices in (("gate_model", GATE_MODELS), ("control_mode", CONTROL_MODES)):
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")

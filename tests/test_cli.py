@@ -542,6 +542,15 @@ def test_config_file_comments_and_errors(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError, match="key=value"):
         read_config(str(bad))
+    # a repeated key would silently run its last value; an empty key names none
+    bad.write_text("m=5\nn=6\nm = 7\n")
+    with pytest.raises(ValueError) as err:
+        read_config(str(bad))
+    assert str(err.value) == f"{bad}:3: repeated key 'm' in 'm = 7\\n'"
+    bad.write_text("# comment\n=7\n")
+    with pytest.raises(ValueError) as err:
+        read_config(str(bad))
+    assert str(err.value) == f"{bad}:2: empty key in '=7\\n'"
 
 
 def test_sim_seed_env(tmp_path, capsys, monkeypatch):
@@ -555,6 +564,47 @@ def test_sim_seed_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SIM_SEED", "31")
     _, out_override, _ = run_cli(capsys, *argv, "--seed", "32")
     assert out_override != out_31
+
+
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan,1", "1,-inf", "-1e308:1e308:3", "0:nan:1"])
+def test_non_finite_grid_refused(tmp_path, capsys, grid):
+    # 0:inf:3 used to write rows at nan, inf, inf: start + inf*0 is nan
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--beta", "1.5", "--omega0", "1e5", "--m", "2", "--n", "2",
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--grid-delta-rel", grid])
+    assert exit_info.value.code == 2
+    assert f"invalid _parse_grid value: '{grid}'" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"grid_delta_rel={grid}\n")
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {cfg}: grid_delta_rel: grid values must be finite, got '{grid}'\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+def test_seed_outside_64_bits_refused(tmp_path, capsys, monkeypatch, seed):
+    # the streams keep a seed's low 64 bits: 2**64 + 1 would replay seed 1 and
+    # -1 seed 2**64 - 1, while the CSV and .meta record another seed
+    out = tmp_path / "f.csv"
+    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "2", "--n", "2",
+            "--out", str(out)]
+    expected = (1, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
+    assert run_cli(capsys, *argv, "--seed", seed) == expected
+    monkeypatch.setenv("SIM_SEED", seed)
+    assert run_cli(capsys, *argv) == expected
+    assert not out.exists()
+
+
+def test_sweep_at_invalid_beta_is_an_error(tmp_path, capsys):
+    # beta itself is refused for the whole sweep, not flagged at every point
+    out = tmp_path / "s.csv"
+    result = run_cli(capsys, "sweep", "--beta", "2.5", "--m", "2", "--n", "2",
+                     "--out", str(out))
+    assert result == (1, "", "error: beta=2.5 gives eta=-1.25, need 0 < eta < 1\n")
+    assert not out.exists()
 
 
 def test_config_unknown_key_is_an_error(tmp_path, capsys):

@@ -183,13 +183,24 @@ def test_argument_validation():
 
 @pytest.mark.parametrize("key,value", [
     ("m", 2.5), ("n", 3.0), ("workers", 1.5), ("m", np.float64(4.0)), ("n", True),
-    ("workers", "2"),
-], ids=["m-float", "n-float", "workers-float", "m-numpy-float", "n-bool", "workers-str"])
+    ("workers", "2"), ("seed", 1.5), ("seed", True),
+], ids=["m-float", "n-float", "workers-float", "m-numpy-float", "n-bool", "workers-str",
+        "seed-float", "seed-bool"])
 def test_counts_must_be_integers(key, value):
     # a float m or n used to fail deep in the estimator, a float workers to run
     with pytest.raises(ValueError) as err:
         fidelity.EstimatorConfig(**{key: value})
     assert str(err.value) == f"{key} must be an integer, got {value!r}"
+
+
+def test_seed_must_fit_64_bits():
+    # the streams keep a seed's low 64 bits, so a seed outside would alias another
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert fidelity.EstimatorConfig(seed=seed).seed == seed
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError) as err:
+            fidelity.EstimatorConfig(seed=seed)
+        assert str(err.value) == f"seed must lie in [0, 2**64), got {seed}"
 
 
 def test_counts_accept_numpy_integers():
