@@ -4,25 +4,13 @@ control-field noise."""
 
 __version__ = "0.1.0"
 
-from .model import (
-    DriveParams,
-    InfeasibleParameters,
-    PhaseTriple,
-    TwoQubitParams,
-    big_omega,
-    chi_angle,
-    omega_for_beta,
-    phases,
-    shifted_target,
-    two_qubit_from_alpha,
-    two_qubit_geometric_point,
-    zero_dynamic_omega1,
-)
-
-#: every other public name, by the submodule that defines it; the submodule
-#: and each name are imported on first access (PEP 562), so importing the
-#: package loads no numpy
+#: every public name, by the submodule that defines it; the submodule and
+#: each name are imported on first access (PEP 562), so importing the
+#: package loads no submodule and no numpy
 _SUBMODULES = {
+    "model": ("DriveParams", "InfeasibleParameters", "PhaseTriple", "TwoQubitParams",
+              "big_omega", "chi_angle", "omega_for_beta", "phases", "shifted_target",
+              "two_qubit_from_alpha", "two_qubit_geometric_point", "zero_dynamic_omega1"),
     "evolve": ("dynamic_phase_oracle", "ideal_gate_u1", "one_cycle_gate", "propagator"),
     "noise": ("NoiseSpec", "RngStream", "sample_input_state", "sample_two_qubit_input"),
     "fidelity": ("FidelityEstimate", "estimate_single", "estimate_two_qubit", "EstimatorConfig"),
@@ -47,10 +35,4 @@ def __dir__():
     return sorted(set(globals()) | set(_SUBMODULES) | set(_LAZY))
 
 
-__all__ = [
-    "__version__",
-    "DriveParams", "InfeasibleParameters", "PhaseTriple", "TwoQubitParams",
-    "big_omega", "chi_angle", "omega_for_beta", "phases", "shifted_target",
-    "two_qubit_from_alpha", "two_qubit_geometric_point", "zero_dynamic_omega1",
-    *_LAZY,
-]
+__all__ = ["__version__", *_LAZY]

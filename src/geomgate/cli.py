@@ -151,6 +151,14 @@ def _parse_grid(text: str) -> list:
     return values
 
 
+def _grid_argument(text: str) -> list:
+    """_parse_grid for a flag: argparse then gives the reason a grid is refused."""
+    try:
+        return _parse_grid(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+
+
 #: every option, dest -> (parser, help); the parser reads the flag's value and
 #: the config key's. A parser of bool makes a flag, a tuple the choices of a string
 _OPTIONS = {
@@ -195,7 +203,8 @@ class _Settings:
     misspelt key cannot silently fall back to its default. A key's value is
     parsed as its flag's value, when the key is read. Every key asked for is
     recorded, so refuse_unread() can name the options given that the command
-    never read.
+    never read. A value read from the config file or SIM_SEED has its source
+    in `source`, as its errors name it; a flag names itself.
     """
 
     def __init__(self, ns: argparse.Namespace):
@@ -207,6 +216,7 @@ class _Settings:
         if unknown:
             raise ValueError(f"{ns.config}: unknown config key(s): {', '.join(unknown)}")
         self.read = set()
+        self.source = {}
 
     def get(self, key: str, default=None):
         self.read.add(key)
@@ -216,6 +226,7 @@ class _Settings:
         if key not in self.file:
             return default
         raw = self.file[key]
+        self.source[key] = f"{self.ns.config}: {key}"
         parse = _OPTIONS[key][0]
         try:
             if parse is bool:
@@ -225,13 +236,15 @@ class _Settings:
                 raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
             return raw if isinstance(parse, tuple) else parse(raw)
         except ValueError as err:
-            raise ValueError(f"{self.ns.config}: {key}: {err}") from err
+            raise ValueError(f"{self.source[key]}: {err}") from err
 
     def seed(self) -> int:
         explicit = self.get("seed")
         if explicit is not None:
             return explicit
         env = os.environ.get("SIM_SEED")
+        if env:
+            self.source["seed"] = "SIM_SEED"
         try:
             return int(env) if env else 0
         except ValueError as err:
@@ -253,17 +266,21 @@ class _Settings:
             raise ValueError(f"{command} does not read {', '.join(unread)}")
 
 
-def _resolve_single(s: _Settings) -> tuple[DriveParams, float | None]:
-    """DriveParams from flags; returns (params, delta_rel or None)."""
+def _resolve(s: _Settings) -> tuple[DriveParams | TwoQubitParams, dict]:
+    """The drive point the options name, and its coordinates for a fidelity
+    row: Delta/omega0 for a point on the zero-dynamic line shifted by --delta."""
+    two_qubit = s.get("two_qubit", False)
     omega0 = s.get("omega0")
     if omega0 is None:
         raise InfeasibleParameters("--omega0 is required")
+    if two_qubit:
+        return _two_qubit(s, omega0), {}
     omega = s.get("omega")
     if omega is not None:
         omega1 = s.get("omega1")
         if omega1 is None:
             raise InfeasibleParameters("--omega1 is required with --omega")
-        return DriveParams(omega=omega, omega0=omega0, omega1=omega1), None
+        return DriveParams(omega=omega, omega0=omega0, omega1=omega1), {}
     beta = s.get("beta")
     if beta is None:
         raise InfeasibleParameters("give either --omega or --beta")
@@ -272,19 +289,16 @@ def _resolve_single(s: _Settings) -> tuple[DriveParams, float | None]:
     # read either way: without --omega1 the zero-dynamic line is the default
     if s.get("zero_dynamic", False) and omega1 is not None:
         raise InfeasibleParameters("--zero-dynamic and --omega1 are mutually exclusive")
-    delta_rel = None
+    coords = {}
     if omega1 is None:
         delta = s.get("delta", 0.0)
         omega1 = zero_dynamic_omega1(omega0, beta) + delta
-        delta_rel = delta / omega0
+        coords = {"delta_over_omega0": delta / omega0}
     omega = omega_for_beta(omega0, omega1, beta, branch=branch)
-    return DriveParams(omega=omega, omega0=omega0, omega1=omega1), delta_rel
+    return DriveParams(omega=omega, omega0=omega0, omega1=omega1), coords
 
 
-def _resolve_two_qubit(s: _Settings) -> TwoQubitParams:
-    omega0 = s.get("omega0")
-    if omega0 is None:
-        raise InfeasibleParameters("--omega0 is required")
+def _two_qubit(s: _Settings, omega0: float) -> TwoQubitParams:
     alpha = s.get("alpha")
     omega1 = s.get("omega1")
     coupling = s.get("coupling_j")
@@ -321,9 +335,9 @@ def _block_lines(p: DriveParams, indent: str = "", width: int = 7) -> list:
 
 def cmd_gate(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
-    two_qubit = s.get("two_qubit", False)
-    p = _resolve_two_qubit(s) if two_qubit else _resolve_single(s)[0]
+    p, _ = _resolve(s)
     s.refuse_unread()
+    two_qubit = isinstance(p, TwoQubitParams)
     t = p.target if two_qubit else p
     lines = [f"omega   = {_fmt(t.omega)}",
              f"omega0  = {_fmt(t.omega0)}",
@@ -353,13 +367,20 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
     given = {key: s.get(key) for key in ("m", "n", "workers", "gate_model", "haar")}
     if control_mode is not None:
         given["control_mode"] = s.get("control_mode", control_mode)
-    spec = NoiseSpec(
-        s.get("delta0", spec.delta0),
-        s.get("delta1", spec.delta1),
-        s.get("independent", spec.independent),
-    )
-    return EstimatorConfig(spec=spec, seed=s.seed(),
-                           **{key: val for key, val in given.items() if val is not None})
+    try:
+        spec = NoiseSpec(
+            s.get("delta0", spec.delta0),
+            s.get("delta1", spec.delta1),
+            s.get("independent", spec.independent),
+        )
+        return EstimatorConfig(spec=spec, seed=s.seed(),
+                               **{key: val for key, val in given.items() if val is not None})
+    except ValueError as err:
+        # a bound's message starts with its field: name the file or variable that set it
+        source = s.source.get(str(err).split(" ", 1)[0])
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {err}") from err
 
 
 def cmd_fidelity(ns: argparse.Namespace) -> int:
@@ -369,13 +390,8 @@ def cmd_fidelity(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
     two_qubit = s.get("two_qubit", False)
     cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
-    if two_qubit:
-        p2 = _resolve_two_qubit(s)
-        point = SweepPoint(coords={"alpha": p2.alpha}, kind="two_qubit", params=p2)
-    else:
-        p, delta_rel = _resolve_single(s)
-        coords = {} if delta_rel is None else {"delta_over_omega0": delta_rel}
-        point = SweepPoint(coords=coords, kind="single", params=p)
+    p, coords = _resolve(s)
+    point = SweepPoint(coords=coords, kind="two_qubit" if two_qubit else "single", params=p)
     out = s.get("out")
     s.refuse_unread()
     result = sweep_generic([point], cfg, {"preset": "point"})
@@ -491,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
             elif isinstance(parse, tuple):
                 sub.add_argument(flag, dest=dest, choices=parse, help=text)
             else:
-                sub.add_argument(flag, dest=dest, type=parse, help=text)
+                sub.add_argument(flag, dest=dest, help=text,
+                                 type=_grid_argument if parse is _parse_grid else parse)
         sub.set_defaults(func=func)
     return parser
 

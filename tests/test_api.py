@@ -35,18 +35,19 @@ def test_every_public_name_has_a_caller():
 
 
 def test_every_public_name_resolves_and_is_listed():
-    # names outside model.py load on first access; dir() lists them before that
+    # every name loads on first access; dir() lists it before that
     listed = dir(geomgate)
     for name in geomgate.__all__:
         assert name in listed
         assert getattr(geomgate, name) is not None
     with pytest.raises(AttributeError, match="no_such_name"):
         geomgate.no_such_name
-    # the submodules resolve as package attributes too; a fresh interpreter,
-    # so no other test has imported them yet
+    # the import loads no submodule, and the submodules resolve as package
+    # attributes too; a fresh interpreter, so no other test has imported them yet
     src = Path(geomgate.__file__).resolve().parents[1]
-    code = ("import geomgate\n"
-            "for name in ('evolve', 'noise', 'fidelity', 'sweep'):\n"
+    code = ("import sys, geomgate\n"
+            "assert [m for m in sys.modules if m.startswith('geomgate.')] == []\n"
+            "for name in ('model', 'evolve', 'noise', 'fidelity', 'sweep'):\n"
             "    assert name in dir(geomgate)\n"
             "print(sorted(geomgate.sweep.PRESETS), geomgate.evolve.one_cycle_gate.__name__)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),

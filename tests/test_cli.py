@@ -16,15 +16,21 @@ from geomgate import cli
 from geomgate import sweep
 from geomgate.cli import main, read_config, write_csv
 from geomgate.evolve import one_cycle_gate
+from geomgate.fidelity import estimate_two_qubit
 from geomgate.model import (
     DriveParams,
+    TwoQubitParams,
     omega_for_beta,
+    two_qubit_from_alpha,
     two_qubit_geometric_point,
     zero_dynamic_omega1,
 )
+from geomgate.noise import NoiseSpec, RngStream
 from geomgate.sweep import SweepResult
 
 SQRT3 = math.sqrt(3.0)
+#: a two-qubit point entered directly: drive rate, fields and coupling
+DIRECT = ["--omega", "90", "--omega0", "30", "--omega1", "40", "--coupling-j", "5"]
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +106,19 @@ def test_gate_needs_parameters(capsys):
     code, _, err = run_cli(capsys, "gate", "--two-qubit", "--alpha", "1.7", "--omega0", "30",
                            "--coupling-j", "5")
     assert code == 1 and "--coupling-j needs --omega and --omega1" in err
+    # each missing drive parameter has its own message, single and two-qubit
+    for argv, message in (
+            (["gate", "--omega", "90", "--omega0", "30"], "--omega1 is required with --omega"),
+            (["gate", "--omega0", "30"], "give either --omega or --beta"),
+            (["fidelity", "--omega1", "40", "--omega0", "30"], "give either --omega or --beta"),
+            (["gate", "--two-qubit", "--alpha", "1.7"], "--omega0 is required"),
+            (["gate", "--two-qubit", "--omega0", "30"],
+             "two-qubit points need --alpha (or --omega with --coupling-j)"),
+            (["fidelity", "--two-qubit", "--omega", "90", "--omega0", "30"],
+             "two-qubit points need --alpha (or --omega with --coupling-j)"),
+            (["sweep", "--two-qubit", "--m", "2", "--n", "2"],
+             "--alpha is required for a two-qubit sweep")):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def printed(z):
@@ -113,21 +132,30 @@ def report_matrix(text):
             for line in text.splitlines() if line.startswith("  (")]
 
 
-@pytest.mark.parametrize("argv", [
-    ["gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"],
-    ["gate", "--two-qubit", "--alpha", "1.7320508", "--omega0", "30"],
-], ids=["single", "two-qubit"])
-def test_gate_report_matrix_is_the_library_gate(capsys, argv):
+ZERO_DYNAMIC_OMEGA1 = zero_dynamic_omega1(1e5, 1.5)
+
+
+@pytest.mark.parametrize("argv,params", [
+    (["gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"],
+     DriveParams(omega_for_beta(1e5, ZERO_DYNAMIC_OMEGA1, 1.5), 1e5, ZERO_DYNAMIC_OMEGA1)),
+    (["gate", "--two-qubit", "--alpha", "1.7320508", "--omega0", "30"],
+     two_qubit_geometric_point(30.0, 1.7320508)),
+    (["gate", "--two-qubit", "--alpha", "1.2", "--omega0", "30", "--omega1", "40"],
+     two_qubit_from_alpha(30.0, 40.0, 1.2)),
+    (["gate", "--two-qubit", *DIRECT], TwoQubitParams(DriveParams(90.0, 30.0, 40.0), 5.0)),
+    (["gate", "--two-qubit", *DIRECT, "--alpha", "0.5"],
+     TwoQubitParams(DriveParams(90.0, 30.0, 40.0), 5.0, alpha=0.5)),
+], ids=["single", "two-qubit", "two-qubit-omega1", "two-qubit-direct", "two-qubit-direct-alpha"])
+def test_gate_report_matrix_is_the_library_gate(capsys, argv, params):
     # the report reads the scalar closed form; the library gates build their
     # arrays from the same entries
-    if "--two-qubit" in argv:
-        gate = one_cycle_gate(two_qubit_geometric_point(30.0, 1.7320508))
-    else:
-        omega1 = zero_dynamic_omega1(1e5, 1.5)
-        gate = one_cycle_gate(DriveParams(omega_for_beta(1e5, omega1, 1.5), 1e5, omega1))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert report_matrix(out) == [[printed(z) for z in row] for row in gate]
+    assert report_matrix(out) == [[printed(z) for z in row] for row in one_cycle_gate(params)]
+    # a two-qubit report gives J, and alpha only where the point records one
+    vals = parse_report(out)
+    assert vals.get("J") == pytest.approx(getattr(params, "coupling_j", None), rel=1e-12)
+    assert vals.get("alpha") == getattr(params, "alpha", None)
 
 
 # --- fidelity -----------------------------------------------------------------
@@ -154,9 +182,9 @@ def test_fidelity_same_seed_identical_output(capsys):
 
 
 def test_fidelity_csv_row_matches_summary(capsys):
+    noise = ["--delta0", "0.05", "--delta1", "0.05", "--m", "30", "--n", "30", "--seed", "4"]
     code, out, _ = run_cli(capsys, "fidelity", "--two-qubit", "--alpha", "1.7320508",
-                           "--omega0", "30", "--delta0", "0.05", "--delta1", "0.05",
-                           "--m", "30", "--n", "30", "--seed", "4")
+                           "--omega0", "30", *noise)
     assert code == 0
     header, row, summary = out.strip().splitlines()
     cols = header.split(",")
@@ -164,6 +192,19 @@ def test_fidelity_csv_row_matches_summary(capsys):
     fmean = cells[cols.index("F_mean")]
     assert fmean in summary
     assert cells[cols.index("control_mode")] == "unfixed"
+    # a direct two-qubit entry records no alpha and no Delta, and its row is
+    # the library's estimate
+    code, out, _ = run_cli(capsys, "fidelity", "--two-qubit", *DIRECT, *noise)
+    assert code == 0
+    header, row, summary = out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["alpha"], cells["delta_over_omega0"], cells["J"], cells["omega"]) == (
+        "", "", "5.000000000000e+00", "9.000000000000e+01")
+    est = estimate_two_qubit(TwoQubitParams(DriveParams(90.0, 30.0, 40.0), 5.0),
+                             NoiseSpec(0.05, 0.05), 30, 30,
+                             RngStream(4).child(sweep.TWO_QUBIT_STREAM_TAG))
+    assert cells["F_mean"] == cli._fmt(est.mean)
+    assert cells["F_stderr"] == cli._fmt(est.stderr)
 
 
 # --- CSV / metadata / determinism ---------------------------------------------
@@ -348,7 +389,9 @@ def test_config_file_turns_on_flags(tmp_path, capsys):
     for text, flags in (("two_qubit=1\nalpha=1.7320508\nomega0=30\n",
                          ["--two-qubit", "--alpha", "1.7320508", "--omega0", "30"]),
                         ("beta=1.5\nomega0=1e5\nzero_dynamic=1\n",
-                         ["--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"])):
+                         ["--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"]),
+                        ("two_qubit=off\nbeta=1.5\nomega0=1e5\n",
+                         ["--beta", "1.5", "--omega0", "1e5"])):
         cfg.write_text(text)
         code, from_file, err = run_cli(capsys, "gate", "--config", str(cfg))
         assert code == 0, err
@@ -356,6 +399,10 @@ def test_config_file_turns_on_flags(tmp_path, capsys):
     cfg.write_text("beta=1.5\nomega0=1e5\nzero_dynamic=1\nomega1=5\n")
     code, printed, err = run_cli(capsys, "gate", "--config", str(cfg))
     assert code == 1 and printed == "" and "mutually exclusive" in err
+    # the gate's kind is read first, before any drive parameter is missed
+    cfg.write_text("two_qubit=maybe\n")
+    assert run_cli(capsys, "gate", "--config", str(cfg)) == (
+        1, "", f"error: {cfg}: two_qubit: expected a boolean, got 'maybe'\n")
 
 
 def subcommand_parsers():
@@ -365,7 +412,7 @@ def subcommand_parsers():
 
 
 #: a sample value per value parser of the option table
-SAMPLES = {float: "2.5", int: "3", str: "x.csv", cli._parse_grid: "0:1:3"}
+SAMPLES = {float: "2.5", int: "3", str: "x.csv", cli._grid_argument: "0:1:3"}
 
 
 def test_every_option_reads_alike_as_flag_and_as_config_key(tmp_path):
@@ -566,21 +613,25 @@ def test_sim_seed_env(tmp_path, capsys, monkeypatch):
     assert out_override != out_31
 
 
-@pytest.mark.parametrize("grid", ["0:inf:3", "nan,1", "1,-inf", "-1e308:1e308:3", "0:nan:1"])
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan,1", "1,-inf", "-1e308:1e308:3", "0:nan:1",
+                                  "0:1:0"])
 def test_non_finite_grid_refused(tmp_path, capsys, grid):
     # 0:inf:3 used to write rows at nan, inf, inf: start + inf*0 is nan
     out = tmp_path / "s.csv"
     argv = ["sweep", "--beta", "1.5", "--omega0", "1e5", "--m", "2", "--n", "2",
             "--out", str(out)]
+    reason = ("grid needs >= 1 points, got 0" if grid == "0:1:0"
+              else f"grid values must be finite, got '{grid}'")
+    # the flag and the config key give the same reason
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--grid-delta-rel", grid])
     assert exit_info.value.code == 2
-    assert f"invalid _parse_grid value: '{grid}'" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: argument --grid-delta-rel: {reason}\n")
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"grid_delta_rel={grid}\n")
     code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 1 and stdout == ""
-    assert err == f"error: {cfg}: grid_delta_rel: grid values must be finite, got '{grid}'\n"
+    assert err == f"error: {cfg}: grid_delta_rel: {reason}\n"
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -591,10 +642,29 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, monkeypatch, seed):
     out = tmp_path / "f.csv"
     argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "2", "--n", "2",
             "--out", str(out)]
-    expected = (1, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
-    assert run_cli(capsys, *argv, "--seed", seed) == expected
+    message = f"seed must lie in [0, 2**64), got {seed}"
+    assert run_cli(capsys, *argv, "--seed", seed) == (1, "", f"error: {message}\n")
     monkeypatch.setenv("SIM_SEED", seed)
-    assert run_cli(capsys, *argv) == expected
+    assert run_cli(capsys, *argv) == (1, "", f"error: SIM_SEED: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("m", "0", "m must be >= 1, got 0"),
+    ("workers", "0", "workers must be >= 1, got 0"),
+    ("delta0", "1.5", "delta0 must satisfy 0 <= delta < 1, got 1.5"),
+    ("seed", "-1", "seed must lie in [0, 2**64), got -1"),
+], ids=["m", "workers", "delta0", "seed"])
+def test_value_out_of_range_names_its_file_and_key(tmp_path, capsys, key, value, message):
+    # the estimator's bounds refuse the value; a config file's is named as a
+    # parse error is, a flag's carries the estimator's message alone
+    out = tmp_path / "f.csv"
+    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--n", "4", "--out", str(out)]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    result = run_cli(capsys, *argv, "--config", str(cfg))
+    assert result == (1, "", f"error: {cfg}: {key}: {message}\n")
+    assert run_cli(capsys, *argv, f"--{key}", value) == (1, "", f"error: {message}\n")
     assert not out.exists()
 
 
