@@ -133,19 +133,20 @@ def _parse_bool(text: str) -> bool:
 def _parse_grid(text: str) -> list:
     """START:STOP:NUM inclusive linear grid, or a comma list of values; the
     numbers given and the grid's values must be finite."""
+    try:
+        if ":" in text:
+            start, stop, num = text.split(":")
+            start, stop, num = float(start), float(stop), int(num)
+        else:
+            values = given = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"grid must be START:STOP:NUM or a comma list, got {text!r}") from None
     if ":" in text:
-        start, stop, num = text.split(":")
-        start, stop, num = float(start), float(stop), int(num)
         if num < 1:
             raise ValueError(f"grid needs >= 1 points, got {num}")
-        if num == 1:
-            values = [start]
-        else:
-            step = (stop - start) / (num - 1)
-            values = [start + step * k for k in range(num)]
+        values = [start] if num == 1 else [start + (stop - start) / (num - 1) * k
+                                           for k in range(num)]
         given = [start, stop]
-    else:
-        values = given = [float(v) for v in text.split(",")]
     if not all(map(math.isfinite, given + values)):
         raise ValueError(f"grid values must be finite, got {text!r}")
     return values

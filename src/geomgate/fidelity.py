@@ -38,9 +38,11 @@ Two noisy-gate constructions are available:
 
 Per shot both models run only real arithmetic, sqrt and tan, which numpy
 vectorises: cos and sin come from one tan of the half angle (_cos_sin). The
-propagator model allocates ten work buffers once per call and runs each
-per-shot pass in place in them (ufunc out=); its passes round as the plain
-expression does, so a buffer never changes a value.
+propagator model runs its passes in place in work buffers (ufunc out=). Each
+block writes three basis rows, cos(a), s*det and s*w0 with s = sin(a)/(2*Omega'),
+and one matmul against a table of the real and imaginary coefficients sums
+them into each shot's amplitude. A pass of states builds that table for at
+most _CHUNK_ELEMENTS (point, state) pairs at a time.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -140,45 +142,48 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
     fixed = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}
-    weights = (1.0,) if len(blocks(params[0])) == 1 else fixed.get(cfg.control_mode)
+    gates = [blocks(p) for p in params]
+    weights = (1.0,) if len(gates[0]) == 1 else fixed.get(cfg.control_mode)
     states = max(1, _CHUNK_ELEMENTS // m)
     step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
+    live = [k for k in range(len(gates[0])) if weights is None or weights[k] != 0.0]
     chunks = []
     for lo in range(0, len(params), step):
         chunk = params[lo:lo + step]
-        gates = [blocks(p) for p in chunk]
         # the physical fields; a drive point is its own target, with no coupling
         targets = [getattr(p, "target", p) for p in chunk]
         omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
                                  for f in ("omega", "omega0", "omega1"))
         # each model builds only the terms its kernel reads, per block of nonzero weight
         terms = []
-        for k in range(len(gates[0])):
-            if weights is not None and weights[k] == 0.0:
-                continue
+        for k in live:
             if cfg.gate_model == "phase":
                 # the block's frequency, rotation rate and cyclic axis (cos chi,
                 # sin chi); the noisy rate is this expression too: no noise gives d == 0
-                wl = _column([g[k].omega1 for g in gates])
+                wl = _column([g[k].omega1 for g in gates[lo:lo + step]])
                 det = wl - omega
                 big = np.sqrt(omega0 * omega0 + det * det)
                 terms.append((k, wl, big, det / big, omega0 / big))
             else:
-                # the block's shift (2k - 1)*J (shifted_target) minus omega, and
-                # its ideal entries as (points, 1, 1) columns
+                # the block's shift (2k - 1)*J (shifted_target) minus omega
                 shift = (2 * k - 1) * _column([getattr(p, "coupling_j", 0.0) for p in chunk])
-                entries = zip(*(cycle_entries(g[k]) for g in gates))
-                ideal = [np.array(column, dtype=complex)[:, None, None] for column in entries]
-                terms.append((k, shift - omega, ideal))
+                terms.append((k, shift - omega))
         chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, terms))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
     width = 3 if weights is not None else 6
     per_state = np.empty((len(params), n))
-    # the propagator's work buffers, sized for the first chunk, the largest;
-    # a smaller chunk views the leading elements of each, once per shape
     if cfg.gate_model == "propagator":
-        work, views = np.empty((10, min(step, len(params)) * min(states, n) * m)), {}
+        # each block's ideal entries as (points, 1, 1) columns; a pass of states
+        # builds their coefficients for `group` points (whole chunks) at a time,
+        # at most _CHUNK_ELEMENTS (point, state) pairs
+        ideal = {k: [np.array(c, dtype=complex)[:, None, None]
+                     for c in zip(*(cycle_entries(g[k]) for g in gates))] for k in live}
+        group = step * max(1, _CHUNK_ELEMENTS // min(states, n) // step)
+        # the work buffers of each chunk shape (at most four: trailing points
+        # and trailing states make the others): eight scratch rows, the basis
+        # rows and (re, im), each row a contiguous (points, states, m) array
+        views = {}
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.generator.random((count, width))
@@ -207,20 +212,26 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
                 # (model.cycle_entries), so its term is linear in cos(a) and
                 # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx.
-                # Each pass writes into a work buffer and rounds as the sum
-                # re + c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) does
+                # The table holds them as real and imaginary rows, the factor 2
+                # of sin(a)/big = 2*s folded in; one matmul gives (re, im)
+                if rows.start % group == 0:
+                    cols = []
+                    for k in live:
+                        i00, i01, i11 = (e[rows.start:rows.start + group] for e in ideal[k])
+                        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
+                        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
+                        q0t0, q1t1 = q0 * t0, q1 * t1
+                        cols += [-(q0t0 + q1t1), 2j * (q0t0 - q1t1), 2j * (q0 * t1 + q1 * t0)]
+                    c = np.concatenate(cols, axis=-1)
+                    table = np.stack((c.real, c.imag), axis=-2)
                 shape = (rows.stop - rows.start, count, m)
                 if shape not in views:
-                    views[shape] = [b[:math.prod(shape)].reshape(shape) for b in work]
-                w0, w0sq, w1, det, big, t, tt, den, re, im = views[shape]
+                    views[shape] = np.split(np.empty((10 + 3 * len(live), *shape)), [8, -2])
+                (w0, w0sq, w1, det, big, t, tt, den), basis, ri = views[shape]
                 np.multiply(omega0, noisy0, out=w0)
                 np.multiply(w0, w0, out=w0sq)
                 np.multiply(omega1, scale, out=w1)
-                for j, (k, offset, (i00, i01, i11)) in enumerate(terms):
-                    q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
-                    q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-                    q0t0, q1t1 = q0 * t0, q1 * t1
-                    c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
+                for j, (k, offset) in enumerate(terms):
                     np.add(w1, offset, out=det)
                     np.multiply(det, det, out=big)
                     np.sqrt(np.add(w0sq, big, out=big), out=big)
@@ -228,21 +239,15 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                     np.tan(np.multiply(0.5 * pio, big, out=t), out=t)
                     np.multiply(t, t, out=tt)
                     np.add(1.0, tt, out=den)
-                    np.divide(np.subtract(1.0, tt, out=tt), den, out=tt)  # cos(a)
-                    np.divide(np.add(t, t, out=t), den, out=t)
-                    np.divide(t, big, out=t)  # sin(a)/big
-                    # big and den are free now: they hold the sums' terms
-                    for acc, c1, cz, cx in ((re, c_1.real, c_z.real, c_x.real),
-                                            (im, c_1.imag, c_z.imag, c_x.imag)):
-                        np.add(np.multiply(cz, det, out=big), np.multiply(cx, w0, out=den),
-                               out=big)
-                        np.multiply(t, big, out=big)
-                        if j == 0:
-                            np.multiply(c1, tt, out=acc)
-                        else:
-                            np.add(acc, np.multiply(c1, tt, out=den), out=acc)
-                        np.add(acc, big, out=acc)
-                fid = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
+                    np.divide(np.subtract(1.0, tt, out=tt), den, out=basis[3 * j])
+                    np.divide(t, np.multiply(big, den, out=big), out=t)  # s = sin(a)/(2*big)
+                    np.multiply(t, det, out=basis[3 * j + 1])
+                    np.multiply(t, w0, out=basis[3 * j + 2])
+                at = rows.start % group
+                np.matmul(table[at:at + shape[0]], np.moveaxis(basis, 0, 2),
+                          out=np.moveaxis(ri, 0, 2))
+                re, im = ri
+                fid = np.add(np.multiply(re, re, out=tt), np.multiply(im, im, out=den), out=tt)
             np.minimum(fid, 1.0, out=fid)
             # fid.mean(axis=-1) without its Python overhead, the same sum and division
             per_state[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m

@@ -613,16 +613,11 @@ def test_sim_seed_env(tmp_path, capsys, monkeypatch):
     assert out_override != out_31
 
 
-@pytest.mark.parametrize("grid", ["0:inf:3", "nan,1", "1,-inf", "-1e308:1e308:3", "0:nan:1",
-                                  "0:1:0"])
-def test_non_finite_grid_refused(tmp_path, capsys, grid):
-    # 0:inf:3 used to write rows at nan, inf, inf: start + inf*0 is nan
+def assert_grid_refused(tmp_path, capsys, grid, reason):
+    """The flag exits 2 and the config key 1, both with the same reason."""
     out = tmp_path / "s.csv"
     argv = ["sweep", "--beta", "1.5", "--omega0", "1e5", "--m", "2", "--n", "2",
             "--out", str(out)]
-    reason = ("grid needs >= 1 points, got 0" if grid == "0:1:0"
-              else f"grid values must be finite, got '{grid}'")
-    # the flag and the config key give the same reason
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--grid-delta-rel", grid])
     assert exit_info.value.code == 2
@@ -633,6 +628,22 @@ def test_non_finite_grid_refused(tmp_path, capsys, grid):
     assert code == 1 and stdout == ""
     assert err == f"error: {cfg}: grid_delta_rel: {reason}\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan,1", "1,-inf", "-1e308:1e308:3", "0:nan:1",
+                                  "0:1:0"])
+def test_non_finite_grid_refused(tmp_path, capsys, grid):
+    # 0:inf:3 used to write rows at nan, inf, inf: start + inf*0 is nan
+    reason = ("grid needs >= 1 points, got 0" if grid == "0:1:0"
+              else f"grid values must be finite, got '{grid}'")
+    assert_grid_refused(tmp_path, capsys, grid, reason)
+
+
+@pytest.mark.parametrize("grid", ["0:1", "0:1:2:3", "0:1:2.5", "0,one"])
+def test_malformed_grid_refused(tmp_path, capsys, grid):
+    # a wrong count of parts or a non-integral NUM names the forms a grid takes
+    reason = f"grid must be START:STOP:NUM or a comma list, got '{grid}'"
+    assert_grid_refused(tmp_path, capsys, grid, reason)
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])

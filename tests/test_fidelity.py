@@ -2,6 +2,10 @@
 golden regressions, and stderr scaling."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,12 +238,17 @@ def test_one_state_gives_no_stderr():
                            RngStream(3).child(1)).stderr > 0.0
 
 
-# --- propagator kernel: the allocating expression it replaces ---------------
+# --- propagator kernel: plain allocating expressions ------------------------
 
 
-def allocating_propagator_estimates(params, cfg, rng):
-    """(mean, stderr) per two-qubit point, as the propagator kernel computed
-    them when every pass built a new (points, states, m) array.
+def allocating_propagator_estimates(params, cfg, rng, matmul=True):
+    """(mean, stderr) per two-qubit point, from arrays built whole.
+
+    matmul=True transcribes the propagator kernel: per block the basis rows
+    cos(a), s*det and s*w0 with s = sin(a)/(2*big), summed by one matmul with
+    the coefficients (c_1, 2*c_z, 2*c_x). matmul=False is the per-shot sum
+    c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) the kernel computed before,
+    which rounds otherwise.
 
     Reads the estimator's draws all at once: both streams are read in order,
     so its chunks of states see the same doubles.
@@ -260,6 +269,7 @@ def allocating_propagator_estimates(params, cfg, rng):
     w1 = omega1 * (1.0 + spec.delta1 * draws[..., -m:])
     w0sq = w0 * w0
     re = im = 0.0
+    rows, coefficients = [], []
     for k, sign in enumerate((-1.0, 1.0)):
         if weights is not None and weights[k] == 0.0:
             continue
@@ -268,14 +278,25 @@ def allocating_propagator_estimates(params, cfg, rng):
             *(cycle_entries(shifted_target(p2, k)) for p2 in params)))
         q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
         q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-        c_1, c_z, c_x = (-(q0 * t0 + q1 * t1), 1j * (q0 * t0 - q1 * t1),
-                         1j * (q0 * t1 + q1 * t0))
+        q0t0, q1t1 = q0 * t0, q1 * t1
         det = w1 + (shift - omega)
         big = np.sqrt(w0sq + det * det)
+        if matmul:
+            t = np.tan(0.5 * (np.pi / omega) * big)
+            tt = t * t
+            s = t / (big * (1.0 + tt))
+            rows += [(1.0 - tt) / (1.0 + tt), s * det, s * w0]
+            coefficients += [-(q0t0 + q1t1), 2j * (q0t0 - q1t1), 2j * (q0 * t1 + q1 * t0)]
+            continue
+        c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
         cos_a, sin_a = fidelity._cos_sin(np.pi / omega * big)
         sin_a = sin_a / big
         re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
         im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
+    if matmul:
+        c = np.concatenate(coefficients, axis=-1)
+        ri = np.matmul(np.stack((c.real, c.imag), axis=-2), np.stack(rows, axis=-2))
+        re, im = ri[..., 0, :], ri[..., 1, :]
     per_state = np.minimum(re * re + im * im, 1.0).mean(axis=-1)
     return [(row.mean(), row.std(ddof=1) / np.sqrt(n)) for row in per_state]
 
@@ -288,8 +309,9 @@ def allocating_propagator_estimates(params, cfg, rng):
 ])
 def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, elements,
                                                             monkeypatch):
-    # the kernel's passes write into work buffers and must round exactly as
-    # the plain expression does, in full chunks and in shorter trailing ones
+    # the kernel writes into work buffers and coefficient tables and must round
+    # exactly as the plain basis-row matmul does, in full chunks and in shorter
+    # trailing ones; the per-shot sum it replaced agrees to the last digits
     if elements is not None:
         monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
     params = [two_qubit_from_alpha(w0, 60.0, math.sqrt(a))
@@ -298,6 +320,48 @@ def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, el
                                    control_mode=mode)
     got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
     assert got == allocating_propagator_estimates(params, cfg, RngStream(8).child(2))
+    before = allocating_propagator_estimates(params, cfg, RngStream(8).child(2), matmul=False)
+    for (mean, stderr), (mean0, stderr0) in zip(got, before):
+        assert abs(mean - mean0) <= 1e-15
+        assert abs(stderr - stderr0) <= 1e-11 * stderr0
+
+
+def test_propagator_digits_do_not_depend_on_blas_threads():
+    # at m = 30000 OpenBLAS splits the (2 x 6) @ (6 x m) matmul across its
+    # threads; each shot's sum must not change with their number
+    code = ("import math; from geomgate import fidelity; "
+            "from geomgate.model import two_qubit_from_alpha; "
+            "from geomgate.noise import NoiseSpec, RngStream; "
+            "params = [two_qubit_from_alpha(w0, 60.0, math.sqrt(a)) "
+            "for w0, a in ((2.0, 3), (21.0, 15), (40.0, 143))]; "
+            "cfg = fidelity.EstimatorConfig(m=30000, n=2, spec=NoiseSpec(0.05, 0.05), "
+            "gate_model='propagator'); "
+            "print(repr(fidelity._estimate(params, cfg, RngStream(3).child(2))))")
+    src = os.path.dirname(os.path.dirname(fidelity.__file__))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+def test_propagator_memory_is_bounded_on_a_large_grid():
+    # 400 points at m = 4, n = 1000: a coefficient table over every (point,
+    # state) pair would hold 400 * 1000 * 12 doubles (38 MB); the bounded one
+    # holds at most 12 * _CHUNK_ELEMENTS, next to the (points, n) means (3.2 MB)
+    params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
+    cfg = fidelity.EstimatorConfig(m=4, n=1000, spec=NoiseSpec(0.05, 0.05),
+                                   gate_model="propagator")
+    tracemalloc.start()
+    try:
+        fidelity._estimate(params, cfg, RngStream(2).child(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 # --- draw-layout reconstruction oracle -------------------------------------
