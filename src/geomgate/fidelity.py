@@ -37,12 +37,13 @@ Two noisy-gate constructions are available:
   at the noisy cycle angle a, with real and imaginary per-state coefficients.
 
 Per shot both models run only real arithmetic, sqrt and tan, which numpy
-vectorises: cos and sin come from one tan of the half angle (_cos_sin). The
-propagator model runs its passes in place in work buffers (ufunc out=). Each
-block writes three basis rows, cos(a), s*det and s*w0 with s = sin(a)/(2*Omega'),
-and one matmul against a table of the real and imaginary coefficients sums
-them into each shot's amplitude. A pass of states builds that table for at
-most _CHUNK_ELEMENTS (point, state) pairs at a time.
+vectorises: cos and sin come from one tan of the half angle t (_cos_sin). The
+propagator model runs its passes in place in work buffers (ufunc out=), one call
+per pass for all blocks stacked. Each block writes the basis rows r = 1/(1+t^2),
+s*det and s*w0 with s = sin(a)/(2*Omega'), beside one row of ones (cos(a) = 2r-1);
+one matmul against a table of real and imaginary coefficients (built for at most
+_CHUNK_ELEMENTS (point, state) pairs at a time) sums them into each shot's
+amplitude, and each state's mean fidelity is clamped at 1 ("phase": each shot's).
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -154,20 +155,20 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
         targets = [getattr(p, "target", p) for p in chunk]
         omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
                                  for f in ("omega", "omega0", "omega1"))
-        # each model builds only the terms its kernel reads, per block of nonzero weight
-        terms = []
-        for k in live:
-            if cfg.gate_model == "phase":
+        # each model builds only what its kernel reads, per block of nonzero weight
+        if cfg.gate_model == "phase":
+            terms = []
+            for k in live:
                 # the block's frequency, rotation rate and cyclic axis (cos chi,
                 # sin chi); the noisy rate is this expression too: no noise gives d == 0
                 wl = _column([g[k].omega1 for g in gates[lo:lo + step]])
                 det = wl - omega
                 big = np.sqrt(omega0 * omega0 + det * det)
                 terms.append((k, wl, big, det / big, omega0 / big))
-            else:
-                # the block's shift (2k - 1)*J (shifted_target) minus omega
-                shift = (2 * k - 1) * _column([getattr(p, "coupling_j", 0.0) for p in chunk])
-                terms.append((k, shift - omega))
+        else:
+            # (blocks, points, 1, 1): each block's shift (2k - 1)*J (shifted_target) minus omega
+            coupling = _column([getattr(p, "coupling_j", 0.0) for p in chunk])
+            terms = np.stack([(2 * k - 1) * coupling - omega for k in live])
         chunks.append((slice(lo, lo + len(chunk)), omega, np.pi / omega, omega0, omega1, terms))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
@@ -175,15 +176,12 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     per_state = np.empty((len(params), n))
     if cfg.gate_model == "propagator":
         # each block's ideal entries as (points, 1, 1) columns; a pass of states
-        # builds their coefficients for `group` points (whole chunks) at a time,
-        # at most _CHUNK_ELEMENTS (point, state) pairs
+        # builds the table for `group` points (whole chunks) at a time, at most
+        # _CHUNK_ELEMENTS (point, state) pairs
         ideal = {k: [np.array(c, dtype=complex)[:, None, None]
                      for c in zip(*(cycle_entries(g[k]) for g in gates))] for k in live}
         group = step * max(1, _CHUNK_ELEMENTS // min(states, n) // step)
-        # the work buffers of each chunk shape (at most four: trailing points
-        # and trailing states make the others): eight scratch rows, the basis
-        # rows and (re, im), each row a contiguous (points, states, m) array
-        views = {}
+        views, b = {}, len(live)
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.generator.random((count, width))
@@ -208,49 +206,51 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                     re = re + w[k] * cos_d
                     im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * sin_d
                 fid = re * re + im * im
-            else:
-                # the noisy block is -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big
-                # (model.cycle_entries), so its term is linear in cos(a) and
-                # sin(a)/big with coefficients <t|U_k^dag P|t> for P = I, sz, sx.
-                # The table holds them as real and imaginary rows, the factor 2
-                # of sin(a)/big = 2*s folded in; one matmul gives (re, im)
-                if rows.start % group == 0:
-                    cols = []
-                    for k in live:
-                        i00, i01, i11 = (e[rows.start:rows.start + group] for e in ideal[k])
-                        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
-                        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-                        q0t0, q1t1 = q0 * t0, q1 * t1
-                        cols += [-(q0t0 + q1t1), 2j * (q0t0 - q1t1), 2j * (q0 * t1 + q1 * t0)]
-                    c = np.concatenate(cols, axis=-1)
-                    table = np.stack((c.real, c.imag), axis=-2)
-                shape = (rows.stop - rows.start, count, m)
-                if shape not in views:
-                    views[shape] = np.split(np.empty((10 + 3 * len(live), *shape)), [8, -2])
-                (w0, w0sq, w1, det, big, t, tt, den), basis, ri = views[shape]
-                np.multiply(omega0, noisy0, out=w0)
-                np.multiply(w0, w0, out=w0sq)
-                np.multiply(omega1, scale, out=w1)
-                for j, (k, offset) in enumerate(terms):
-                    np.add(w1, offset, out=det)
-                    np.multiply(det, det, out=big)
-                    np.sqrt(np.add(w0sq, big, out=big), out=big)
-                    # _cos_sin(pio*big) with the half angle folded into pio, exactly
-                    np.tan(np.multiply(0.5 * pio, big, out=t), out=t)
-                    np.multiply(t, t, out=tt)
-                    np.add(1.0, tt, out=den)
-                    np.divide(np.subtract(1.0, tt, out=tt), den, out=basis[3 * j])
-                    np.divide(t, np.multiply(big, den, out=big), out=t)  # s = sin(a)/(2*big)
-                    np.multiply(t, det, out=basis[3 * j + 1])
-                    np.multiply(t, w0, out=basis[3 * j + 2])
-                at = rows.start % group
-                np.matmul(table[at:at + shape[0]], np.moveaxis(basis, 0, 2),
-                          out=np.moveaxis(ri, 0, 2))
-                re, im = ri
-                fid = np.add(np.multiply(re, re, out=tt), np.multiply(im, im, out=den), out=tt)
-            np.minimum(fid, 1.0, out=fid)
-            # fid.mean(axis=-1) without its Python overhead, the same sum and division
-            per_state[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
+                np.minimum(fid, 1.0, out=fid)
+                # fid.mean(axis=-1) without its Python overhead, the same sum and division
+                per_state[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
+                continue
+            # the noisy block -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big (model.cycle_entries)
+            # has the term c_1*cos(a) + 2*s*(c_z*det + c_x*w0), c_P from <t|U_k^dag P|t>:
+            # the table holds 2*c_1, 2*c_z, 2*c_x of each block, then -sum_k c_1 for the ones row
+            if rows.start % group == 0:
+                c = np.zeros((min(group, len(params) - rows.start), count, 3 * b + 1), complex)
+                for j, k in enumerate(live):
+                    i00, i01, i11 = (e[rows.start:rows.start + group] for e in ideal[k])
+                    q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
+                    q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
+                    q0t0, q1t1 = q0 * t0, q1 * t1
+                    minus_c1 = q0t0 + q1t1
+                    c[..., -1:] += minus_c1  # the ones row's -sum_k c_1
+                    np.multiply(-2.0, minus_c1, out=c[..., j:j + 1])
+                    np.multiply(2j, q0t0 - q1t1, out=c[..., b + j:b + j + 1])
+                    np.multiply(2j, q0 * t1 + q1 * t0, out=c[..., 2 * b + j:2 * b + j + 1])
+                table = np.stack((c.real, c.imag), axis=-2)
+            shape = (rows.stop - rows.start, count, m)
+            if shape not in views:
+                # a chunk shape's buffers (at most four shapes): w0, w0sq, w1, (re, im),
+                # big and t per block; the basis rows r, s*det, s*w0 per block, then ones
+                work, basis = np.empty((5 + 2 * b, *shape)), np.ones((3 * b + 1, *shape))
+                views[shape] = (*work[:3], work[3:5], *work[5:].reshape(2, b, *shape),
+                                *np.split(basis[:-1], 3), np.moveaxis(basis, 0, 2),
+                                np.moveaxis(work[3:5], 0, 2))
+            w0, w0sq, w1, ri, big, t, r, sdet, sw0, basis_t, ri_t = views[shape]
+            np.square(np.multiply(omega0, noisy0, out=w0), out=w0sq)
+            np.multiply(omega1, scale, out=w1)
+            # one call per step for all blocks; det is written where s*det goes
+            np.add(w1, terms, out=sdet)
+            np.multiply(sdet, sdet, out=big)
+            np.sqrt(np.add(w0sq, big, out=big), out=big)
+            np.tan(np.multiply(0.5 * pio, big, out=t), out=t)  # t = tan(a/2), as in _cos_sin
+            np.add(1.0, np.multiply(t, t, out=r), out=r)
+            np.divide(t, np.multiply(big, r, out=big), out=t)  # s = sin(a)/(2*big)
+            np.divide(1.0, r, out=r)  # r = 1/(1 + t*t), so cos(a) = 2*r - 1
+            np.multiply(t, sdet, out=sdet)
+            np.multiply(t, w0, out=sw0)
+            np.matmul(table[rows.start % group:][:shape[0]], basis_t, out=ri_t)
+            # one sum of re^2 + im^2 per state; its mean is clamped at 1, so F stays <= 1
+            fid = np.add(*np.square(ri, out=ri), out=ri[0])
+            per_state[rows, first:first + count] = np.minimum(np.add.reduce(fid, axis=-1) / m, 1.0)
 
     # one state gives no spread, hence no standard error
     return [FidelityEstimate(mean=float(row.mean()),

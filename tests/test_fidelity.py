@@ -244,11 +244,12 @@ def test_one_state_gives_no_stderr():
 def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     """(mean, stderr) per two-qubit point, from arrays built whole.
 
-    matmul=True transcribes the propagator kernel: per block the basis rows
-    cos(a), s*det and s*w0 with s = sin(a)/(2*big), summed by one matmul with
-    the coefficients (c_1, 2*c_z, 2*c_x). matmul=False is the per-shot sum
-    c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) the kernel computed before,
-    which rounds otherwise.
+    matmul=True transcribes the propagator kernel: the basis rows r = 1/(1 + t*t)
+    of every block, then s*det, then s*w0 with s = sin(a)/(2*big), then a row of
+    ones, summed by one matmul with the coefficients 2*c_1, 2*c_z, 2*c_x and
+    -sum_k c_1 (cos(a) = 2*r - 1); each state's mean is clamped at 1.
+    matmul=False is the per-shot sum c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0)
+    clamped per shot, as the kernel computed before, which rounds otherwise.
 
     Reads the estimator's draws all at once: both streams are read in order,
     so its chunks of states see the same doubles.
@@ -269,7 +270,7 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     w1 = omega1 * (1.0 + spec.delta1 * draws[..., -m:])
     w0sq = w0 * w0
     re = im = 0.0
-    rows, coefficients = [], []
+    rows, coefficients = [[], [], []], [[], [], []]
     for k, sign in enumerate((-1.0, 1.0)):
         if weights is not None and weights[k] == 0.0:
             continue
@@ -285,8 +286,11 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
             t = np.tan(0.5 * (np.pi / omega) * big)
             tt = t * t
             s = t / (big * (1.0 + tt))
-            rows += [(1.0 - tt) / (1.0 + tt), s * det, s * w0]
-            coefficients += [-(q0t0 + q1t1), 2j * (q0t0 - q1t1), 2j * (q0 * t1 + q1 * t0)]
+            for row, x in zip(rows, (1.0 / (1.0 + tt), s * det, s * w0)):
+                row.append(x)
+            for col, x in zip(coefficients, (-(q0t0 + q1t1), 2j * (q0t0 - q1t1),
+                                             2j * (q0 * t1 + q1 * t0))):
+                col.append(x)
             continue
         c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
         cos_a, sin_a = fidelity._cos_sin(np.pi / omega * big)
@@ -294,10 +298,14 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
         re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
         im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
     if matmul:
-        c = np.concatenate(coefficients, axis=-1)
-        ri = np.matmul(np.stack((c.real, c.imag), axis=-2), np.stack(rows, axis=-2))
+        c_1, c_z, c_x = coefficients
+        c = np.concatenate([2.0 * x for x in c_1] + c_z + c_x + [-sum(c_1)], axis=-1)
+        basis = np.stack(sum(rows, []) + [np.ones_like(w0)], axis=-2)
+        ri = np.matmul(np.stack((c.real, c.imag), axis=-2), basis)
         re, im = ri[..., 0, :], ri[..., 1, :]
-    per_state = np.minimum(re * re + im * im, 1.0).mean(axis=-1)
+        per_state = np.minimum((re * re + im * im).sum(axis=-1) / m, 1.0)
+    else:
+        per_state = np.minimum(re * re + im * im, 1.0).mean(axis=-1)
     return [(row.mean(), row.std(ddof=1) / np.sqrt(n)) for row in per_state]
 
 
@@ -326,6 +334,23 @@ def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, el
         assert abs(stderr - stderr0) <= 1e-11 * stderr0
 
 
+@pytest.mark.parametrize("spec", [NoiseSpec(0.0, 0.0), NoiseSpec(1e-9, 1e-9)],
+                         ids=["noiseless", "tiny-noise"])
+@pytest.mark.parametrize("mode", ["unfixed", "fixed0", "fixed1", None],
+                         ids=["unfixed", "fixed0", "fixed1", "single"])
+def test_propagator_mean_never_exceeds_one(mode, spec):
+    # near the ideal gate a shot's |amplitude|^2 and a state's mean of them
+    # round up to 4.4e-16 above 1 at these points; the clamp keeps F <= 1
+    if mode is None:
+        est = estimate_single(pinned_single(), spec, 40, 9, RngStream(7).child(1),
+                              gate_model="propagator")
+    else:
+        est = estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), spec, 40, 9,
+                                 RngStream(7).child(2), control_mode=mode,
+                                 gate_model="propagator")
+    assert 1.0 - 1e-12 <= est.mean <= 1.0
+
+
 def test_propagator_digits_do_not_depend_on_blas_threads():
     # at m = 30000 OpenBLAS splits the (2 x 6) @ (6 x m) matmul across its
     # threads; each shot's sum must not change with their number
@@ -350,8 +375,8 @@ def test_propagator_digits_do_not_depend_on_blas_threads():
 
 def test_propagator_memory_is_bounded_on_a_large_grid():
     # 400 points at m = 4, n = 1000: a coefficient table over every (point,
-    # state) pair would hold 400 * 1000 * 12 doubles (38 MB); the bounded one
-    # holds at most 12 * _CHUNK_ELEMENTS, next to the (points, n) means (3.2 MB)
+    # state) pair would hold 400 * 1000 * 14 doubles (45 MB); the bounded one
+    # holds at most 14 * _CHUNK_ELEMENTS, next to the (points, n) means (3.2 MB)
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=4, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model="propagator")
