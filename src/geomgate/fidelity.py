@@ -39,7 +39,7 @@ Two noisy-gate constructions are available:
 Per shot both models run only real arithmetic, sqrt and tan, which numpy
 vectorises: cos and sin come from one tan of the half angle t (_cos_sin). The
 propagator model runs its passes in place in work buffers (ufunc out=), one call
-per pass for all blocks stacked. Each block writes the basis rows r = 1/(1+t^2),
+per step for all blocks stacked. Each block writes the basis rows r = 1/(1+t^2),
 s*det and s*w0 with s = sin(a)/(2*Omega'), beside one row of ones (cos(a) = 2r-1);
 one matmul against a table of real and imaginary coefficients (built for at most
 _CHUNK_ELEMENTS (point, state) pairs at a time) sums them into each shot's

@@ -270,7 +270,7 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     w1 = omega1 * (1.0 + spec.delta1 * draws[..., -m:])
     w0sq = w0 * w0
     re = im = 0.0
-    rows, coefficients = [[], [], []], [[], [], []]
+    rows, coefficients = [], []
     for k, sign in enumerate((-1.0, 1.0)):
         if weights is not None and weights[k] == 0.0:
             continue
@@ -286,11 +286,8 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
             t = np.tan(0.5 * (np.pi / omega) * big)
             tt = t * t
             s = t / (big * (1.0 + tt))
-            for row, x in zip(rows, (1.0 / (1.0 + tt), s * det, s * w0)):
-                row.append(x)
-            for col, x in zip(coefficients, (-(q0t0 + q1t1), 2j * (q0t0 - q1t1),
-                                             2j * (q0 * t1 + q1 * t0))):
-                col.append(x)
+            rows.append((1.0 / (1.0 + tt), s * det, s * w0))
+            coefficients.append((-(q0t0 + q1t1), 2j * (q0t0 - q1t1), 2j * (q0 * t1 + q1 * t0)))
             continue
         c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
         cos_a, sin_a = fidelity._cos_sin(np.pi / omega * big)
@@ -298,9 +295,10 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
         re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
         im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
     if matmul:
-        c_1, c_z, c_x = coefficients
-        c = np.concatenate([2.0 * x for x in c_1] + c_z + c_x + [-sum(c_1)], axis=-1)
-        basis = np.stack(sum(rows, []) + [np.ones_like(w0)], axis=-2)
+        # grouped by kind: every block's r, then s*det, then s*w0, then the ones row
+        c_1, c_z, c_x = zip(*coefficients)
+        c = np.concatenate([2.0 * x for x in c_1] + [*c_z, *c_x, -sum(c_1)], axis=-1)
+        basis = np.stack([x for kind in zip(*rows) for x in kind] + [np.ones_like(w0)], axis=-2)
         ri = np.matmul(np.stack((c.real, c.imag), axis=-2), basis)
         re, im = ri[..., 0, :], ri[..., 1, :]
         per_state = np.minimum((re * re + im * im).sum(axis=-1) / m, 1.0)
