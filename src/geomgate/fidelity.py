@@ -45,6 +45,19 @@ one matmul against a table of real and imaginary coefficients (built for at most
 _CHUNK_ELEMENTS (point, state) pairs at a time) sums them into each shot's
 amplitude, and each state's mean fidelity is clamped at 1 ("phase": each shot's).
 
+Under lock-step draws a point's basis rows depend on one draw u in [-1, 1], and
+a "propagator" point with m >= _FIT_MIN_SHOTS sums its shots without visiting
+them. It fits its rows' change from u = 0 on the fewest of _FIT_NODES Chebyshev
+nodes N that resolve it: the fit must meet the change at the 2N nodes between its
+own within _FIT_TOLERANCE. A shot's amplitude is 1 + e(u), with e the table against
+the rows' change (the amplitude is 1 at u = 0 in exact arithmetic), so a state's
+mean fidelity is 1 plus the mean of 2*Re(e) + |e|^2 over its draws. That is a
+polynomial of degree < 2N in u, whose sum is exact on the 2N nodes, weighted from
+the power sums S_k = sum_i T_k(u_i) of the state's draws; every point of a batch
+shares them. The per-shot kernel runs for independent draws, below the crossover
+_FIT_MIN_SHOTS and for a point whose rows the fit does not resolve. The path is
+chosen from the point, the spec and m only.
+
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
 chunk of states at a time, so state j's draws do not depend on N. The state
@@ -64,6 +77,7 @@ input and one check of options; sweep.sweep_generic bounds the points per batch.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -117,6 +131,18 @@ RNG_LAYOUT = 2
 #: a (points, states, m) chunk array holds at most max(_CHUNK_ELEMENTS, m) elements
 _CHUNK_ELEMENTS = 1 << 12
 
+#: a lock-step propagator point fits its basis rows in u on the first of these
+#: numbers of Chebyshev nodes that resolves them ...
+_FIT_NODES = (8, 16, 32)
+#: ... when it has this many shots per state; below it the per-shot kernel is cheaper
+_FIT_MIN_SHOTS = 128
+#: the largest error of a resolved fit at the quadrature nodes, which lie between its own
+_FIT_TOLERANCE = 1e-13
+#: points whose rows one call of _fit evaluates
+_FIT_POINTS = 64
+#: fitted rows held across the passes of states, at most this many doubles
+_FIT_HELD = 1 << 20
+
 
 def _column(values: list) -> np.ndarray:
     """Per-point numbers as one contiguous (points, 1, 1) array."""
@@ -128,6 +154,127 @@ def _cos_sin(a):
     t = np.tan(0.5 * a)
     tt = t * t
     return (1.0 - tt) / (1.0 + tt), (t + t) / (1.0 + tt)
+
+
+def _chebyshev(x: np.ndarray, degrees: int) -> np.ndarray:
+    """T_j(x) for j < degrees, one row per j, by T_{j+1} = 2x*T_j - T_{j-1}."""
+    t = np.empty((degrees, len(x)))
+    t[0], t[1] = 1.0, x
+    for j in range(2, degrees):
+        t[j] = 2.0 * x * t[j - 1] - t[j - 2]
+    return t
+
+
+@functools.cache
+def _fit_tables(nodes: int):
+    """The fit's u values (0, the nodes x, then the 2*nodes quadrature nodes y, both
+    first-kind Chebyshev points), the (nodes, 2*nodes) map from values at x to the
+    fit's values at y, and the (2*nodes, 2*nodes) map from the power sums
+    S_k = sum_i T_k(u_i) to weights W with sum_i p(u_i) = sum_k W_k p(y_k) for
+    every polynomial p of degree < 2*nodes. Built once per process, on first use,
+    so a run that fits nothing builds none."""
+    x, y = (np.array([math.cos(math.pi * (j + 0.5) / k) for j in range(k)])
+            for k in (nodes, 2 * nodes))
+
+    def transform(points):  # values at the points -> Chebyshev coefficients
+        scale = np.full((len(points), 1), 2.0 / len(points))
+        scale[0] = 1.0 / len(points)
+        return scale * _chebyshev(points, len(points))
+
+    return (np.concatenate(([0.0], x, y)), (_chebyshev(y, nodes).T @ transform(x)).T,
+            transform(y))
+
+
+def _fit(params: list, live: list, spec: NoiseSpec, nodes: int):
+    """Per point, whether `nodes` nodes resolve its basis rows, and the rows'
+    change from u = 0 at the quadrature nodes, (points, 3*blocks, 2*nodes).
+
+    The rows are the kernel's (r, then s*det, then s*w0 of each block), at the
+    relative draws of _fit_tables. Their change is taken from the changes of the
+    fields and of the half angle h = a/2, in tan half-angle arithmetic, so that it
+    keeps its own relative precision: with h0 at u = 0,
+    r - r0 = -sin(h + h0)*sin(h - h0) and s - s0 = (cos(h + h0)*sin(h - h0)
+    - s0*(big - big0))/big. A point is resolved when the fit on the nodes x meets
+    the change at the nodes y within _FIT_TOLERANCE (never when it is not finite).
+    """
+    u, to_y, _ = _fit_tables(nodes)
+    targets = [getattr(p, "target", p) for p in params]
+    omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
+                             for f in ("omega", "omega0", "omega1"))
+    coupling = _column([getattr(p, "coupling_j", 0.0) for p in params])
+    # (points, blocks, u), the fields as the kernel forms them; index 0 is u = 0
+    w0 = omega0 * (1.0 + spec.delta0 * u)
+    det = omega1 * (1.0 + spec.delta1 * u) + ((np.array(live)[:, None] * 2 - 1) * coupling - omega)
+    big = np.sqrt(w0 * w0 + det * det)
+    dw0, ddet = omega0 * spec.delta0 * u, omega1 * spec.delta1 * u
+    dbig = (dw0 * (w0 + w0[..., :1]) + ddet * (det + det[..., :1])) / (big + big[..., :1])
+    half = 0.5 * (np.pi / omega)
+    cos_sum, sin_sum = _cos_sin(half * (big + big[..., :1]))
+    sin_diff = _cos_sin(half * dbig)[1]
+    t0 = np.tan(half * big[..., :1])
+    s0 = t0 / (big[..., :1] * (1.0 + t0 * t0))
+    ds = (cos_sum * sin_diff - s0 * dbig) / big
+    change = np.concatenate((-sin_sum * sin_diff, ds * det + s0 * ddet, ds * w0 + s0 * dw0),
+                            axis=1)
+    at_x, at_y = change[..., 1:nodes + 1], change[..., nodes + 1:]
+    error = np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(1, 2))
+    return error <= _FIT_TOLERANCE, at_y
+
+
+def _fits(params: list, live: list, spec: NoiseSpec):
+    """The points the Chebyshev sum takes, as (nodes, point indices, their rows'
+    change or None) per node count, and the indices of the rest."""
+    rest, fits, size = np.arange(len(params)), [], 0
+    for nodes in _FIT_NODES:
+        found, changes = [], []
+        for lo in range(0, len(rest), _FIT_POINTS):
+            sel = rest[lo:lo + _FIT_POINTS]
+            resolved, change = _fit([params[i] for i in sel], live, spec, nodes)
+            found.append(sel[resolved])
+            changes.append(change[resolved])
+        found = np.concatenate(found or [rest[:0]])
+        if len(found):
+            fits.append((nodes, found, np.concatenate(changes)))
+            size += fits[-1][2].size
+        rest = np.setdiff1d(rest, found)
+    # over the bound, each pass of states evaluates the rows again
+    return [(nodes, sel, change if size <= _FIT_HELD else None)
+            for nodes, sel, change in fits], rest
+
+
+def _power_sums(u: np.ndarray, degrees: int) -> np.ndarray:
+    """S_k = sum_i T_k(u_i) over the last axis of u, for k < degrees."""
+    s = np.empty((*u.shape[:-1], degrees))
+    s[..., 0] = u.shape[-1]
+    s[..., 1] = np.add.reduce(u, axis=-1)
+    two_u, prev, cur, nxt = u + u, np.ones_like(u), u.copy(), np.empty_like(u)
+    for k in range(2, degrees):
+        np.subtract(np.multiply(two_u, cur, out=nxt), prev, out=nxt)
+        s[..., k] = np.add.reduce(nxt, axis=-1)
+        prev, cur, nxt = cur, nxt, prev
+    return s
+
+
+def _table(ideal: dict, sel, w, t0, t1) -> np.ndarray:
+    """Each selected point's coefficients per state, (points, states, 3*blocks + 1).
+
+    The noisy block -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big (model.cycle_entries)
+    has the term c_1*cos(a) + 2*s*(c_z*det + c_x*w0), c_P from <t|U_k^dag P|t>: the
+    table holds 2*c_1, 2*c_z, 2*c_x of each block, then -sum_k c_1 for the ones row.
+    """
+    b = len(ideal)
+    c = np.zeros((len(sel), t0.shape[1], 3 * b + 1), complex)
+    for j, (k, entries) in enumerate(ideal.items()):
+        i00, i01, i11 = (e[sel] for e in entries)
+        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
+        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
+        q0t0, q1t1 = q0 * t0, q1 * t1
+        minus_c1 = q0t0 + q1t1
+        c[..., -1:] += minus_c1  # the ones row's -sum_k c_1
+        np.multiply(-2.0, minus_c1, out=c[..., j:j + 1])
+        np.multiply(2j, q0t0 - q1t1, out=c[..., b + j:b + j + 1])
+        np.multiply(2j, q0 * t1 + q1 * t0, out=c[..., 2 * b + j:2 * b + j + 1])
+    return c
 
 
 def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
@@ -148,9 +295,15 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     states = max(1, _CHUNK_ELEMENTS // m)
     step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
     live = [k for k in range(len(gates[0])) if weights is None or weights[k] != 0.0]
+    propagator = cfg.gate_model == "propagator"
+    # lock-step propagator points above the crossover whose fit resolves their
+    # rows take the Chebyshev sum (chosen from the point, the spec and m only)
+    fits, shot = [], np.arange(len(params))
+    if propagator and not spec.independent and m >= _FIT_MIN_SHOTS:
+        fits, shot = _fits(params, live, spec)
     chunks = []
-    for lo in range(0, len(params), step):
-        chunk = params[lo:lo + step]
+    for lo in range(0, len(shot), step):
+        chunk = [params[i] for i in shot[lo:lo + step]]
         # the physical fields; a drive point is its own target, with no coupling
         targets = [getattr(p, "target", p) for p in chunk]
         omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
@@ -161,7 +314,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             for k in live:
                 # the block's frequency, rotation rate and cyclic axis (cos chi,
                 # sin chi); the noisy rate is this expression too: no noise gives d == 0
-                wl = _column([g[k].omega1 for g in gates[lo:lo + step]])
+                wl = _column([gates[i][k].omega1 for i in shot[lo:lo + step]])
                 det = wl - omega
                 big = np.sqrt(omega0 * omega0 + det * det)
                 terms.append((k, wl, big, det / big, omega0 / big))
@@ -174,7 +327,9 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     state_rng, noise_rng = rng.child(0), rng.child(1)
     width = 3 if weights is not None else 6
     per_state = np.empty((len(params), n))
-    if cfg.gate_model == "propagator":
+    # the per-shot kernel's means, in the order of `shot`
+    per_shot = per_state if len(shot) == len(params) else np.empty((len(shot), n))
+    if propagator:
         # each block's ideal entries as (points, 1, 1) columns; a pass of states
         # builds the table for `group` points (whole chunks) at a time, at most
         # _CHUNK_ELEMENTS (point, state) pairs
@@ -182,13 +337,35 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                      for c in zip(*(cycle_entries(g[k]) for g in gates))] for k in live}
         group = step * max(1, _CHUNK_ELEMENTS // min(states, n) // step)
         views, b = {}, len(live)
+        # the Chebyshev sum takes `pairs` (point, state) pairs at a time
+        pairs = max(1, _CHUNK_ELEMENTS // 16 // min(states, n))
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.generator.random((count, width))
         t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], haar))
         w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], haar)]
         draws = relative_draws(noise_rng, count * m * (1 + spec.independent)).reshape(1, count, -1)
-        # omega1 reads the last m columns: omega0's draws unless independent
+        if fits:
+            # each shot's amplitude is 1 + e(u), e = the table against the rows' change
+            # from u = 0 (where the amplitude is 1 in exact arithmetic). Once the fit
+            # resolves the rows, |1 + e|^2 - 1 = 2*Re(e) + |e|^2 has degree < 2*nodes
+            # in u, so a state's sum of it over its shots is exact on the nodes y,
+            # weighted from the power sums of its draws; the mean carries this loss
+            sums = _power_sums(draws[0], 2 * fits[-1][0])
+            for nodes, fitted, held in fits:
+                weight = np.matmul(sums[:, None, :2 * nodes], _fit_tables(nodes)[2])[:, 0]
+                for lo in range(0, len(fitted), pairs):
+                    sel = fitted[lo:lo + pairs]
+                    change = held[lo:lo + pairs] if held is not None else _fit(
+                        [params[i] for i in sel], live, spec, nodes)[1]
+                    c = _table(ideal, sel, w, t0, t1)
+                    e = np.matmul(np.stack((c.real, c.imag), axis=-2)[..., :-1], change[:, None])
+                    re, im = e[..., 0, :], e[..., 1, :]
+                    # the state's mean fidelity minus 1
+                    excess = np.add.reduce(((re + re) + (re * re + im * im)) * weight, axis=-1) / m
+                    per_state[sel, first:first + count] = np.minimum(1.0 + excess, 1.0)
+        if not chunks:
+            continue
         noisy0 = 1.0 + spec.delta0 * draws[..., :m]
         scale = 1.0 + spec.delta1 * draws[..., -m:]
         bz = abs(t0) ** 2 - abs(t1) ** 2
@@ -208,23 +385,10 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 fid = re * re + im * im
                 np.minimum(fid, 1.0, out=fid)
                 # fid.mean(axis=-1) without its Python overhead, the same sum and division
-                per_state[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
+                per_shot[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
                 continue
-            # the noisy block -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big (model.cycle_entries)
-            # has the term c_1*cos(a) + 2*s*(c_z*det + c_x*w0), c_P from <t|U_k^dag P|t>:
-            # the table holds 2*c_1, 2*c_z, 2*c_x of each block, then -sum_k c_1 for the ones row
             if rows.start % group == 0:
-                c = np.zeros((min(group, len(params) - rows.start), count, 3 * b + 1), complex)
-                for j, k in enumerate(live):
-                    i00, i01, i11 = (e[rows.start:rows.start + group] for e in ideal[k])
-                    q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
-                    q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-                    q0t0, q1t1 = q0 * t0, q1 * t1
-                    minus_c1 = q0t0 + q1t1
-                    c[..., -1:] += minus_c1  # the ones row's -sum_k c_1
-                    np.multiply(-2.0, minus_c1, out=c[..., j:j + 1])
-                    np.multiply(2j, q0t0 - q1t1, out=c[..., b + j:b + j + 1])
-                    np.multiply(2j, q0 * t1 + q1 * t0, out=c[..., 2 * b + j:2 * b + j + 1])
+                c = _table(ideal, shot[rows.start:rows.start + group], w, t0, t1)
                 table = np.stack((c.real, c.imag), axis=-2)
             shape = (rows.stop - rows.start, count, m)
             if shape not in views:
@@ -250,7 +414,9 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             np.matmul(table[rows.start % group:][:shape[0]], basis_t, out=ri_t)
             # one sum of re^2 + im^2 per state; its mean is clamped at 1, so F stays <= 1
             fid = np.add(*np.square(ri, out=ri), out=ri[0])
-            per_state[rows, first:first + count] = np.minimum(np.add.reduce(fid, axis=-1) / m, 1.0)
+            per_shot[rows, first:first + count] = np.minimum(np.add.reduce(fid, axis=-1) / m, 1.0)
+    if per_shot is not per_state:
+        per_state[shot] = per_shot
 
     # one state gives no spread, hence no standard error
     return [FidelityEstimate(mean=float(row.mean()),

@@ -16,6 +16,7 @@ from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
     DriveParams,
     TwoQubitParams,
+    blocks,
     chi_angle,
     cycle_entries,
     omega_for_beta,
@@ -159,6 +160,10 @@ def test_kernel_calls_no_libm_per_shot(monkeypatch):
     m, n = 64, 4
     estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), NoiseSpec(0.05, 0.05), m, n,
                        RngStream(4).child(2), control_mode="unfixed", gate_model="propagator")
+    # above the crossover: the fit, its tables and the power sums
+    estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), NoiseSpec(0.05, 0.05),
+                       fidelity._FIT_MIN_SHOTS + 64, n, RngStream(4).child(2),
+                       control_mode="unfixed", gate_model="propagator")
     estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), m, n, RngStream(4).child(1))
     assert sizes and max(sizes) <= n
 
@@ -221,10 +226,12 @@ def test_counts_accept_numpy_integers():
 ], ids=["resonant", "strong", "slow-strong", "fast-weak", "slow-weak"])
 def test_estimates_finite_at_the_field_range_edges(gate_model, omega, omega0, omega1):
     # no square or sum of squares leaves the normal doubles (RuntimeWarnings
-    # fail the suite), so the estimate is a real fidelity
-    est = estimate_single(DriveParams(omega, omega0, omega1), NoiseSpec(0.3, 0.3), 16, 4,
-                          RngStream(5).child(1), gate_model=gate_model)
-    assert 0.0 <= est.mean <= 1.0 and math.isfinite(est.stderr)
+    # fail the suite), so the estimate is a real fidelity; above the crossover
+    # "propagator" fits these rows or refuses them
+    for m in (16, fidelity._FIT_MIN_SHOTS):
+        est = estimate_single(DriveParams(omega, omega0, omega1), NoiseSpec(0.3, 0.3), m, 4,
+                              RngStream(5).child(1), gate_model=gate_model)
+        assert 0.0 <= est.mean <= 1.0 and math.isfinite(est.stderr)
 
 
 def test_one_state_gives_no_stderr():
@@ -242,7 +249,8 @@ def test_one_state_gives_no_stderr():
 
 
 def allocating_propagator_estimates(params, cfg, rng, matmul=True):
-    """(mean, stderr) per two-qubit point, from arrays built whole.
+    """(mean, stderr) per point (all single-qubit or all two-qubit), from arrays
+    built whole.
 
     matmul=True transcribes the propagator kernel: the basis rows r = 1/(1 + t*t)
     of every block, then s*det, then s*w0 with s = sin(a)/(2*big), then a row of
@@ -255,12 +263,15 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     so its chunks of states see the same doubles.
     """
     m, n, spec = cfg.m, cfg.n, cfg.spec
-    weights = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(cfg.control_mode)
+    single = isinstance(params[0], DriveParams)
+    weights = (1.0,) if single else {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(
+        cfg.control_mode)
 
     def column(values):
         return np.array(values, dtype=float)[:, None, None]
 
-    omega, omega0, omega1 = (column([getattr(p2.target, f) for p2 in params])
+    targets = [getattr(p, "target", p) for p in params]
+    omega, omega0, omega1 = (column([getattr(t, f) for t in targets])
                              for f in ("omega", "omega0", "omega1"))
     u = rng.child(0).generator.random((n, 3 if weights else 6))
     t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], cfg.haar))
@@ -271,12 +282,12 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     w0sq = w0 * w0
     re = im = 0.0
     rows, coefficients = [], []
-    for k, sign in enumerate((-1.0, 1.0)):
+    for k, sign in enumerate((-1.0,) if single else (-1.0, 1.0)):
         if weights is not None and weights[k] == 0.0:
             continue
-        shift = column([sign * p2.coupling_j for p2 in params])
+        shift = column([sign * getattr(p, "coupling_j", 0.0) for p in params])
         i00, i01, i11 = (np.array(e)[:, None, None] for e in zip(
-            *(cycle_entries(shifted_target(p2, k)) for p2 in params)))
+            *(cycle_entries(blocks(p)[k]) for p in params)))
         q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
         q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
         q0t0, q1t1 = q0 * t0, q1 * t1
@@ -332,6 +343,65 @@ def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, el
         assert abs(stderr - stderr0) <= 1e-11 * stderr0
 
 
+def fit_points(mode):
+    """Single-qubit drive points (mode None) or two-qubit points of the fig4 family."""
+    if mode is None:
+        return [pinned_single()] + [DriveParams(omega_for_beta(1e5, w1, 1.5), 1e5, w1)
+                                    for w1 in (zero_dynamic_omega1(1e5, 1.5) + d * 1e5
+                                               for d in (0.0, 0.4, 1.3))]
+    return [two_qubit_from_alpha(w0, 60.0, math.sqrt(a))
+            for w0, a in ((2.0, 3), (10.0, 8), (21.0, 15), (33.0, 35), (40.0, 143))]
+
+
+@pytest.mark.parametrize("mode,spec,haar", [
+    ("unfixed", NoiseSpec(0.05, 0.05), False),
+    ("unfixed", NoiseSpec(0.5, 0.9), True),
+    ("fixed0", NoiseSpec(0.1, 0.1), False),
+    ("fixed1", NoiseSpec(0.3, 0.1), True),
+    (None, NoiseSpec(0.1, 0.1), False),
+    (None, NoiseSpec(0.5, 0.9), True),
+], ids=["unfixed", "unfixed-wide-haar", "fixed0", "fixed1-haar", "single", "single-wide-haar"])
+@pytest.mark.parametrize("m", [fidelity._FIT_MIN_SHOTS, 1000])
+def test_propagator_fit_equals_the_per_shot_sum(mode, spec, haar, m, monkeypatch):
+    # lock-step points above the crossover sum their shots through the Chebyshev
+    # fit and the power sums of the draws; they must agree with the per-shot sum
+    # c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) within the bounds the kernel meets
+    params = fit_points(mode)
+    cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model="propagator", haar=haar,
+                                   control_mode=mode or "unfixed")
+    live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
+    fits, rest = fidelity._fits(params, live, spec)
+    assert len(rest) == 0 and sum(len(sel) for _, sel, _ in fits) == len(params)
+    sums, power_sums = [], fidelity._power_sums
+    monkeypatch.setattr(fidelity, "_power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
+    got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
+    assert sums  # the estimate took the fitted sum
+    want = allocating_propagator_estimates(params, cfg, RngStream(8).child(2), matmul=False)
+    for (mean, stderr), (mean0, stderr0) in zip(got, want):
+        assert abs(mean - mean0) <= 1e-15
+        assert abs(stderr - stderr0) <= 1e-11 * stderr0
+
+
+def unresolved_point():
+    """A drive point whose rows 32 Chebyshev nodes do not resolve at delta = 0.3."""
+    return DriveParams(1.0, 100.0, 100.0)
+
+
+def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
+    # the fit's tail at u values between its nodes refuses the point, which then
+    # gets the per-shot kernel's result bit for bit, alone and beside a resolved point
+    spec = NoiseSpec(0.3, 0.3)
+    params = [unresolved_point(), pinned_single()]
+    fits, rest = fidelity._fits(params, [0], spec)
+    assert list(rest) == [0] and [list(sel) for _, sel, _ in fits] == [[1]]
+    cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6, spec=spec,
+                                   gate_model="propagator")
+    got = fidelity._estimate(params, cfg, RngStream(4).child(1))
+    assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
+    monkeypatch.setattr(fidelity, "_FIT_MIN_SHOTS", cfg.m + 1)
+    assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
+
+
 @pytest.mark.parametrize("spec", [NoiseSpec(0.0, 0.0), NoiseSpec(1e-9, 1e-9)],
                          ids=["noiseless", "tiny-noise"])
 @pytest.mark.parametrize("mode", ["unfixed", "fixed0", "fixed1", None],
@@ -339,27 +409,30 @@ def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, el
 def test_propagator_mean_never_exceeds_one(mode, spec):
     # near the ideal gate a shot's |amplitude|^2 and a state's mean of them
     # round up to 4.4e-16 above 1 at these points; the clamp keeps F <= 1
-    if mode is None:
-        est = estimate_single(pinned_single(), spec, 40, 9, RngStream(7).child(1),
-                              gate_model="propagator")
-    else:
-        est = estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), spec, 40, 9,
-                                 RngStream(7).child(2), control_mode=mode,
-                                 gate_model="propagator")
-    assert 1.0 - 1e-12 <= est.mean <= 1.0
+    # at m = 40 the per-shot kernel runs, above the crossover the Chebyshev sum
+    for m in (40, fidelity._FIT_MIN_SHOTS + 32):
+        if mode is None:
+            est = estimate_single(pinned_single(), spec, m, 9, RngStream(7).child(1),
+                                  gate_model="propagator")
+        else:
+            est = estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), spec, m, 9,
+                                     RngStream(7).child(2), control_mode=mode,
+                                     gate_model="propagator")
+        assert 1.0 - 1e-12 <= est.mean <= 1.0
 
 
 def test_propagator_digits_do_not_depend_on_blas_threads():
-    # at m = 30000 OpenBLAS splits the (2 x 6) @ (6 x m) matmul across its
-    # threads; each shot's sum must not change with their number
+    # at m = 30000 OpenBLAS splits the per-shot kernel's (2 x 6) @ (6 x m) matmul
+    # (independent draws) across its threads, and lock-step draws take the
+    # Chebyshev sum's small matmuls; no digit may change with their number
     code = ("import math; from geomgate import fidelity; "
             "from geomgate.model import two_qubit_from_alpha; "
             "from geomgate.noise import NoiseSpec, RngStream; "
             "params = [two_qubit_from_alpha(w0, 60.0, math.sqrt(a)) "
             "for w0, a in ((2.0, 3), (21.0, 15), (40.0, 143))]; "
-            "cfg = fidelity.EstimatorConfig(m=30000, n=2, spec=NoiseSpec(0.05, 0.05), "
-            "gate_model='propagator'); "
-            "print(repr(fidelity._estimate(params, cfg, RngStream(3).child(2))))")
+            "cfgs = [fidelity.EstimatorConfig(m=30000, n=2, spec=NoiseSpec(0.05, 0.05, i), "
+            "gate_model='propagator') for i in (False, True)]; "
+            "print([fidelity._estimate(params, c, RngStream(3).child(2)) for c in cfgs])")
     src = os.path.dirname(os.path.dirname(fidelity.__file__))
     outputs = set()
     for threads in ("1", "2"):
@@ -378,6 +451,23 @@ def test_propagator_memory_is_bounded_on_a_large_grid():
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=4, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model="propagator")
+    tracemalloc.start()
+    try:
+        fidelity._estimate(params, cfg, RngStream(2).child(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+def test_propagator_fit_memory_is_bounded_on_a_large_grid():
+    # 400 points at the crossover, n = 1000: the Chebyshev sum takes at most
+    # _CHUNK_ELEMENTS // 16 (point, state) pairs at a time, and each point's rows
+    # hold at most 6 * 2 * 32 doubles, next to the (points, n) means (3.2 MB)
+    params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
+    cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
+                                   gate_model="propagator")
+    assert len(fidelity._fits(params, [0, 1], cfg.spec)[1]) == 0
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))

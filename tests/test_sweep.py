@@ -9,6 +9,7 @@ import pytest
 
 from geomgate import fidelity, sweep
 from geomgate.fidelity import estimate_single, estimate_two_qubit
+from geomgate.model import DriveParams, TwoQubitParams
 from geomgate.noise import NoiseSpec, RngStream
 from geomgate.sweep import (
     SINGLE_COLUMNS,
@@ -16,6 +17,7 @@ from geomgate.sweep import (
     SINGLE_STREAM_TAG,
     TWO_QUBIT_STREAM_TAG,
     EstimatorConfig,
+    SweepPoint,
     single_point,
     two_qubit_point,
     sweep_fig1,
@@ -173,15 +175,46 @@ BATCH_CASES = [
                                   control_mode="unfixed", haar=True)),
     ("two_qubit", EstimatorConfig(m=8, n=6, spec=NoiseSpec(0.05, 0.05, True), seed=6,
                                   control_mode="unfixed", gate_model="propagator")),
+    # lock-step propagator above the crossover, on grids that hold a point the
+    # fit refuses: the Chebyshev sum and the per-shot kernel in one batch
+    ("single-unresolved", EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 32, n=5,
+                                          spec=NoiseSpec(0.3, 0.3), seed=4,
+                                          gate_model="propagator")),
+    ("two_qubit-unresolved", EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 8, n=6,
+                                             spec=NoiseSpec(0.3, 0.3), seed=5,
+                                             control_mode="unfixed", gate_model="propagator",
+                                             haar=True)),
+    ("two_qubit-unresolved", EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=4,
+                                             spec=NoiseSpec(0.2, 0.1), seed=6,
+                                             control_mode="fixed1", gate_model="propagator")),
 ]
 
 
 def batch_points(kind):
     # a multi-point grid with an infeasible point inside it
-    if kind == "single":
-        return [single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.4, 1.3, 2.9)]
-    return [two_qubit_point(w0, w1, SQRT3)
-            for w0, w1 in ((10.0, 20.0), (20.0, 30.0), (30.0, 60.0), (12.0, 50.0))]
+    single = kind.startswith("single")
+    if single:
+        points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.4, 1.3, 2.9)]
+    else:
+        points = [two_qubit_point(w0, w1, SQRT3)
+                  for w0, w1 in ((10.0, 20.0), (20.0, 30.0), (30.0, 60.0), (12.0, 50.0))]
+    if kind.endswith("unresolved"):
+        # a slow drive under strong fields: its rows vary too fast in u for the fit
+        drive = DriveParams(1.0, 100.0, 100.0)
+        params = drive if single else TwoQubitParams(target=drive, coupling_j=30.0)
+        coords = {"omega0": 100.0, "delta_over_omega0": 0.0} if single else {
+            "omega0": 100.0, "omega1": 100.0, "alpha": 0.3}
+        points.insert(2, SweepPoint(coords, points[0].kind, params))
+    return points
+
+
+def assert_both_paths(points, cfg):
+    """The batch's feasible points hold one the fit refuses and some it resolves."""
+    params = [p.params for p in points if p.feasible]
+    live = [0] if isinstance(params[0], DriveParams) else {
+        "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
+    fits, rest = fidelity._fits(params, live, cfg.spec)
+    assert len(rest) == 1 and fits
 
 
 def one_point_estimate(point, cfg):
@@ -200,6 +233,8 @@ def test_batched_rows_equal_one_point_estimates(kind, cfg):
     points = batch_points(kind)
     res = sweep_generic(points, cfg)
     assert any(p.feasible for p in points)
+    if kind.endswith("unresolved"):
+        assert_both_paths(points, cfg)
     for row, point in zip(res.rows, points):
         if not point.feasible:
             assert row["F_mean"] is None and row["F_stderr"] is None
@@ -221,6 +256,10 @@ def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
     monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", 2 * cfg.n * cfg.m)
     assert sweep_generic(points[:-1], cfg).rows == whole.rows[:-1]
     monkeypatch.setattr(sweep, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per pass
+    assert sweep_generic(points, cfg).rows == whole.rows
+    # the fit one point at a time, and its rows built again on every pass of states
+    monkeypatch.setattr(fidelity, "_FIT_POINTS", 1)
+    monkeypatch.setattr(fidelity, "_FIT_HELD", 0)
     assert sweep_generic(points, cfg).rows == whole.rows
 
 
