@@ -47,16 +47,16 @@ amplitude, and each state's mean fidelity is clamped at 1 ("phase": each shot's)
 
 Under lock-step draws a point's basis rows depend on one draw u in [-1, 1], and
 a "propagator" point with m >= _FIT_MIN_SHOTS sums its shots without visiting
-them. It fits its rows' change from u = 0 on the fewest of _FIT_NODES Chebyshev
-nodes N that resolve it: the fit must meet the change at the 2N nodes between its
-own within _FIT_TOLERANCE. A shot's amplitude is 1 + e(u), with e the table against
-the rows' change (the amplitude is 1 at u = 0 in exact arithmetic), so a state's
-mean fidelity is 1 plus the mean of 2*Re(e) + |e|^2 over its draws. That is a
+them. It fits its rows' change from u = 0 on N = _FIT_NODES Chebyshev nodes, and
+takes the fit when it meets the change at the 2N nodes between its own within
+_FIT_TOLERANCE. A shot's amplitude is 1 + e(u), with e the table against the rows'
+change (the amplitude is 1 at u = 0 in exact arithmetic), so a state's mean
+fidelity is 1 plus the mean of 2*Re(e) + |e|^2 over its draws. That is a
 polynomial of degree < 2N in u, whose sum is exact on the 2N nodes, weighted from
 the power sums S_k = sum_i T_k(u_i) of the state's draws; every point of a batch
 shares them. The per-shot kernel runs for independent draws, below the crossover
-_FIT_MIN_SHOTS and for a point whose rows the fit does not resolve. The path is
-chosen from the point, the spec and m only.
+_FIT_MIN_SHOTS and for a point the fit does not resolve. The path is chosen from
+the point, the spec and m only.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -131,17 +131,12 @@ RNG_LAYOUT = 2
 #: a (points, states, m) chunk array holds at most max(_CHUNK_ELEMENTS, m) elements
 _CHUNK_ELEMENTS = 1 << 12
 
-#: a lock-step propagator point fits its basis rows in u on the first of these
-#: numbers of Chebyshev nodes that resolves them ...
-_FIT_NODES = (8, 16, 32)
-#: ... when it has this many shots per state; below it the per-shot kernel is cheaper
+#: a lock-step propagator point fits its basis rows in u on this many Chebyshev nodes
+_FIT_NODES = 8
+#: ... when it has this many shots per state; below it the per-shot kernel runs
 _FIT_MIN_SHOTS = 128
 #: the largest error of a resolved fit at the quadrature nodes, which lie between its own
 _FIT_TOLERANCE = 1e-13
-#: points whose rows one call of _fit evaluates
-_FIT_POINTS = 64
-#: fitted rows held across the passes of states, at most this many doubles
-_FIT_HELD = 1 << 20
 
 
 def _column(values: list) -> np.ndarray:
@@ -166,28 +161,28 @@ def _chebyshev(x: np.ndarray, degrees: int) -> np.ndarray:
 
 
 @functools.cache
-def _fit_tables(nodes: int):
-    """The fit's u values (0, the nodes x, then the 2*nodes quadrature nodes y, both
-    first-kind Chebyshev points), the (nodes, 2*nodes) map from values at x to the
-    fit's values at y, and the (2*nodes, 2*nodes) map from the power sums
-    S_k = sum_i T_k(u_i) to weights W with sum_i p(u_i) = sum_k W_k p(y_k) for
-    every polynomial p of degree < 2*nodes. Built once per process, on first use,
-    so a run that fits nothing builds none."""
+def _fit_tables():
+    """The fit's u values (0, the _FIT_NODES nodes x, then the 2*_FIT_NODES quadrature
+    nodes y, both first-kind Chebyshev points), the map from values at x to the fit's
+    values at y, and the (2*_FIT_NODES, 2*_FIT_NODES) map from the power sums
+    S_k = sum_i T_k(u_i) to weights W with sum_i p(u_i) = sum_k W_k p(y_k) for every
+    polynomial p of degree < 2*_FIT_NODES. Built once per process, on first use, so
+    a run that fits nothing builds none."""
     x, y = (np.array([math.cos(math.pi * (j + 0.5) / k) for j in range(k)])
-            for k in (nodes, 2 * nodes))
+            for k in (_FIT_NODES, 2 * _FIT_NODES))
 
     def transform(points):  # values at the points -> Chebyshev coefficients
         scale = np.full((len(points), 1), 2.0 / len(points))
         scale[0] = 1.0 / len(points)
         return scale * _chebyshev(points, len(points))
 
-    return (np.concatenate(([0.0], x, y)), (_chebyshev(y, nodes).T @ transform(x)).T,
+    return (np.concatenate(([0.0], x, y)), (_chebyshev(y, _FIT_NODES).T @ transform(x)).T,
             transform(y))
 
 
-def _fit(params: list, live: list, spec: NoiseSpec, nodes: int):
-    """Per point, whether `nodes` nodes resolve its basis rows, and the rows'
-    change from u = 0 at the quadrature nodes, (points, 3*blocks, 2*nodes).
+def _fit(params: list, live: list, spec: NoiseSpec):
+    """Per point, whether the fit resolves its basis rows, and the rows' change from
+    u = 0 at the quadrature nodes, (points, 3*blocks, 2*_FIT_NODES).
 
     The rows are the kernel's (r, then s*det, then s*w0 of each block), at the
     relative draws of _fit_tables. Their change is taken from the changes of the
@@ -197,7 +192,7 @@ def _fit(params: list, live: list, spec: NoiseSpec, nodes: int):
     - s0*(big - big0))/big. A point is resolved when the fit on the nodes x meets
     the change at the nodes y within _FIT_TOLERANCE (never when it is not finite).
     """
-    u, to_y, _ = _fit_tables(nodes)
+    u, to_y, _ = _fit_tables()
     targets = [getattr(p, "target", p) for p in params]
     omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
                              for f in ("omega", "omega0", "omega1"))
@@ -216,46 +211,49 @@ def _fit(params: list, live: list, spec: NoiseSpec, nodes: int):
     ds = (cos_sum * sin_diff - s0 * dbig) / big
     change = np.concatenate((-sin_sum * sin_diff, ds * det + s0 * ddet, ds * w0 + s0 * dw0),
                             axis=1)
-    at_x, at_y = change[..., 1:nodes + 1], change[..., nodes + 1:]
+    at_x, at_y = change[..., 1:_FIT_NODES + 1], change[..., _FIT_NODES + 1:]
     error = np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(1, 2))
     return error <= _FIT_TOLERANCE, at_y
 
 
 def _fits(params: list, live: list, spec: NoiseSpec):
-    """The points the Chebyshev sum takes, as (nodes, point indices, their rows'
-    change or None) per node count, and the indices of the rest."""
-    rest, fits, size = np.arange(len(params)), [], 0
-    for nodes in _FIT_NODES:
-        found, changes = [], []
-        for lo in range(0, len(rest), _FIT_POINTS):
-            sel = rest[lo:lo + _FIT_POINTS]
-            resolved, change = _fit([params[i] for i in sel], live, spec, nodes)
-            found.append(sel[resolved])
-            changes.append(change[resolved])
-        found = np.concatenate(found or [rest[:0]])
-        if len(found):
-            fits.append((nodes, found, np.concatenate(changes)))
-            size += fits[-1][2].size
-        rest = np.setdiff1d(rest, found)
-    # over the bound, each pass of states evaluates the rows again
-    return [(nodes, sel, change if size <= _FIT_HELD else None)
-            for nodes, sel, change in fits], rest
+    """The indices of the points the Chebyshev sum takes, their rows' change from
+    _fit, and the indices of the rest. _fit takes as many points at a time as keep
+    its (points, blocks, u) arrays within _CHUNK_ELEMENTS elements."""
+    span = max(1, _CHUNK_ELEMENTS // (len(live) * (1 + 3 * _FIT_NODES)))
+    resolved, changes = [], []
+    for lo in range(0, len(params), span):
+        found, change = _fit(params[lo:lo + span], live, spec)
+        resolved.append(found)
+        changes.append(change[found])
+    resolved = np.concatenate(resolved)
+    return np.flatnonzero(resolved), np.concatenate(changes), np.flatnonzero(~resolved)
 
 
 def _power_sums(u: np.ndarray, degrees: int) -> np.ndarray:
-    """S_k = sum_i T_k(u_i) over the last axis of u, for k < degrees."""
-    s = np.empty((*u.shape[:-1], degrees))
-    s[..., 0] = u.shape[-1]
-    s[..., 1] = np.add.reduce(u, axis=-1)
-    two_u, prev, cur, nxt = u + u, np.ones_like(u), u.copy(), np.empty_like(u)
-    for k in range(2, degrees):
-        np.subtract(np.multiply(two_u, cur, out=nxt), prev, out=nxt)
-        s[..., k] = np.add.reduce(nxt, axis=-1)
-        prev, cur, nxt = cur, nxt, prev
-    return s
+    """S_k = sum_i T_k(u_i) over the last axis of u, for k < degrees (even).
+
+    T_k for k <= h = degrees/2 come from T_{k+1} = 2u*T_k - T_{k-1}, and the sums
+    above h from T_{h+j} = 2*T_h*T_j - T_{h-j}, so no row above T_h is formed.
+    """
+    h = degrees // 2
+    t = np.empty((h + 1, *u.shape))
+    t[0], t[1] = 1.0, u
+    two_u = u + u
+    for k in range(2, h + 1):
+        np.subtract(np.multiply(two_u, t[k - 1], out=t[k]), t[k - 2], out=t[k])
+    low = np.add.reduce(t, axis=-1)
+    high = 2.0 * np.add.reduce(np.multiply(t[1:h], t[h], out=t[1:h]), axis=-1) - low[h - 1:0:-1]
+    return np.moveaxis(np.concatenate((low, high)), 0, -1)
 
 
-def _table(ideal: dict, sel, w, t0, t1) -> np.ndarray:
+def _ideal(gates: list, live: list) -> dict:
+    """Each live block's ideal entries (model.cycle_entries) as (points, 1, 1) columns."""
+    return {k: [np.array(c, dtype=complex)[:, None, None]
+                for c in zip(*(cycle_entries(g[k]) for g in gates))] for k in live}
+
+
+def _table(ideal: dict, sel: slice, w, t0, t1) -> np.ndarray:
     """Each selected point's coefficients per state, (points, states, 3*blocks + 1).
 
     The noisy block -cos(a)*I + i*sin(a)*(det*sz + w0*sx)/big (model.cycle_entries)
@@ -263,9 +261,9 @@ def _table(ideal: dict, sel, w, t0, t1) -> np.ndarray:
     table holds 2*c_1, 2*c_z, 2*c_x of each block, then -sum_k c_1 for the ones row.
     """
     b = len(ideal)
-    c = np.zeros((len(sel), t0.shape[1], 3 * b + 1), complex)
-    for j, (k, entries) in enumerate(ideal.items()):
-        i00, i01, i11 = (e[sel] for e in entries)
+    entries = [(k, [e[sel] for e in ideal[k]]) for k in ideal]
+    c = np.zeros((len(entries[0][1][0]), t0.shape[1], 3 * b + 1), complex)
+    for j, (k, (i00, i01, i11)) in enumerate(entries):
         q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
         q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
         q0t0, q1t1 = q0 * t0, q1 * t1
@@ -285,7 +283,8 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     points share the draws: each chunk of states is drawn once and every
     point is evaluated on it, on (points, states, m) arrays of at most
     max(_CHUNK_ELEMENTS, m) elements. The (points, n) per-state means are
-    held at once, so a caller bounds the points per call.
+    held at once, so a caller bounds the points per call; a fitted point
+    also holds its rows' change, 3*blocks*2*_FIT_NODES doubles.
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
@@ -295,15 +294,20 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     states = max(1, _CHUNK_ELEMENTS // m)
     step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
     live = [k for k in range(len(gates[0])) if weights is None or weights[k] != 0.0]
-    propagator = cfg.gate_model == "propagator"
+    points = len(params)
     # lock-step propagator points above the crossover whose fit resolves their
-    # rows take the Chebyshev sum (chosen from the point, the spec and m only)
-    fits, shot = [], np.arange(len(params))
-    if propagator and not spec.independent and m >= _FIT_MIN_SHOTS:
-        fits, shot = _fits(params, live, spec)
+    # rows take the Chebyshev sum (chosen from the point, the spec and m only);
+    # the per-shot kernel below runs on the rest, `shot`
+    fitted = shot = ()
+    if cfg.gate_model == "propagator" and not spec.independent and m >= _FIT_MIN_SHOTS:
+        fitted, change, shot = _fits(params, live, spec)
+        fit_ideal, per_fit = _ideal([gates[i] for i in fitted], live), np.empty((len(fitted), n))
+        params, gates = [params[i] for i in shot], [gates[i] for i in shot]
+        # the Chebyshev sum takes `pairs` (point, state) pairs at a time
+        pairs = max(1, _CHUNK_ELEMENTS // (2 * _FIT_NODES) // min(states, n))
     chunks = []
-    for lo in range(0, len(shot), step):
-        chunk = [params[i] for i in shot[lo:lo + step]]
+    for lo in range(0, len(params), step):
+        chunk = params[lo:lo + step]
         # the physical fields; a drive point is its own target, with no coupling
         targets = [getattr(p, "target", p) for p in chunk]
         omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
@@ -314,7 +318,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             for k in live:
                 # the block's frequency, rotation rate and cyclic axis (cos chi,
                 # sin chi); the noisy rate is this expression too: no noise gives d == 0
-                wl = _column([gates[i][k].omega1 for i in shot[lo:lo + step]])
+                wl = _column([g[k].omega1 for g in gates[lo:lo + step]])
                 det = wl - omega
                 big = np.sqrt(omega0 * omega0 + det * det)
                 terms.append((k, wl, big, det / big, omega0 / big))
@@ -326,46 +330,40 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
     width = 3 if weights is not None else 6
-    per_state = np.empty((len(params), n))
-    # the per-shot kernel's means, in the order of `shot`
-    per_shot = per_state if len(shot) == len(params) else np.empty((len(shot), n))
-    if propagator:
-        # each block's ideal entries as (points, 1, 1) columns; a pass of states
-        # builds the table for `group` points (whole chunks) at a time, at most
-        # _CHUNK_ELEMENTS (point, state) pairs
-        ideal = {k: [np.array(c, dtype=complex)[:, None, None]
-                     for c in zip(*(cycle_entries(g[k]) for g in gates))] for k in live}
+    per_state = np.empty((points, n))
+    # the per-shot kernel's means, in the order of `shot` when some points are fitted
+    per_shot = np.empty((len(params), n)) if len(fitted) else per_state
+    if cfg.gate_model == "propagator":
+        # a pass of states builds the table for `group` points (whole chunks) at a
+        # time, at most _CHUNK_ELEMENTS (point, state) pairs
+        ideal = _ideal(gates, live)
         group = step * max(1, _CHUNK_ELEMENTS // min(states, n) // step)
         views, b = {}, len(live)
-        # the Chebyshev sum takes `pairs` (point, state) pairs at a time
-        pairs = max(1, _CHUNK_ELEMENTS // 16 // min(states, n))
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.generator.random((count, width))
         t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], haar))
         w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], haar)]
         draws = relative_draws(noise_rng, count * m * (1 + spec.independent)).reshape(1, count, -1)
-        if fits:
+        if len(fitted):
             # each shot's amplitude is 1 + e(u), e = the table against the rows' change
             # from u = 0 (where the amplitude is 1 in exact arithmetic). Once the fit
-            # resolves the rows, |1 + e|^2 - 1 = 2*Re(e) + |e|^2 has degree < 2*nodes
+            # resolves the rows, |1 + e|^2 - 1 = 2*Re(e) + |e|^2 has degree < 2*_FIT_NODES
             # in u, so a state's sum of it over its shots is exact on the nodes y,
             # weighted from the power sums of its draws; the mean carries this loss
-            sums = _power_sums(draws[0], 2 * fits[-1][0])
-            for nodes, fitted, held in fits:
-                weight = np.matmul(sums[:, None, :2 * nodes], _fit_tables(nodes)[2])[:, 0]
-                for lo in range(0, len(fitted), pairs):
-                    sel = fitted[lo:lo + pairs]
-                    change = held[lo:lo + pairs] if held is not None else _fit(
-                        [params[i] for i in sel], live, spec, nodes)[1]
-                    c = _table(ideal, sel, w, t0, t1)
-                    e = np.matmul(np.stack((c.real, c.imag), axis=-2)[..., :-1], change[:, None])
-                    re, im = e[..., 0, :], e[..., 1, :]
-                    # the state's mean fidelity minus 1
-                    excess = np.add.reduce(((re + re) + (re * re + im * im)) * weight, axis=-1) / m
-                    per_state[sel, first:first + count] = np.minimum(1.0 + excess, 1.0)
+            sums = _power_sums(draws[0], 2 * _FIT_NODES)
+            weight = np.matmul(sums[:, None], _fit_tables()[2])[:, 0]
+            for lo in range(0, len(fitted), pairs):
+                c = _table(fit_ideal, slice(lo, lo + pairs), w, t0, t1)
+                e = np.matmul(np.stack((c.real, c.imag), axis=-2)[..., :-1],
+                              change[lo:lo + pairs, None])
+                re, im = e[..., 0, :], e[..., 1, :]
+                # the state's mean fidelity minus 1
+                excess = np.add.reduce(((re + re) + (re * re + im * im)) * weight, axis=-1) / m
+                per_fit[lo:lo + pairs, first:first + count] = np.minimum(1.0 + excess, 1.0)
         if not chunks:
             continue
+        # omega1 reads the last m columns: omega0's draws unless independent
         noisy0 = 1.0 + spec.delta0 * draws[..., :m]
         scale = 1.0 + spec.delta1 * draws[..., -m:]
         bz = abs(t0) ** 2 - abs(t1) ** 2
@@ -385,10 +383,10 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 fid = re * re + im * im
                 np.minimum(fid, 1.0, out=fid)
                 # fid.mean(axis=-1) without its Python overhead, the same sum and division
-                per_shot[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
+                per_state[rows, first:first + count] = np.add.reduce(fid, axis=-1) / m
                 continue
             if rows.start % group == 0:
-                c = _table(ideal, shot[rows.start:rows.start + group], w, t0, t1)
+                c = _table(ideal, slice(rows.start, rows.start + group), w, t0, t1)
                 table = np.stack((c.real, c.imag), axis=-2)
             shape = (rows.stop - rows.start, count, m)
             if shape not in views:
@@ -415,8 +413,8 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             # one sum of re^2 + im^2 per state; its mean is clamped at 1, so F stays <= 1
             fid = np.add(*np.square(ri, out=ri), out=ri[0])
             per_shot[rows, first:first + count] = np.minimum(np.add.reduce(fid, axis=-1) / m, 1.0)
-    if per_shot is not per_state:
-        per_state[shot] = per_shot
+    if len(fitted):
+        per_state[fitted], per_state[shot] = per_fit, per_shot
 
     # one state gives no spread, hence no standard error
     return [FidelityEstimate(mean=float(row.mean()),

@@ -343,35 +343,43 @@ def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, el
         assert abs(stderr - stderr0) <= 1e-11 * stderr0
 
 
-def fit_points(mode):
-    """Single-qubit drive points (mode None) or two-qubit points of the fig4 family."""
+def fit_points(mode, family):
+    """Points the fit resolves at the noise widths they are used with, single-qubit
+    (mode None) or two-qubit: the geometric points of fig1 and fig4 at narrow widths,
+    fast drives (omega well above the fields) at wide ones."""
+    if family == "fast":
+        drives = [DriveParams(40.0, w0, w1)
+                  for w0, w1 in ((1.0, 0.5), (0.5, 2.0), (2.0, 1.0), (1.5, -1.0))]
+        if mode is None:
+            return drives
+        return [TwoQubitParams(target=d, coupling_j=j) for d, j in zip(drives, (0.3, 1.0, 0.5, 0.8))]
     if mode is None:
         return [pinned_single()] + [DriveParams(omega_for_beta(1e5, w1, 1.5), 1e5, w1)
                                     for w1 in (zero_dynamic_omega1(1e5, 1.5) + d * 1e5
-                                               for d in (0.0, 0.4, 1.3))]
+                                               for d in (0.4, 1.3))]
     return [two_qubit_from_alpha(w0, 60.0, math.sqrt(a))
             for w0, a in ((2.0, 3), (10.0, 8), (21.0, 15), (33.0, 35), (40.0, 143))]
 
 
-@pytest.mark.parametrize("mode,spec,haar", [
-    ("unfixed", NoiseSpec(0.05, 0.05), False),
-    ("unfixed", NoiseSpec(0.5, 0.9), True),
-    ("fixed0", NoiseSpec(0.1, 0.1), False),
-    ("fixed1", NoiseSpec(0.3, 0.1), True),
-    (None, NoiseSpec(0.1, 0.1), False),
-    (None, NoiseSpec(0.5, 0.9), True),
+@pytest.mark.parametrize("mode,family,spec,haar", [
+    ("unfixed", "geometric", NoiseSpec(0.05, 0.05), False),
+    ("unfixed", "fast", NoiseSpec(0.5, 0.9), True),
+    ("fixed0", "geometric", NoiseSpec(0.05, 0.05), False),
+    ("fixed1", "fast", NoiseSpec(0.5, 0.9), True),
+    (None, "geometric", NoiseSpec(0.02, 0.02), False),
+    (None, "fast", NoiseSpec(0.5, 0.9), True),
 ], ids=["unfixed", "unfixed-wide-haar", "fixed0", "fixed1-haar", "single", "single-wide-haar"])
 @pytest.mark.parametrize("m", [fidelity._FIT_MIN_SHOTS, 1000])
-def test_propagator_fit_equals_the_per_shot_sum(mode, spec, haar, m, monkeypatch):
+def test_propagator_fit_equals_the_per_shot_sum(mode, family, spec, haar, m, monkeypatch):
     # lock-step points above the crossover sum their shots through the Chebyshev
     # fit and the power sums of the draws; they must agree with the per-shot sum
     # c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) within the bounds the kernel meets
-    params = fit_points(mode)
+    params = fit_points(mode, family)
     cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model="propagator", haar=haar,
                                    control_mode=mode or "unfixed")
     live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
-    fits, rest = fidelity._fits(params, live, spec)
-    assert len(rest) == 0 and sum(len(sel) for _, sel, _ in fits) == len(params)
+    fitted, _, rest = fidelity._fits(params, live, spec)
+    assert len(rest) == 0 and len(fitted) == len(params)
     sums, power_sums = [], fidelity._power_sums
     monkeypatch.setattr(fidelity, "_power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
     got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
@@ -383,17 +391,17 @@ def test_propagator_fit_equals_the_per_shot_sum(mode, spec, haar, m, monkeypatch
 
 
 def unresolved_point():
-    """A drive point whose rows 32 Chebyshev nodes do not resolve at delta = 0.3."""
+    """A drive point whose rows the fit does not resolve at delta = 0.3."""
     return DriveParams(1.0, 100.0, 100.0)
 
 
 def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
-    # the fit's tail at u values between its nodes refuses the point, which then
+    # the fit's error at u values between its nodes refuses the point, which then
     # gets the per-shot kernel's result bit for bit, alone and beside a resolved point
     spec = NoiseSpec(0.3, 0.3)
-    params = [unresolved_point(), pinned_single()]
-    fits, rest = fidelity._fits(params, [0], spec)
-    assert list(rest) == [0] and [list(sel) for _, sel, _ in fits] == [[1]]
+    params = [unresolved_point(), fit_points(None, "fast")[0]]
+    fitted, _, rest = fidelity._fits(params, [0], spec)
+    assert list(rest) == [0] and list(fitted) == [1]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6, spec=spec,
                                    gate_model="propagator")
     got = fidelity._estimate(params, cfg, RngStream(4).child(1))
@@ -463,11 +471,11 @@ def test_propagator_memory_is_bounded_on_a_large_grid():
 def test_propagator_fit_memory_is_bounded_on_a_large_grid():
     # 400 points at the crossover, n = 1000: the Chebyshev sum takes at most
     # _CHUNK_ELEMENTS // 16 (point, state) pairs at a time, and each point's rows
-    # hold at most 6 * 2 * 32 doubles, next to the (points, n) means (3.2 MB)
+    # hold 6 * 2 * 8 doubles, next to the (points, n) means (3.2 MB)
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model="propagator")
-    assert len(fidelity._fits(params, [0, 1], cfg.spec)[1]) == 0
+    assert len(fidelity._fits(params, [0, 1], cfg.spec)[2]) == 0
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))
