@@ -47,16 +47,14 @@ amplitude, and each state's mean fidelity is clamped at 1 ("phase": each shot's)
 
 Under lock-step draws a point's basis rows depend on one draw u in [-1, 1], and
 a "propagator" point with m >= _FIT_MIN_SHOTS sums its shots without visiting
-them. It fits its rows' change from u = 0 on N = _FIT_NODES Chebyshev nodes, and
-takes the fit when it meets the change at the 2N nodes between its own within
-_FIT_TOLERANCE. A shot's amplitude is 1 + e(u), with e the table against the rows'
-change (the amplitude is 1 at u = 0 in exact arithmetic), so a state's mean
-fidelity is 1 plus the mean of 2*Re(e) + |e|^2 over its draws. That is a
-polynomial of degree < 2N in u, whose sum is exact on the 2N nodes, weighted from
-the power sums S_k = sum_i T_k(u_i) of the state's draws; every point of a batch
-shares them. The per-shot kernel runs for independent draws, below the crossover
-_FIT_MIN_SHOTS and for a point the fit does not resolve. The path is chosen from
-the point, the spec and m only.
+them when the Chebyshev fit of module chebyshev resolves its rows' change from
+u = 0. A shot's amplitude is 1 + e(u), with e the table against that change (the
+amplitude is 1 at u = 0 in exact arithmetic), so a state's mean fidelity is 1
+plus the mean of 2*Re(e) + |e|^2 over its draws, a polynomial in u that
+chebyshev.weights sums exactly from the power sums of the state's draws; every
+point of a batch shares them. The per-shot kernel runs for independent draws,
+below the crossover _FIT_MIN_SHOTS and for a point the fit does not resolve. The
+path is chosen from the point, the spec and m only.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -77,7 +75,6 @@ input and one check of options; sweep.sweep_generic bounds the points per batch.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -131,12 +128,9 @@ RNG_LAYOUT = 2
 #: a (points, states, m) chunk array holds at most max(_CHUNK_ELEMENTS, m) elements
 _CHUNK_ELEMENTS = 1 << 12
 
-#: a lock-step propagator point fits its basis rows in u on this many Chebyshev nodes
-_FIT_NODES = 8
-#: ... when it has this many shots per state; below it the per-shot kernel runs
+#: a lock-step propagator point with this many shots per state tries the Chebyshev
+#: sum (module chebyshev); below it the per-shot kernel runs
 _FIT_MIN_SHOTS = 128
-#: the largest error of a resolved fit at the quadrature nodes, which lie between its own
-_FIT_TOLERANCE = 1e-13
 
 
 def _column(values: list) -> np.ndarray:
@@ -149,102 +143,6 @@ def _cos_sin(a):
     t = np.tan(0.5 * a)
     tt = t * t
     return (1.0 - tt) / (1.0 + tt), (t + t) / (1.0 + tt)
-
-
-def _chebyshev(x: np.ndarray, degrees: int) -> np.ndarray:
-    """T_j(x) for j < degrees, one row per j, by T_{j+1} = 2x*T_j - T_{j-1}."""
-    t = np.empty((degrees, len(x)))
-    t[0], t[1] = 1.0, x
-    for j in range(2, degrees):
-        t[j] = 2.0 * x * t[j - 1] - t[j - 2]
-    return t
-
-
-@functools.cache
-def _fit_tables():
-    """The fit's u values (0, the _FIT_NODES nodes x, then the 2*_FIT_NODES quadrature
-    nodes y, both first-kind Chebyshev points), the map from values at x to the fit's
-    values at y, and the (2*_FIT_NODES, 2*_FIT_NODES) map from the power sums
-    S_k = sum_i T_k(u_i) to weights W with sum_i p(u_i) = sum_k W_k p(y_k) for every
-    polynomial p of degree < 2*_FIT_NODES. Built once per process, on first use, so
-    a run that fits nothing builds none."""
-    x, y = (np.array([math.cos(math.pi * (j + 0.5) / k) for j in range(k)])
-            for k in (_FIT_NODES, 2 * _FIT_NODES))
-
-    def transform(points):  # values at the points -> Chebyshev coefficients
-        scale = np.full((len(points), 1), 2.0 / len(points))
-        scale[0] = 1.0 / len(points)
-        return scale * _chebyshev(points, len(points))
-
-    return (np.concatenate(([0.0], x, y)), (_chebyshev(y, _FIT_NODES).T @ transform(x)).T,
-            transform(y))
-
-
-def _fit(params: list, live: list, spec: NoiseSpec):
-    """Per point, whether the fit resolves its basis rows, and the rows' change from
-    u = 0 at the quadrature nodes, (points, 3*blocks, 2*_FIT_NODES).
-
-    The rows are the kernel's (r, then s*det, then s*w0 of each block), at the
-    relative draws of _fit_tables. Their change is taken from the changes of the
-    fields and of the half angle h = a/2, in tan half-angle arithmetic, so that it
-    keeps its own relative precision: with h0 at u = 0,
-    r - r0 = -sin(h + h0)*sin(h - h0) and s - s0 = (cos(h + h0)*sin(h - h0)
-    - s0*(big - big0))/big. A point is resolved when the fit on the nodes x meets
-    the change at the nodes y within _FIT_TOLERANCE (never when it is not finite).
-    """
-    u, to_y, _ = _fit_tables()
-    targets = [getattr(p, "target", p) for p in params]
-    omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
-                             for f in ("omega", "omega0", "omega1"))
-    coupling = _column([getattr(p, "coupling_j", 0.0) for p in params])
-    # (points, blocks, u), the fields as the kernel forms them; index 0 is u = 0
-    w0 = omega0 * (1.0 + spec.delta0 * u)
-    det = omega1 * (1.0 + spec.delta1 * u) + ((np.array(live)[:, None] * 2 - 1) * coupling - omega)
-    big = np.sqrt(w0 * w0 + det * det)
-    dw0, ddet = omega0 * spec.delta0 * u, omega1 * spec.delta1 * u
-    dbig = (dw0 * (w0 + w0[..., :1]) + ddet * (det + det[..., :1])) / (big + big[..., :1])
-    half = 0.5 * (np.pi / omega)
-    cos_sum, sin_sum = _cos_sin(half * (big + big[..., :1]))
-    sin_diff = _cos_sin(half * dbig)[1]
-    t0 = np.tan(half * big[..., :1])
-    s0 = t0 / (big[..., :1] * (1.0 + t0 * t0))
-    ds = (cos_sum * sin_diff - s0 * dbig) / big
-    change = np.concatenate((-sin_sum * sin_diff, ds * det + s0 * ddet, ds * w0 + s0 * dw0),
-                            axis=1)
-    at_x, at_y = change[..., 1:_FIT_NODES + 1], change[..., _FIT_NODES + 1:]
-    error = np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(1, 2))
-    return error <= _FIT_TOLERANCE, at_y
-
-
-def _fits(params: list, live: list, spec: NoiseSpec):
-    """The indices of the points the Chebyshev sum takes, their rows' change from
-    _fit, and the indices of the rest. _fit takes as many points at a time as keep
-    its (points, blocks, u) arrays within _CHUNK_ELEMENTS elements."""
-    span = max(1, _CHUNK_ELEMENTS // (len(live) * (1 + 3 * _FIT_NODES)))
-    resolved, changes = [], []
-    for lo in range(0, len(params), span):
-        found, change = _fit(params[lo:lo + span], live, spec)
-        resolved.append(found)
-        changes.append(change[found])
-    resolved = np.concatenate(resolved)
-    return np.flatnonzero(resolved), np.concatenate(changes), np.flatnonzero(~resolved)
-
-
-def _power_sums(u: np.ndarray, degrees: int) -> np.ndarray:
-    """S_k = sum_i T_k(u_i) over the last axis of u, for k < degrees (even).
-
-    T_k for k <= h = degrees/2 come from T_{k+1} = 2u*T_k - T_{k-1}, and the sums
-    above h from T_{h+j} = 2*T_h*T_j - T_{h-j}, so no row above T_h is formed.
-    """
-    h = degrees // 2
-    t = np.empty((h + 1, *u.shape))
-    t[0], t[1] = 1.0, u
-    two_u = u + u
-    for k in range(2, h + 1):
-        np.subtract(np.multiply(two_u, t[k - 1], out=t[k]), t[k - 2], out=t[k])
-    low = np.add.reduce(t, axis=-1)
-    high = 2.0 * np.add.reduce(np.multiply(t[1:h], t[h], out=t[1:h]), axis=-1) - low[h - 1:0:-1]
-    return np.moveaxis(np.concatenate((low, high)), 0, -1)
 
 
 def _ideal(gates: list, live: list) -> dict:
@@ -284,7 +182,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     point is evaluated on it, on (points, states, m) arrays of at most
     max(_CHUNK_ELEMENTS, m) elements. The (points, n) per-state means are
     held at once, so a caller bounds the points per call; a fitted point
-    also holds its rows' change, 3*blocks*2*_FIT_NODES doubles.
+    also holds its rows' change, 3*blocks*2*chebyshev.NODES doubles.
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
@@ -300,11 +198,14 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     # the per-shot kernel below runs on the rest, `shot`
     fitted = shot = ()
     if cfg.gate_model == "propagator" and not spec.independent and m >= _FIT_MIN_SHOTS:
-        fitted, change, shot = _fits(params, live, spec)
+        # imported only here: runs that fit nothing never load it
+        from . import chebyshev
+
+        fitted, change, shot = chebyshev.fits(params, live, spec, _CHUNK_ELEMENTS)
         fit_ideal, per_fit = _ideal([gates[i] for i in fitted], live), np.empty((len(fitted), n))
         params, gates = [params[i] for i in shot], [gates[i] for i in shot]
         # the Chebyshev sum takes `pairs` (point, state) pairs at a time
-        pairs = max(1, _CHUNK_ELEMENTS // (2 * _FIT_NODES) // min(states, n))
+        pairs = max(1, _CHUNK_ELEMENTS // (2 * chebyshev.NODES) // min(states, n))
     chunks = []
     for lo in range(0, len(params), step):
         chunk = params[lo:lo + step]
@@ -348,11 +249,10 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
         if len(fitted):
             # each shot's amplitude is 1 + e(u), e = the table against the rows' change
             # from u = 0 (where the amplitude is 1 in exact arithmetic). Once the fit
-            # resolves the rows, |1 + e|^2 - 1 = 2*Re(e) + |e|^2 has degree < 2*_FIT_NODES
+            # resolves the rows, |1 + e|^2 - 1 = 2*Re(e) + |e|^2 has degree < 2*NODES
             # in u, so a state's sum of it over its shots is exact on the nodes y,
             # weighted from the power sums of its draws; the mean carries this loss
-            sums = _power_sums(draws[0], 2 * _FIT_NODES)
-            weight = np.matmul(sums[:, None], _fit_tables()[2])[:, 0]
+            weight = chebyshev.weights(draws[0])
             for lo in range(0, len(fitted), pairs):
                 c = _table(fit_ideal, slice(lo, lo + pairs), w, t0, t1)
                 e = np.matmul(np.stack((c.real, c.imag), axis=-2)[..., :-1],

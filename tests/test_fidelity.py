@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geomgate import fidelity
+from geomgate import chebyshev, fidelity
 from geomgate.evolve import ideal_gate_u1, one_cycle_gate
 from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import (
@@ -352,7 +352,8 @@ def fit_points(mode, family):
                   for w0, w1 in ((1.0, 0.5), (0.5, 2.0), (2.0, 1.0), (1.5, -1.0))]
         if mode is None:
             return drives
-        return [TwoQubitParams(target=d, coupling_j=j) for d, j in zip(drives, (0.3, 1.0, 0.5, 0.8))]
+        return [TwoQubitParams(target=d, coupling_j=j)
+                for d, j in zip(drives, (0.3, 1.0, 0.5, 0.8))]
     if mode is None:
         return [pinned_single()] + [DriveParams(omega_for_beta(1e5, w1, 1.5), 1e5, w1)
                                     for w1 in (zero_dynamic_omega1(1e5, 1.5) + d * 1e5
@@ -378,10 +379,10 @@ def test_propagator_fit_equals_the_per_shot_sum(mode, family, spec, haar, m, mon
     cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model="propagator", haar=haar,
                                    control_mode=mode or "unfixed")
     live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
-    fitted, _, rest = fidelity._fits(params, live, spec)
+    fitted, _, rest = chebyshev.fits(params, live, spec, fidelity._CHUNK_ELEMENTS)
     assert len(rest) == 0 and len(fitted) == len(params)
-    sums, power_sums = [], fidelity._power_sums
-    monkeypatch.setattr(fidelity, "_power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
+    sums, power_sums = [], chebyshev.power_sums
+    monkeypatch.setattr(chebyshev, "power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
     got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
     assert sums  # the estimate took the fitted sum
     want = allocating_propagator_estimates(params, cfg, RngStream(8).child(2), matmul=False)
@@ -400,7 +401,7 @@ def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
     # gets the per-shot kernel's result bit for bit, alone and beside a resolved point
     spec = NoiseSpec(0.3, 0.3)
     params = [unresolved_point(), fit_points(None, "fast")[0]]
-    fitted, _, rest = fidelity._fits(params, [0], spec)
+    fitted, _, rest = chebyshev.fits(params, [0], spec, fidelity._CHUNK_ELEMENTS)
     assert list(rest) == [0] and list(fitted) == [1]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6, spec=spec,
                                    gate_model="propagator")
@@ -427,6 +428,23 @@ def test_propagator_mean_never_exceeds_one(mode, spec):
                                      RngStream(7).child(2), control_mode=mode,
                                      gate_model="propagator")
         assert 1.0 - 1e-12 <= est.mean <= 1.0
+
+
+def test_fit_module_loads_only_when_a_point_may_fit():
+    # runs that fit nothing (phase, independent draws, m below the crossover)
+    # never compile or load the chebyshev module
+    code = ("import sys; from geomgate.fidelity import estimate_single; "
+            "from geomgate.model import DriveParams; from geomgate.noise import NoiseSpec, RngStream; "
+            "p = DriveParams(40.0, 1.0, 0.5); "
+            "runs = [('phase', NoiseSpec(0.1, 0.1), 200), ('propagator', NoiseSpec(0.1, 0.1, True), 200), "
+            "('propagator', NoiseSpec(0.1, 0.1), 100), ('propagator', NoiseSpec(0.1, 0.1), 200)]; "
+            "print([estimate_single(p, spec, m, 2, RngStream(1), gate_model=model) and "
+            "'geomgate.chebyshev' in sys.modules for model, spec, m in runs])")
+    src = os.path.dirname(os.path.dirname(fidelity.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[False, False, False, True]"
 
 
 def test_propagator_digits_do_not_depend_on_blas_threads():
@@ -475,7 +493,7 @@ def test_propagator_fit_memory_is_bounded_on_a_large_grid():
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model="propagator")
-    assert len(fidelity._fits(params, [0, 1], cfg.spec)[2]) == 0
+    assert len(chebyshev.fits(params, [0, 1], cfg.spec, fidelity._CHUNK_ELEMENTS)[2]) == 0
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from geomgate import fidelity, sweep
+from geomgate import chebyshev, fidelity, sweep
 from geomgate.fidelity import estimate_single, estimate_two_qubit
 from geomgate.model import DriveParams, TwoQubitParams
 from geomgate.noise import NoiseSpec, RngStream
@@ -213,7 +213,7 @@ def assert_both_paths(points, cfg):
     params = [p.params for p in points if p.feasible]
     live = [0] if isinstance(params[0], DriveParams) else {
         "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
-    fitted, _, rest = fidelity._fits(params, live, cfg.spec)
+    fitted, _, rest = chebyshev.fits(params, live, cfg.spec, fidelity._CHUNK_ELEMENTS)
     assert len(rest) == 1 and len(fitted)
 
 
@@ -247,8 +247,8 @@ def test_batched_rows_equal_one_point_estimates(kind, cfg):
 def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
     points = batch_points(kind)
     whole = sweep_generic(points, cfg)
-    # one point and one state per chunk (and one point per _fit call), then three
-    # states per chunk
+    # one point and one state per chunk (and one point per chebyshev.fit call),
+    # then three states per chunk
     for elements in (1, 3 * cfg.m):
         monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
         assert sweep_generic(points, cfg).rows == whole.rows
