@@ -1,7 +1,7 @@
 """Chebyshev fit of a lock-step "propagator" point's basis rows in the draw u,
 and the quadrature that sums a polynomial in u over a state's draws.
 
-fidelity._estimate loads this module only when a point may take the fit
+fidelity._paths loads this module only when a point may take the fit
 (lock-step draws, m >= fidelity._FIT_MIN_SHOTS), so other runs never compile
 it. A point's rows are fitted on NODES first-kind Chebyshev nodes x in
 u in [-1, 1]; the fit resolves them when it meets them at the 2*NODES
@@ -92,17 +92,13 @@ def fit(params: list, live: list, spec: NoiseSpec):
 
 
 def fits(params: list, live: list, spec: NoiseSpec, elements: int):
-    """The indices of the points the Chebyshev sum takes, their rows' change from
-    fit, and the indices of the rest. fit takes as many points at a time as keep
-    its (points, blocks, u) arrays within `elements` elements."""
+    """Per point, whether the fit resolves its rows (a bool array), and their change
+    from fit, that of an unresolved point unread. fit takes as many points at a time
+    as keep its (points, blocks, u) arrays within `elements` elements."""
     span = max(1, elements // (len(live) * (1 + 3 * NODES)))
-    resolved, changes = [], []
-    for lo in range(0, len(params), span):
-        found, change = fit(params[lo:lo + span], live, spec)
-        resolved.append(found)
-        changes.append(change[found])
-    resolved = np.concatenate(resolved)
-    return np.flatnonzero(resolved), np.concatenate(changes), np.flatnonzero(~resolved)
+    resolved, change = zip(*(fit(params[lo:lo + span], live, spec)
+                             for lo in range(0, len(params), span)))
+    return np.concatenate(resolved), np.concatenate(change)
 
 
 def power_sums(u: np.ndarray, degrees: int) -> np.ndarray:

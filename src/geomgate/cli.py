@@ -183,7 +183,7 @@ _OPTIONS = {
     "control_mode": (CONTROL_MODES, "control-qubit handling (two-qubit)"),
     "gate_model": (GATE_MODELS, "noisy-gate construction (default: phase)"),
     "haar": (bool, "sample input states from the sphere measure"),
-    "workers": (int, "parallel worker processes"),
+    "workers": (int, "at most this many worker processes"),
     "out": (str, "output CSV path"),
     "grid_delta_rel": (_parse_grid, "Delta/omega0 grid as START:STOP:NUM or comma list"),
     "grid_omega0": (_parse_grid, "omega0 grid as START:STOP:NUM or comma list"),

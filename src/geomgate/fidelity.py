@@ -54,7 +54,8 @@ plus the mean of 2*Re(e) + |e|^2 over its draws, a polynomial in u that
 chebyshev.weights sums exactly from the power sums of the state's draws; every
 point of a batch shares them. The per-shot kernel runs for independent draws,
 below the crossover _FIT_MIN_SHOTS and for a point the fit does not resolve. The
-path is chosen from the point, the spec and m only.
+path is chosen in _paths only, from the point, the spec and m; sweep.sweep_generic
+reads it to count the per-shot work that sizes its process pool.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -173,11 +174,36 @@ def _table(ideal: dict, sel: slice, w, t0, t1) -> np.ndarray:
     return c
 
 
-def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
+def _paths(params: list, cfg: EstimatorConfig) -> tuple:
+    """How _estimate evaluates the points: (weights, live, fit), chosen here only.
+
+    weights are the blocks' control weights, None where the control is sampled per
+    state; live lists the blocks of nonzero weight. fit is None when no point may
+    take the Chebyshev sum (the "phase" model, independent draws, m below
+    _FIT_MIN_SHOTS); otherwise it is chebyshev.fits's (resolved, change), and a
+    point takes the sum where resolved, the per-shot kernel elsewhere. The choice
+    reads each point, the spec and m only: the fit of some of the points is the
+    slice of theirs (sweep.sweep_generic cuts it into its batches' shares).
+    """
+    fixed = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}
+    count = len(blocks(params[0]))
+    weights = (1.0,) if count == 1 else fixed.get(cfg.control_mode)
+    live = [k for k in range(count) if weights is None or weights[k] != 0.0]
+    if cfg.gate_model != "propagator" or cfg.spec.independent or cfg.m < _FIT_MIN_SHOTS:
+        return weights, live, None
+    # imported only here: runs that fit nothing never load it
+    from . import chebyshev
+
+    return weights, live, chebyshev.fits(params, live, cfg.spec, _CHUNK_ELEMENTS)
+
+
+def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
+              paths: tuple | None = None) -> list:
     """Two-level average at each point; one FidelityEstimate per point.
 
     params holds DriveParams or TwoQubitParams, whose blocks (model.blocks)
-    are weighted by cfg.control_mode, read for a conditional gate only. All
+    are weighted by cfg.control_mode, read for a conditional gate only. paths
+    is _paths(params, cfg), computed here when not given. All
     points share the draws: each chunk of states is drawn once and every
     point is evaluated on it, on (points, states, m) arrays of at most
     max(_CHUNK_ELEMENTS, m) elements. The (points, n) per-state means are
@@ -186,23 +212,21 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
-    fixed = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}
+    weights, live, fit = paths or _paths(params, cfg)
     gates = [blocks(p) for p in params]
-    weights = (1.0,) if len(gates[0]) == 1 else fixed.get(cfg.control_mode)
     states = max(1, _CHUNK_ELEMENTS // m)
     step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
-    live = [k for k in range(len(gates[0])) if weights is None or weights[k] != 0.0]
     points = len(params)
-    # lock-step propagator points above the crossover whose fit resolves their
-    # rows take the Chebyshev sum (chosen from the point, the spec and m only);
-    # the per-shot kernel below runs on the rest, `shot`
+    # the points whose fit resolves their rows take the Chebyshev sum; the
+    # per-shot kernel below runs on the rest, `shot`
     fitted = shot = ()
-    if cfg.gate_model == "propagator" and not spec.independent and m >= _FIT_MIN_SHOTS:
-        # imported only here: runs that fit nothing never load it
+    if fit is not None:
         from . import chebyshev
 
-        fitted, change, shot = chebyshev.fits(params, live, spec, _CHUNK_ELEMENTS)
-        fit_ideal, per_fit = _ideal([gates[i] for i in fitted], live), np.empty((len(fitted), n))
+        resolved, change = fit
+        fitted, shot = np.flatnonzero(resolved), np.flatnonzero(~resolved)
+        change = change[fitted]
+        fit_ideal = _ideal([gates[i] for i in fitted], live)
         params, gates = [params[i] for i in shot], [gates[i] for i in shot]
         # the Chebyshev sum takes `pairs` (point, state) pairs at a time
         pairs = max(1, _CHUNK_ELEMENTS // (2 * chebyshev.NODES) // min(states, n))
@@ -260,7 +284,8 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
                 re, im = e[..., 0, :], e[..., 1, :]
                 # the state's mean fidelity minus 1
                 excess = np.add.reduce(((re + re) + (re * re + im * im)) * weight, axis=-1) / m
-                per_fit[lo:lo + pairs, first:first + count] = np.minimum(1.0 + excess, 1.0)
+                per_state[fitted[lo:lo + pairs], first:first + count] = np.minimum(
+                    1.0 + excess, 1.0)
         if not chunks:
             continue
         # omega1 reads the last m columns: omega0's draws unless independent
@@ -314,13 +339,13 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream) -> list:
             fid = np.add(*np.square(ri, out=ri), out=ri[0])
             per_shot[rows, first:first + count] = np.minimum(np.add.reduce(fid, axis=-1) / m, 1.0)
     if len(fitted):
-        per_state[fitted], per_state[shot] = per_fit, per_shot
+        per_state[shot] = per_shot
 
     # one state gives no spread, hence no standard error
-    return [FidelityEstimate(mean=float(row.mean()),
-                             stderr=float(row.std(ddof=1) / np.sqrt(n)) if n > 1 else math.nan,
-                             n_states=n)
-            for row in per_state]
+    means = per_state.mean(axis=1)
+    errors = per_state.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else [math.nan] * points
+    return [FidelityEstimate(mean=float(mean), stderr=float(err), n_states=n)
+            for mean, err in zip(means, errors)]
 
 
 def estimate_single(

@@ -9,12 +9,14 @@ Determinism: a row's values depend only on (seed, point parameters, m, n,
 noise spec, estimator options) - never on grid shape, point order, or the
 worker count. All points of a sweep share one base random stream (common
 random numbers), which makes curves smooth in the scan coordinate and
-argmax localization stable. A sweep cuts its points into contiguous
-batches, at least one per process and at most _PASS_ELEMENTS // n points
-each; a batch reads the two draw streams of fidelity's layout (rng_layout
-in the metadata, fidelity.RNG_LAYOUT) and evaluates all of its points on
-them, with the values of one-point estimates. fidelity.EstimatorConfig
-holds and checks the options.
+argmax localization stable. A sweep runs in process unless its per-shot
+work (m*n shots per feasible point that runs the per-shot kernel) pays for
+more than one process, _PROCESS_SHOTS each (sweep_generic). It cuts its
+points into contiguous batches, at least one per process and at most
+_PASS_ELEMENTS // n points each; a batch reads the two draw streams of
+fidelity's layout (rng_layout in the metadata, fidelity.RNG_LAYOUT) and
+evaluates all of its points on them, with the values of one-point
+estimates. fidelity.EstimatorConfig holds and checks the options.
 
 Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
@@ -30,6 +32,7 @@ Presets (defaults in PRESETS, each overridable by a keyword of its sweep_figN):
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .fidelity import RNG_LAYOUT, EstimatorConfig, _estimate
+from .fidelity import RNG_LAYOUT, EstimatorConfig, _estimate, _paths
 from .model import (
     PRESET_NAMES,
     DriveParams,
@@ -65,6 +68,9 @@ TWO_QUBIT_COLUMNS = SINGLE_COLUMNS + [
 
 #: per-state means a batch holds at once, (points, n); bounds its points
 _PASS_ELEMENTS = 1 << 20
+
+#: per-shot kernel shots (points * m * n) that pay for starting one worker process
+_PROCESS_SHOTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -133,18 +139,29 @@ def _row(point: SweepPoint, cfg: EstimatorConfig) -> dict:
 
 
 def _eval_batch(args) -> list:
-    """Rows of a batch of points, with one estimate over all its feasible points."""
-    points, cfg = args
+    """Rows of a batch of points, with one estimate over all its feasible points;
+    paths is fidelity._paths of those points, or None to let the estimate find it."""
+    points, cfg, paths = args
     rows = [_row(point, cfg) for point in points]
     feasible = [k for k, point in enumerate(points) if point.feasible]
     if not feasible:
         return rows
     tag = SINGLE_STREAM_TAG if points[0].kind == "single" else TWO_QUBIT_STREAM_TAG
-    ests = _estimate([points[k].params for k in feasible], cfg, RngStream(cfg.seed).child(tag))
+    ests = _estimate([points[k].params for k in feasible], cfg,
+                     RngStream(cfg.seed).child(tag), paths)
     for k, est in zip(feasible, ests):
         rows[k]["F_mean"] = est.mean
         rows[k]["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
     return rows
+
+
+def _share(paths: tuple | None, lo: int, hi: int) -> tuple | None:
+    """fidelity._paths of a sweep's feasible points lo:hi, cut from that of all
+    of them: the fit is per point, the weights and live blocks are shared."""
+    if paths is None or paths[2] is None:
+        return paths
+    weights, live, fit = paths
+    return weights, live, tuple(part[lo:hi] for part in fit)
 
 
 def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
@@ -152,10 +169,15 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     """Evaluate the configured estimator at every point, in point order.
 
     The points are cut into contiguous batches, at least one per process
-    used, min(cfg.workers, os.cpu_count(), len(points)), and at most
-    _PASS_ELEMENTS // cfg.n points each. With one process the batches run in
-    process; with more they go to a pool of that many. Output is identical
-    byte for byte whatever the batching.
+    used and at most _PASS_ELEMENTS // cfg.n points each. The processes are
+    min(cfg.workers, os.cpu_count(), feasible points, per-shot work //
+    _PROCESS_SHOTS), at least one, where the per-shot work is m*n shots per
+    feasible point that runs the per-shot kernel (fidelity._paths). A point
+    the Chebyshev sum takes counts none: its cost does not grow with m, and
+    every batch repeats its draws and power sums, so it never splits across
+    processes. With one process the batches run in process; with more they
+    go to a pool of that many. Output is identical byte for byte whatever
+    the batching.
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -163,10 +185,21 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     if len(kinds) != 1:
         raise ValueError(f"mixed point kinds in one sweep: {kinds}")
     columns = SINGLE_COLUMNS if points[0].kind == "single" else TWO_QUBIT_COLUMNS
-    procs = min(cfg.workers, os.cpu_count() or 1, len(points))
+    feasible = [p.params for p in points if p.feasible]
+    procs = min(cfg.workers, os.cpu_count() or 1, len(feasible))
+    paths = None
+    if procs > 1:
+        # found only where it may allow more than one process; the batches reuse it
+        paths = _paths(feasible, cfg)
+        fit = paths[2]
+        shot = len(feasible) if fit is None else int(np.count_nonzero(~fit[0]))
+        procs = max(1, min(procs, cfg.m * cfg.n * shot // _PROCESS_SHOTS))
     count = max(procs, math.ceil(len(points) / max(1, _PASS_ELEMENTS // cfg.n)))
     cuts = [len(points) * b // count for b in range(count + 1)]
-    jobs = [(points[lo:hi], cfg) for lo, hi in zip(cuts, cuts[1:])]
+    # the feasible points before each point, to give a batch its share of `paths`
+    ranks = list(itertools.accumulate((p.feasible for p in points), initial=0))
+    jobs = [(points[lo:hi], cfg, _share(paths, ranks[lo], ranks[hi]))
+            for lo, hi in zip(cuts, cuts[1:])]
     if procs > 1:
         # imported only here: one-process runs and the CLI's import never load it
         from concurrent.futures import ProcessPoolExecutor

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from geomgate import sweep
 from geomgate.cli import write_csv
 from geomgate.evolve import (
     dynamic_phase_oracle,
@@ -281,8 +282,12 @@ def test_criterion_8_fig3_structure():
            f"diagonal within {worst} grid step(s) (<=1) for all omega0")
 
 
-def test_criterion_9_determinism_and_convergence(tmp_path):
-    # byte-identical CSV across 1/4/8 workers and across consecutive runs
+def test_criterion_9_determinism_and_convergence(tmp_path, real_pools, monkeypatch):
+    # byte-identical CSV across 1/4/8 workers and across consecutive runs; the
+    # 75.6k per-shot shots start real pools only below a lowered threshold
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 1)
+    cpus = max(2, os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     delta_grid = np.linspace(0.0, 4.0, 21)
     blobs = {}
     for tag, workers in (("w1", 1), ("w4", 4), ("w8", 8), ("w1b", 1)):
@@ -294,6 +299,7 @@ def test_criterion_9_determinism_and_convergence(tmp_path):
         with open(path, "rb") as fh:
             blobs[tag] = fh.read()
     same = blobs["w1"] == blobs["w4"] == blobs["w8"] == blobs["w1b"]
+    assert real_pools == [min(4, cpus), min(8, cpus)]
 
     # stderr slope on log-log over m*n in [1e2, 1e6] (m fixed, n growing:
     # the standard error is taken across per-state means)

@@ -239,11 +239,15 @@ def test_csv_number_format(tmp_path, capsys):
     assert row[4] in ("0", "1")
 
 
-def test_reruns_and_workers_are_byte_identical(tmp_path, capsys):
+def test_reruns_and_workers_are_byte_identical(tmp_path, capsys, real_pools, monkeypatch):
+    # fig1 at m = n = 25 is below the pool threshold: lowered, it starts a real pool
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out1, argv1 = fast_fig1_args(tmp_path, "a.csv")
     out2, argv2 = fast_fig1_args(tmp_path, "b.csv", extra=["--workers", "2"])
     run_cli(capsys, *argv1)
     run_cli(capsys, *argv2)
+    assert real_pools == [2]
     assert out1.read_bytes() == out2.read_bytes()
     out3, argv3 = fast_fig1_args(tmp_path, "c.csv")
     run_cli(capsys, *argv3)

@@ -379,8 +379,8 @@ def test_propagator_fit_equals_the_per_shot_sum(mode, family, spec, haar, m, mon
     cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model="propagator", haar=haar,
                                    control_mode=mode or "unfixed")
     live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
-    fitted, _, rest = chebyshev.fits(params, live, spec, fidelity._CHUNK_ELEMENTS)
-    assert len(rest) == 0 and len(fitted) == len(params)
+    resolved, _ = chebyshev.fits(params, live, spec, fidelity._CHUNK_ELEMENTS)
+    assert resolved.all() and len(resolved) == len(params)
     sums, power_sums = [], chebyshev.power_sums
     monkeypatch.setattr(chebyshev, "power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
     got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
@@ -401,8 +401,8 @@ def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
     # gets the per-shot kernel's result bit for bit, alone and beside a resolved point
     spec = NoiseSpec(0.3, 0.3)
     params = [unresolved_point(), fit_points(None, "fast")[0]]
-    fitted, _, rest = chebyshev.fits(params, [0], spec, fidelity._CHUNK_ELEMENTS)
-    assert list(rest) == [0] and list(fitted) == [1]
+    resolved, _ = chebyshev.fits(params, [0], spec, fidelity._CHUNK_ELEMENTS)
+    assert list(resolved) == [False, True]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6, spec=spec,
                                    gate_model="propagator")
     got = fidelity._estimate(params, cfg, RngStream(4).child(1))
@@ -432,19 +432,25 @@ def test_propagator_mean_never_exceeds_one(mode, spec):
 
 def test_fit_module_loads_only_when_a_point_may_fit():
     # runs that fit nothing (phase, independent draws, m below the crossover)
-    # never compile or load the chebyshev module
-    code = ("import sys; from geomgate.fidelity import estimate_single; "
+    # never compile or load the chebyshev module, nor does a 2-worker phase sweep,
+    # which looks up the points' paths to size its pool
+    code = ("import os, sys; os.cpu_count = lambda: 4; "
+            "from geomgate.fidelity import estimate_single; "
             "from geomgate.model import DriveParams; from geomgate.noise import NoiseSpec, RngStream; "
+            "from geomgate.sweep import EstimatorConfig, single_point, sweep_generic; "
+            "sweep_generic([single_point(1e5, d, 1.5, 'minus') for d in (0.0, 0.5, 1.0)], "
+            "EstimatorConfig(m=200, n=2, workers=2)); "
             "p = DriveParams(40.0, 1.0, 0.5); "
             "runs = [('phase', NoiseSpec(0.1, 0.1), 200), ('propagator', NoiseSpec(0.1, 0.1, True), 200), "
             "('propagator', NoiseSpec(0.1, 0.1), 100), ('propagator', NoiseSpec(0.1, 0.1), 200)]; "
-            "print([estimate_single(p, spec, m, 2, RngStream(1), gate_model=model) and "
+            "print(['geomgate.chebyshev' in sys.modules] + "
+            "[estimate_single(p, spec, m, 2, RngStream(1), gate_model=model) and "
             "'geomgate.chebyshev' in sys.modules for model, spec, m in runs])")
     src = os.path.dirname(os.path.dirname(fidelity.__file__))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "[False, False, False, True]"
+    assert proc.stdout.split("\n")[0] == "[False, False, False, False, True]"
 
 
 def test_propagator_digits_do_not_depend_on_blas_threads():
@@ -493,7 +499,7 @@ def test_propagator_fit_memory_is_bounded_on_a_large_grid():
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model="propagator")
-    assert len(chebyshev.fits(params, [0, 1], cfg.spec, fidelity._CHUNK_ELEMENTS)[2]) == 0
+    assert chebyshev.fits(params, [0, 1], cfg.spec, fidelity._CHUNK_ELEMENTS)[0].all()
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))

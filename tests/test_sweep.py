@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,11 +74,15 @@ def test_point_order_permutation_invariance():
         assert twin == row
 
 
-def test_worker_count_does_not_change_rows():
+def test_worker_count_does_not_change_rows(real_pools, monkeypatch):
+    # 14400 per-shot shots: a lowered threshold makes them start a real pool
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
     seq = sweep_generic(points, FAST)
     par = sweep_generic(points, EstimatorConfig(m=60, n=60, spec=NoiseSpec(0.1, 0.1),
                                                 seed=7, workers=2))
+    assert real_pools == [2]
     assert seq.rows == par.rows
 
 
@@ -213,8 +218,8 @@ def assert_both_paths(points, cfg):
     params = [p.params for p in points if p.feasible]
     live = [0] if isinstance(params[0], DriveParams) else {
         "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
-    fitted, _, rest = chebyshev.fits(params, live, cfg.spec, fidelity._CHUNK_ELEMENTS)
-    assert len(rest) == 1 and len(fitted)
+    resolved, _ = chebyshev.fits(params, live, cfg.spec, fidelity._CHUNK_ELEMENTS)
+    assert np.count_nonzero(~resolved) == 1 and resolved.any()
 
 
 def one_point_estimate(point, cfg):
@@ -360,9 +365,59 @@ def test_block_out_of_range_is_infeasible():
 
 def test_pool_maps_contiguous_batches(recording_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 1)  # 18000 per-shot shots start a pool
     points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, -0.5, 0.5, 1.0, 2.0)]
     seq = sweep_generic(points, FAST)
     par = sweep_generic(points, EstimatorConfig(m=60, n=60, spec=NoiseSpec(0.1, 0.1),
                                                 seed=7, workers=8))
     assert recording_pool == [3]
     assert par.rows == seq.rows
+
+
+def test_phase_sweep_below_the_threshold_runs_in_process(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, 0.5, 1.0, 2.0)]
+    cfg = EstimatorConfig(m=20, n=20, spec=NoiseSpec(0.1, 0.1), seed=7, workers=2)
+    assert 4 * cfg.m * cfg.n < 2 * sweep._PROCESS_SHOTS
+    res = sweep_generic(points, cfg)
+    assert recording_pool == []
+    assert res.metadata["workers"] == 2
+
+
+def test_fitted_points_start_no_pool(recording_pool, monkeypatch):
+    # the Chebyshev sum's cost does not split across processes, so lock-step
+    # propagator points that all take it start no pool at any m*n
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 1)
+    points = [two_qubit_point(w0, 60.0, SQRT3) for w0 in (2.0, 10.0, 21.0, 40.0)]
+    cfg = EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=5, spec=NoiseSpec(0.05, 0.05), seed=3,
+                          gate_model="propagator", workers=4)
+    assert fidelity._paths([p.params for p in points], cfg)[2][0].all()
+    res = sweep_generic(points, cfg)
+    assert recording_pool == []
+    assert res.rows == sweep_generic(points, replace(cfg, workers=1)).rows
+
+
+@pytest.mark.parametrize("k,workers,cpus", [
+    (1, 8, 4), (2, 8, 4), (3, 8, 4), (6, 8, 4), (4, 2, 4), (12, 8, 16),
+])
+def test_pool_size_follows_the_per_shot_work(recording_pool, monkeypatch, k, workers, cpus):
+    # per-shot work of k * _PROCESS_SHOTS pays for k processes
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    points = [single_point(1e5, 0.1 * j, 1.5, "minus") for j in range(12)]
+    cfg = EstimatorConfig(m=10, n=10, spec=NoiseSpec(0.1, 0.1), seed=7, workers=workers)
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 12 * cfg.m * cfg.n // k)
+    res = sweep_generic(points, cfg)
+    procs = min(workers, cpus, k)
+    assert recording_pool == ([procs] if procs > 1 else [])
+    assert res.rows == sweep_generic(points, replace(cfg, workers=1)).rows
+
+
+def test_one_feasible_point_among_infeasible_ones_starts_no_pool(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(sweep, "_PROCESS_SHOTS", 1)
+    points = [single_point(1e5, d, 1.5, "minus") for d in (0.0, -3.0, -2.0)]
+    assert [p.feasible for p in points] == [True, False, False]
+    res = sweep_generic(points, EstimatorConfig(m=20, n=20, seed=7, workers=2))
+    assert recording_pool == []
+    assert res.rows[0]["F_mean"] is not None
