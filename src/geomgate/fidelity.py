@@ -341,9 +341,12 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     if len(fitted):
         per_state[shot] = per_shot
 
-    # one state gives no spread, hence no standard error
-    means = per_state.mean(axis=1)
-    errors = per_state.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else [math.nan] * points
+    # per_state.std(axis=1, ddof=1) by numpy's own steps, in per_state's buffer rather
+    # than a (points, n) copy; one state gives no spread, hence no standard error
+    means, errors = per_state.mean(axis=1), [math.nan] * points
+    if n > 1:
+        spread = np.square(np.subtract(per_state, means[:, None], out=per_state), out=per_state)
+        errors = np.sqrt(np.add.reduce(spread, axis=1) / (n - 1)) / np.sqrt(n)
     return [FidelityEstimate(mean=float(mean), stderr=float(err), n_states=n)
             for mean, err in zip(means, errors)]
 
