@@ -14,11 +14,19 @@ from --seed, else the SIM_SEED environment variable, else 0. Every CSV gets
 a sidecar <name>.meta recording the full configuration; reruns with an
 identical configuration are byte-identical, whatever --workers is. Preset
 defaults live in sweep.PRESETS.
+
+A CLI process (`python -m geomgate`, the `geomgate` script) enters through
+run(): it turns the cyclic garbage collector off before a command imports
+numpy and freezes every object before the interpreter exits, so the process
+makes no collection during a scan and none at exit. main() leaves the
+collector alone, so tests and library callers that run it in process keep
+theirs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
@@ -524,5 +532,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry point: main() with the cyclic collector off. A CLI
+    process makes few reference cycles and lives for one command, so the
+    collector's passes during the run and the interpreter's collections at
+    exit only cost time; freezing moves every object out of their reach.
+    A usage error's SystemExit takes the same path."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

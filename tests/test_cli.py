@@ -1,6 +1,7 @@
 """Command-line surface: reports, CSV stability, config files, seeds."""
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -764,3 +765,87 @@ def test_gate_loads_no_numpy(argv):
     code = (f"import sys\nfrom geomgate import cli\nassert cli.main({argv!r}) == 0\n"
             "print('numpy' in sys.modules)")
     assert fresh_output(code).splitlines()[-1] == "False"
+
+
+# --- process entry point --------------------------------------------------------
+
+
+def run_module(argv, cwd, timeout=120):
+    """`python -m geomgate argv` in a fresh interpreter. Its output pipes close
+    only when every process that holds them has exited, pool workers included."""
+    src = os.path.dirname(os.path.dirname(geomgate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "geomgate", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+SMALL_SWEEP = ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel=-0.4:1.6:6",
+               "--m", "4", "--n", "6", "--seed", "5", "--out", "s.csv"]
+
+
+def test_module_sweep_matches_main_in_process(tmp_path, capsys, monkeypatch):
+    (tmp_path / "module").mkdir()
+    (tmp_path / "inproc").mkdir()
+    proc = run_module(SMALL_SWEEP, tmp_path / "module")
+    assert proc.returncode == 0 and proc.stderr == ""
+    monkeypatch.chdir(tmp_path / "inproc")
+    code, out, err = run_cli(capsys, *SMALL_SWEEP)
+    assert (code, out, err) == (0, proc.stdout, "")
+    for name in ("s.csv", "s.csv.meta"):
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "inproc" / name).read_bytes()
+
+
+def test_module_handled_error_exits_1_and_writes_nothing(tmp_path):
+    proc = run_module(SMALL_SWEEP[:-4] + ["--m", "0", "--out", "s.csv"], tmp_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "m must be >= 1" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_module_usage_error_exits_2(tmp_path):
+    proc = run_module(["sweep", "--no-such-option"], tmp_path)
+    assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_module_pool_run_exits_and_joins_its_workers(tmp_path):
+    # 195 * 2 * 30000 per-shot shots start two worker processes where two CPUs
+    # exist; the pipes closing shows that none outlives the CLI process
+    proc = run_module(["reproduce", "fig4", "--gate-model", "propagator", "--m", "30000",
+                       "--n", "2", "--independent", "--control-mode", "fixed1",
+                       "--workers", "2", "--out", "p.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "wrote p.csv (195 rows)\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_collector_alone(tmp_path, capsys, monkeypatch, enabled):
+    monkeypatch.chdir(tmp_path)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(SMALL_SWEEP) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        with pytest.raises(SystemExit):
+            main(["sweep", "--no-such-option"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"], 0),
+    (["gate", "--beta", "1.5", "--omega0", "1e200"], 1),
+    (["gate", "--no-such-option"], 2),
+], ids=["report", "error", "usage"])
+def test_run_exits_without_the_collector(argv, code):
+    # what the interpreter's exit sees: the collector off and every object frozen
+    src = os.path.dirname(os.path.dirname(geomgate.__file__))
+    script = ("import atexit, gc, sys\nfrom geomgate import cli\n"
+              "atexit.register(lambda: print('gc', gc.isenabled(), gc.get_freeze_count() > 0))\n"
+              f"sys.argv[1:] = {argv!r}\ncli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "gc False True"
