@@ -796,7 +796,7 @@ def test_module_sweep_matches_main_in_process(tmp_path, capsys, monkeypatch):
 
 
 def test_module_handled_error_exits_1_and_writes_nothing(tmp_path):
-    proc = run_module(SMALL_SWEEP[:-4] + ["--m", "0", "--out", "s.csv"], tmp_path)
+    proc = run_module([*SMALL_SWEEP, "--m", "0"], tmp_path)  # the last --m counts
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "m must be >= 1" in proc.stderr
     assert list(tmp_path.iterdir()) == []
