@@ -770,13 +770,12 @@ def test_gate_loads_no_numpy(argv):
 # --- process entry point --------------------------------------------------------
 
 
-def run_module(argv, cwd, timeout=120):
+def run_module(argv, cwd):
     """`python -m geomgate argv` in a fresh interpreter. Its output pipes close
     only when every process that holds them has exited, pool workers included."""
-    src = os.path.dirname(os.path.dirname(geomgate.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomgate.__file__)))
     return subprocess.run([sys.executable, "-m", "geomgate", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=120)
 
 
 SMALL_SWEEP = ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel=-0.4:1.6:6",
@@ -819,7 +818,7 @@ def test_module_pool_run_exits_and_joins_its_workers(tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_main_leaves_the_callers_collector_alone(tmp_path, capsys, monkeypatch, enabled):
+def test_main_leaves_the_callers_collector_alone(tmp_path, monkeypatch, enabled):
     monkeypatch.chdir(tmp_path)
     was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
@@ -831,7 +830,6 @@ def test_main_leaves_the_callers_collector_alone(tmp_path, capsys, monkeypatch, 
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -841,11 +839,11 @@ def test_main_leaves_the_callers_collector_alone(tmp_path, capsys, monkeypatch, 
 ], ids=["report", "error", "usage"])
 def test_run_exits_without_the_collector(argv, code):
     # what the interpreter's exit sees: the collector off and every object frozen
-    src = os.path.dirname(os.path.dirname(geomgate.__file__))
     script = ("import atexit, gc, sys\nfrom geomgate import cli\n"
               "atexit.register(lambda: print('gc', gc.isenabled(), gc.get_freeze_count() > 0))\n"
               f"sys.argv[1:] = {argv!r}\ncli.run()\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomgate.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.splitlines()[-1] == "gc False True"
