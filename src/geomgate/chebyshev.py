@@ -1,5 +1,5 @@
-"""Chebyshev fit of a lock-step "propagator" point's basis rows in the draw u,
-and the quadrature that sums a polynomial in u over a state's draws.
+"""Chebyshev fit of a lock-step point's basis rows in the draw u, and the
+quadrature that sums a polynomial in u over a state's draws.
 
 fidelity._paths loads this module only when a point may take the fit
 (lock-step draws, m >= fidelity._FIT_MIN_SHOTS), so other runs never compile
@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .fidelity import _column, _cos_sin
-from .noise import NoiseSpec
+from .fidelity import EstimatorConfig, _columns, _cos_sin
 
 #: a point's basis rows are fitted in u on this many Chebyshev nodes
 NODES = 8
@@ -55,48 +54,49 @@ def tables():
             transform(y))
 
 
-def fit(params: list, live: list, spec: NoiseSpec):
+def fit(params: list, live: list, cfg: EstimatorConfig):
     """Per point, whether the fit resolves its basis rows, and the rows' change from
-    u = 0 at the quadrature nodes, (points, 3*blocks, 2*NODES).
+    u = 0 at the quadrature nodes, (points, 4*blocks, 2*NODES).
 
-    The rows are the kernel's (r, then s*det, then s*w0 of each block), at the
-    relative draws of tables(). Their change is taken from the changes of the
-    fields and of the half angle h = a/2, in tan half-angle arithmetic, so that it
-    keeps its own relative precision: with h0 at u = 0,
-    r - r0 = -sin(h + h0)*sin(h - h0) and s - s0 = (cos(h + h0)*sin(h - h0)
-    - s0*(big - big0))/big. A point is resolved when the fit on the nodes x meets
-    the change at the nodes y within TOLERANCE (never when it is not finite).
+    The rows are fidelity._rows's (r, s*det, s*w0, sigma of each block) at the
+    relative draws of tables(), under the columns of fidelity._columns. Their
+    change is taken from the changes of the fields and of the half angle h = a/2,
+    in tan half-angle arithmetic, so that it keeps its own relative precision: with
+    h0 at u = 0, r - r0 = -sin(h + h0)*sin(h - h0), sigma - sigma0 = cos(h + h0)*
+    sin(h - h0) and s - s0 = (sigma - sigma0 - s0*(big - big0))/big. The rows a
+    block's axis does not read are zeroed, so the check reads the model's own rows:
+    a point is resolved when the fit on the nodes x meets the change at the nodes y
+    within TOLERANCE (never when it is not finite).
     """
     u, to_y, _ = tables()
-    targets = [getattr(p, "target", p) for p in params]
-    omega, omega0, omega1 = (_column([getattr(t, f) for t in targets])
-                             for f in ("omega", "omega0", "omega1"))
-    coupling = _column([getattr(p, "coupling_j", 0.0) for p in params])
+    spec, c = cfg.spec, _columns(params, live, cfg)
+    omega0, half = c["omega0"][:, None, None], 0.5 * c["pio"][:, None, None]
+    gain, offset, noisy = (x.T[..., None] for x in (c["gain"], c["offset"], c["axis"][0]))
     # (points, blocks, u), the fields as the kernel forms them; index 0 is u = 0
     w0 = omega0 * (1.0 + spec.delta0 * u)
-    det = omega1 * (1.0 + spec.delta1 * u) + ((np.array(live)[:, None] * 2 - 1) * coupling - omega)
+    det = gain * (1.0 + spec.delta1 * u) + offset
     big = np.sqrt(w0 * w0 + det * det)
-    dw0, ddet = omega0 * spec.delta0 * u, omega1 * spec.delta1 * u
+    dw0, ddet = omega0 * spec.delta0 * u, gain * spec.delta1 * u
     dbig = (dw0 * (w0 + w0[..., :1]) + ddet * (det + det[..., :1])) / (big + big[..., :1])
-    half = 0.5 * (np.pi / omega)
     cos_sum, sin_sum = _cos_sin(half * (big + big[..., :1]))
     sin_diff = _cos_sin(half * dbig)[1]
     t0 = np.tan(half * big[..., :1])
     s0 = t0 / (big[..., :1] * (1.0 + t0 * t0))
-    ds = (cos_sum * sin_diff - s0 * dbig) / big
-    change = np.concatenate((-sin_sum * sin_diff, ds * det + s0 * ddet, ds * w0 + s0 * dw0),
-                            axis=1)
+    dsigma = cos_sum * sin_diff
+    ds = (dsigma - s0 * dbig) / big
+    change = np.concatenate((-sin_sum * sin_diff, (ds * det + s0 * ddet) * noisy,
+                             (ds * w0 + s0 * dw0) * noisy, dsigma * (1.0 - noisy)), axis=1)
     at_x, at_y = change[..., 1:NODES + 1], change[..., NODES + 1:]
     error = np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(1, 2))
     return error <= TOLERANCE, at_y
 
 
-def fits(params: list, live: list, spec: NoiseSpec, elements: int):
+def fits(params: list, live: list, cfg: EstimatorConfig, elements: int):
     """Per point, whether the fit resolves its rows (a bool array), and their change
     from fit, that of an unresolved point unread. fit takes as many points at a time
     as keep its (points, blocks, u) arrays within `elements` elements."""
     span = max(1, elements // (len(live) * (1 + 3 * NODES)))
-    resolved, change = zip(*(fit(params[lo:lo + span], live, spec)
+    resolved, change = zip(*(fit(params[lo:lo + span], live, cfg)
                              for lo in range(0, len(params), span)))
     return np.concatenate(resolved), np.concatenate(change)
 

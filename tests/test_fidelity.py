@@ -121,14 +121,20 @@ def strong_drives():
 
 
 def test_phase_noiseless_is_exactly_one():
-    # under "phase" no noise gives d == 0 bit for bit, hence F == 1 exactly
+    # under either model no noise gives rows equal bit for bit to those at u = 0,
+    # so the change e is 0 and F == 1 exactly, on the per-shot kernel (m = 3) and
+    # on the fit (every point resolves a change of 0), whatever the control weights
     zero = NoiseSpec(0.0, 0.0)
-    for p in strong_drives():
-        assert estimate_single(p, zero, 3, 2, RngStream(5).child(1)).mean == 1.0
-        p2 = TwoQubitParams(target=p, coupling_j=0.3 * p.omega0)
-        for mode in ("fixed0", "fixed1"):
-            est = estimate_two_qubit(p2, zero, 3, 2, RngStream(6).child(2), control_mode=mode)
-            assert est.mean == 1.0
+    for model in ("phase", "propagator"):
+        for m in (3, fidelity._FIT_MIN_SHOTS):
+            for p in strong_drives():
+                est = estimate_single(p, zero, m, 2, RngStream(5).child(1), gate_model=model)
+                assert est.mean == 1.0
+                p2 = TwoQubitParams(target=p, coupling_j=0.3 * p.omega0)
+                for mode in ("fixed0", "fixed1", "unfixed"):
+                    est = estimate_two_qubit(p2, zero, m, 2, RngStream(6).child(2),
+                                             control_mode=mode, gate_model=model)
+                    assert est.mean == 1.0
 
 
 def test_cos_sin_half_angle_matches_libm():
@@ -143,7 +149,8 @@ def test_cos_sin_half_angle_matches_libm():
     assert np.max(np.abs(sin_a - [math.sin(x) for x in a])) <= tol
 
 
-def test_kernel_calls_no_libm_per_shot(monkeypatch):
+@pytest.mark.parametrize("gate_model", ["phase", "propagator"])
+def test_kernel_calls_no_libm_per_shot(gate_model, monkeypatch):
     # numpy's float64 hypot, sin and cos can run through scalar libm, so the
     # per-shot kernel must not call them. The state map and the ideal entries
     # may, once per input state or per point
@@ -159,12 +166,13 @@ def test_kernel_calls_no_libm_per_shot(monkeypatch):
         monkeypatch.setattr(np, name, counted(getattr(np, name)))
     m, n = 64, 4
     estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), NoiseSpec(0.05, 0.05), m, n,
-                       RngStream(4).child(2), control_mode="unfixed", gate_model="propagator")
+                       RngStream(4).child(2), control_mode="unfixed", gate_model=gate_model)
     # above the crossover: the fit, its tables and the power sums
     estimate_two_qubit(two_qubit_geometric_point(30.0, SQRT3), NoiseSpec(0.05, 0.05),
                        fidelity._FIT_MIN_SHOTS + 64, n, RngStream(4).child(2),
-                       control_mode="unfixed", gate_model="propagator")
-    estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), m, n, RngStream(4).child(1))
+                       control_mode="unfixed", gate_model=gate_model)
+    estimate_single(pinned_single(), NoiseSpec(0.1, 0.1), m, n, RngStream(4).child(1),
+                    gate_model=gate_model)
     assert sizes and max(sizes) <= n
 
 
@@ -245,24 +253,29 @@ def test_one_state_gives_no_stderr():
                            RngStream(3).child(1)).stderr > 0.0
 
 
-# --- propagator kernel: plain allocating expressions ------------------------
+# --- the shared kernel: plain allocating expressions --------------------------
 
 
 def allocating_propagator_estimates(params, cfg, rng, matmul=True):
-    """(mean, stderr) per point (all single-qubit or all two-qubit), from arrays
-    built whole.
+    """(mean, stderr) per point (all single-qubit or all two-qubit) under
+    cfg.gate_model, from arrays built whole.
 
-    matmul=True transcribes the propagator kernel: the basis rows r = 1/(1 + t*t)
-    of every block, then s*det, then s*w0 with s = sin(a)/(2*big), then a row of
-    ones, summed by one matmul with the coefficients 2*c_1, 2*c_z, 2*c_x and
-    -sum_k c_1 (cos(a) = 2*r - 1); each state's mean is clamped at 1.
-    matmul=False is the per-shot sum c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0)
-    clamped per shot, as the kernel computed before, which rounds otherwise.
+    matmul=True transcribes the kernel both models share, in its change form.
+    Each block's basis rows are r = 1/(1 + t*t), s*det, s*w0 and sigma = t*r,
+    with t = tan(a/2) and s = sigma/big. The same rows at u = 0 are taken off,
+    and one matmul sums the rest into e, with the coefficients 2*c_1 (for r),
+    2i*c_z and 2i*c_x (for a noisy axis, "propagator") and 2i*(c_z*cos(chi) +
+    c_x*sin(chi)) (for sigma, the axis "phase" holds). Each state's mean of
+    2*Re(e) + |e|^2 is added to 1 and clamped at 1.
+    matmul=False is the per-shot sum each model computed before, clamped per
+    shot, which rounds otherwise: c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0)
+    under "propagator", the closed form cos(d) + i*z*sin(d) under "phase",
+    d = pi*(big0 - big)/omega and z the target's Bloch vector on the block axis.
 
     Reads the estimator's draws all at once: both streams are read in order,
     so its chunks of states see the same doubles.
     """
-    m, n, spec = cfg.m, cfg.n, cfg.spec
+    m, n, spec, phase = cfg.m, cfg.n, cfg.spec, cfg.gate_model == "phase"
     single = isinstance(params[0], DriveParams)
     weights = (1.0,) if single else {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}.get(
         cfg.control_mode)
@@ -277,28 +290,51 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], cfg.haar))
     w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], cfg.haar)]
     draws = relative_draws(rng.child(1), n * m * (1 + spec.independent)).reshape(1, n, -1)
-    w0 = omega0 * (1.0 + spec.delta0 * draws[..., :m])
-    w1 = omega1 * (1.0 + spec.delta1 * draws[..., -m:])
-    w0sq = w0 * w0
+    u0, u1 = draws[..., :m], draws[..., -m:]
+    bz, bx = abs(t0) ** 2 - abs(t1) ** 2, 2.0 * (t0.conjugate() * t1).real
     re = im = 0.0
     rows, coefficients = [], []
     for k, sign in enumerate((-1.0,) if single else (-1.0, 1.0)):
         if weights is not None and weights[k] == 0.0:
             continue
         shift = column([sign * getattr(p, "coupling_j", 0.0) for p in params])
+        # "phase" scales the block frequency omega1 +- J, "propagator" shifts omega1*scale
+        gain, offset = (omega1 + shift, -omega) if phase else (omega1, shift - omega)
+        det0 = gain + offset
+        big0 = np.sqrt(omega0 * omega0 + det0 * det0)
+        cos_chi, sin_chi = det0 / big0, omega0 / big0
         i00, i01, i11 = (np.array(e)[:, None, None] for e in zip(
             *(cycle_entries(blocks(p)[k]) for p in params)))
         q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
         q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
         q0t0, q1t1 = q0 * t0, q1 * t1
-        det = w1 + (shift - omega)
-        big = np.sqrt(w0sq + det * det)
+
+        def fields(d0, d1):
+            w0 = omega0 * (1.0 + spec.delta0 * d0)
+            det = gain * (1.0 + spec.delta1 * d1) + offset
+            big = np.sqrt(w0 * w0 + det * det)
+            return w0, det, big
+
+        w0, det, big = fields(u0, u1)
         if matmul:
-            t = np.tan(0.5 * (np.pi / omega) * big)
-            tt = t * t
-            s = t / (big * (1.0 + tt))
-            rows.append((1.0 / (1.0 + tt), s * det, s * w0))
-            coefficients.append((-(q0t0 + q1t1), 2j * (q0t0 - q1t1), 2j * (q0 * t1 + q1 * t0)))
+            at = []
+            for w0_, det_, big_ in ((w0, det, big), fields(0.0, 0.0)):
+                t = np.tan(0.5 * (np.pi / omega) * big_)
+                r = 1.0 / (1.0 + t * t)
+                sigma = t * r
+                s = sigma / big_
+                at.append((r, s * det_, s * w0_, sigma))
+            rows.append([x - x0 for x, x0 in zip(*at)])
+            c_z, c_x = q0t0 - q1t1, q0 * t1 + q1 * t0
+            zero = np.zeros_like(c_z)
+            coefficients.append((-2.0 * (q0t0 + q1t1), zero if phase else 2j * c_z,
+                                 zero if phase else 2j * c_x,
+                                 2j * (c_z * cos_chi + c_x * sin_chi) if phase else zero))
+            continue
+        if phase:
+            cos_d, sin_d = fidelity._cos_sin(np.pi / omega * (big0 - big))
+            re = re + w[k] * cos_d
+            im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * sin_d
             continue
         c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
         cos_a, sin_a = fidelity._cos_sin(np.pi / omega * big)
@@ -306,34 +342,38 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
         re = re + c_1.real * cos_a + sin_a * (c_z.real * det + c_x.real * w0)
         im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
     if matmul:
-        # grouped by kind: every block's r, then s*det, then s*w0, then the ones row
-        c_1, c_z, c_x = zip(*coefficients)
-        c = np.concatenate([2.0 * x for x in c_1] + [*c_z, *c_x, -sum(c_1)], axis=-1)
-        basis = np.stack([x for kind in zip(*rows) for x in kind] + [np.ones_like(w0)], axis=-2)
-        ri = np.matmul(np.stack((c.real, c.imag), axis=-2), basis)
-        re, im = ri[..., 0, :], ri[..., 1, :]
-        per_state = np.minimum((re * re + im * im).sum(axis=-1) / m, 1.0)
+        # grouped by kind: every block's r, then s*det, then s*w0, then sigma
+        c = np.concatenate([x for kind in zip(*coefficients) for x in kind], axis=-1)
+        basis = np.stack([x for kind in zip(*rows) for x in kind], axis=-2)
+        e = np.matmul(np.stack((c.real, c.imag), axis=-2), basis)
+        re, im = e[..., 0, :], e[..., 1, :]
+        per_state = np.minimum(1.0 + ((re + re) + (re * re + im * im)).sum(axis=-1) / m, 1.0)
     else:
         per_state = np.minimum(re * re + im * im, 1.0).mean(axis=-1)
     return [(row.mean(), row.std(ddof=1) / np.sqrt(n)) for row in per_state]
 
 
-@pytest.mark.parametrize("mode,spec,haar,elements", [
-    ("unfixed", NoiseSpec(0.05, 0.05), False, None),
-    ("fixed1", NoiseSpec(0.1, 0.1, True), True, None),
-    ("unfixed", NoiseSpec(0.1, 0.05, True), True, 3 * 7),  # three states, one point a chunk
-    ("fixed1", NoiseSpec(0.05, 0.05), False, 2 * 11 * 7),  # all states, two points a chunk
-])
-def test_propagator_kernel_equals_the_allocating_expression(mode, spec, haar, elements,
-                                                            monkeypatch):
-    # the kernel writes into work buffers and coefficient tables and must round
-    # exactly as the plain basis-row matmul does, in full chunks and in shorter
-    # trailing ones; the per-shot sum it replaced agrees to the last digits
+@pytest.mark.parametrize("gate_model,mode,spec,haar,elements", [
+    pytest.param(model, mode, spec, haar, elements,
+                 id=f"{mode}-spec{j}-{haar}-{elements}" if model == "propagator"
+                 else f"phase-{mode}-spec{j}-{haar}-{elements}")
+    for model in ("propagator", "phase")
+    for j, (mode, spec, haar, elements) in enumerate([
+        ("unfixed", NoiseSpec(0.05, 0.05), False, None),
+        ("fixed1", NoiseSpec(0.1, 0.1, True), True, None),
+        ("unfixed", NoiseSpec(0.1, 0.05, True), True, 3 * 7),  # three states, one point a chunk
+        ("fixed1", NoiseSpec(0.05, 0.05), False, 2 * 11 * 7),  # all states, two points a chunk
+    ])])
+def test_propagator_kernel_equals_the_allocating_expression(gate_model, mode, spec, haar,
+                                                            elements, monkeypatch):
+    # the kernel both models share writes into work buffers and coefficient tables
+    # and must round exactly as the plain basis-row matmul does, in full chunks and
+    # in shorter trailing ones; each model's former per-shot sum agrees to the last digits
     if elements is not None:
         monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
     params = [two_qubit_from_alpha(w0, 60.0, math.sqrt(a))
               for w0, a in ((2.0, 3), (10.0, 8), (21.0, 15), (33.0, 35), (40.0, 143))]
-    cfg = fidelity.EstimatorConfig(m=7, n=11, spec=spec, gate_model="propagator", haar=haar,
+    cfg = fidelity.EstimatorConfig(m=7, n=11, spec=spec, gate_model=gate_model, haar=haar,
                                    control_mode=mode)
     got = [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
     assert got == allocating_propagator_estimates(params, cfg, RngStream(8).child(2))
@@ -362,24 +402,35 @@ def fit_points(mode, family):
             for w0, a in ((2.0, 3), (10.0, 8), (21.0, 15), (33.0, 35), (40.0, 143))]
 
 
-@pytest.mark.parametrize("mode,family,spec,haar", [
-    ("unfixed", "geometric", NoiseSpec(0.05, 0.05), False),
-    ("unfixed", "fast", NoiseSpec(0.5, 0.9), True),
-    ("fixed0", "geometric", NoiseSpec(0.05, 0.05), False),
-    ("fixed1", "fast", NoiseSpec(0.5, 0.9), True),
-    (None, "geometric", NoiseSpec(0.02, 0.02), False),
-    (None, "fast", NoiseSpec(0.5, 0.9), True),
-], ids=["unfixed", "unfixed-wide-haar", "fixed0", "fixed1-haar", "single", "single-wide-haar"])
+@pytest.mark.parametrize("gate_model,mode,family,spec,haar", [
+    pytest.param("propagator", "unfixed", "geometric", NoiseSpec(0.05, 0.05), False, id="unfixed"),
+    pytest.param("propagator", "unfixed", "fast", NoiseSpec(0.5, 0.9), True,
+                 id="unfixed-wide-haar"),
+    pytest.param("propagator", "fixed0", "geometric", NoiseSpec(0.05, 0.05), False, id="fixed0"),
+    pytest.param("propagator", "fixed1", "fast", NoiseSpec(0.5, 0.9), True, id="fixed1-haar"),
+    pytest.param("propagator", None, "geometric", NoiseSpec(0.02, 0.02), False, id="single"),
+    pytest.param("propagator", None, "fast", NoiseSpec(0.5, 0.9), True, id="single-wide-haar"),
+    # "phase" fluctuates the coupling too: 8 nodes resolve none of fig4's geometric
+    # points, and at fig1's, where its loss is O(delta^4), sigma is too small for
+    # the relative bound, so it takes fast drives, some at narrower widths
+    pytest.param("phase", "unfixed", "fast", NoiseSpec(0.5, 0.5), False, id="phase-unfixed"),
+    pytest.param("phase", "unfixed", "fast", NoiseSpec(0.3, 0.5), True, id="phase-unfixed-haar"),
+    pytest.param("phase", "fixed0", "fast", NoiseSpec(0.5, 0.9), False, id="phase-fixed0"),
+    pytest.param("phase", "fixed1", "fast", NoiseSpec(0.5, 0.5), True, id="phase-fixed1-haar"),
+    pytest.param("phase", None, "fast", NoiseSpec(0.5, 0.5), False, id="phase-single"),
+    pytest.param("phase", None, "fast", NoiseSpec(0.5, 0.9), True, id="phase-single-wide-haar"),
+])
 @pytest.mark.parametrize("m", [fidelity._FIT_MIN_SHOTS, 1000])
-def test_propagator_fit_equals_the_per_shot_sum(mode, family, spec, haar, m, monkeypatch):
+def test_propagator_fit_equals_the_per_shot_sum(gate_model, mode, family, spec, haar, m,
+                                                monkeypatch):
     # lock-step points above the crossover sum their shots through the Chebyshev
-    # fit and the power sums of the draws; they must agree with the per-shot sum
-    # c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0) within the bounds the kernel meets
+    # fit and the power sums of the draws; they must agree with each model's
+    # per-shot sum within the bounds the kernel meets
     params = fit_points(mode, family)
-    cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model="propagator", haar=haar,
+    cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model=gate_model, haar=haar,
                                    control_mode=mode or "unfixed")
     live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
-    resolved, _ = chebyshev.fits(params, live, spec, fidelity._CHUNK_ELEMENTS)
+    resolved, _ = chebyshev.fits(params, live, cfg, fidelity._CHUNK_ELEMENTS)
     assert resolved.all() and len(resolved) == len(params)
     sums, power_sums = [], chebyshev.power_sums
     monkeypatch.setattr(chebyshev, "power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
@@ -398,17 +449,19 @@ def unresolved_point():
 
 def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
     # the fit's error at u values between its nodes refuses the point, which then
-    # gets the per-shot kernel's result bit for bit, alone and beside a resolved point
-    spec = NoiseSpec(0.3, 0.3)
+    # gets the per-shot kernel's result bit for bit, alone and beside a resolved
+    # point, under either model
     params = [unresolved_point(), fit_points(None, "fast")[0]]
-    resolved, _ = chebyshev.fits(params, [0], spec, fidelity._CHUNK_ELEMENTS)
-    assert list(resolved) == [False, True]
-    cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6, spec=spec,
-                                   gate_model="propagator")
-    got = fidelity._estimate(params, cfg, RngStream(4).child(1))
-    assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
-    monkeypatch.setattr(fidelity, "_FIT_MIN_SHOTS", cfg.m + 1)
-    assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
+    for model in ("propagator", "phase"):
+        cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6,
+                                       spec=NoiseSpec(0.3, 0.3), gate_model=model)
+        resolved, _ = chebyshev.fits(params, [0], cfg, fidelity._CHUNK_ELEMENTS)
+        assert list(resolved) == [False, True]
+        got = fidelity._estimate(params, cfg, RngStream(4).child(1))
+        assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
+        with monkeypatch.context() as patch:
+            patch.setattr(fidelity, "_FIT_MIN_SHOTS", cfg.m + 1)
+            assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
 
 
 @pytest.mark.parametrize("spec", [NoiseSpec(0.0, 0.0), NoiseSpec(1e-9, 1e-9)],
@@ -431,18 +484,19 @@ def test_propagator_mean_never_exceeds_one(mode, spec):
 
 
 def test_fit_module_loads_only_when_a_point_may_fit():
-    # runs that fit nothing (phase, independent draws, m below the crossover)
-    # never compile or load the chebyshev module, nor does a 2-worker phase sweep,
-    # which looks up the points' paths to size its pool
+    # runs that fit nothing (independent draws, m below the crossover) never
+    # compile or load the chebyshev module under either model, nor does a 2-worker
+    # sweep below the crossover, which looks up the points' paths to size its pool
     code = ("import os, sys; os.cpu_count = lambda: 4; "
             "from geomgate.fidelity import estimate_single; "
             "from geomgate.model import DriveParams; from geomgate.noise import NoiseSpec, RngStream; "
             "from geomgate.sweep import EstimatorConfig, single_point, sweep_generic; "
             "sweep_generic([single_point(1e5, d, 1.5, 'minus') for d in (0.0, 0.5, 1.0)], "
-            "EstimatorConfig(m=200, n=2, workers=2)); "
+            "EstimatorConfig(m=100, n=2, workers=2)); "
             "p = DriveParams(40.0, 1.0, 0.5); "
-            "runs = [('phase', NoiseSpec(0.1, 0.1), 200), ('propagator', NoiseSpec(0.1, 0.1, True), 200), "
-            "('propagator', NoiseSpec(0.1, 0.1), 100), ('propagator', NoiseSpec(0.1, 0.1), 200)]; "
+            "runs = [('phase', NoiseSpec(0.1, 0.1, True), 200), "
+            "('propagator', NoiseSpec(0.1, 0.1, True), 200), ('phase', NoiseSpec(0.1, 0.1), 100), "
+            "('propagator', NoiseSpec(0.1, 0.1), 100), ('phase', NoiseSpec(0.1, 0.1), 200)]; "
             "print(['geomgate.chebyshev' in sys.modules] + "
             "[estimate_single(p, spec, m, 2, RngStream(1), gate_model=model) and "
             "'geomgate.chebyshev' in sys.modules for model, spec, m in runs])")
@@ -450,7 +504,7 @@ def test_fit_module_loads_only_when_a_point_may_fit():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "[False, False, False, False, True]"
+    assert proc.stdout.split("\n")[0] == "[False, False, False, False, False, True]"
 
 
 def test_propagator_digits_do_not_depend_on_blas_threads():
@@ -476,13 +530,14 @@ def test_propagator_digits_do_not_depend_on_blas_threads():
     assert len(outputs) == 1
 
 
-def test_propagator_memory_is_bounded_on_a_large_grid():
+@pytest.mark.parametrize("gate_model", ["phase", "propagator"])
+def test_propagator_memory_is_bounded_on_a_large_grid(gate_model):
     # 400 points at m = 4, n = 1000: a coefficient table over every (point,
-    # state) pair would hold 400 * 1000 * 14 doubles (45 MB); the bounded one
-    # holds at most 14 * _CHUNK_ELEMENTS, next to the (points, n) means (3.2 MB)
+    # state) pair would hold 400 * 1000 * 16 doubles (51 MB); the bounded one
+    # holds at most 16 * _CHUNK_ELEMENTS, next to the (points, n) means (3.2 MB)
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=4, n=1000, spec=NoiseSpec(0.05, 0.05),
-                                   gate_model="propagator")
+                                   gate_model=gate_model)
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))
@@ -492,14 +547,19 @@ def test_propagator_memory_is_bounded_on_a_large_grid():
     assert peak <= 10e6
 
 
-def test_propagator_fit_memory_is_bounded_on_a_large_grid():
+@pytest.mark.parametrize("gate_model", ["phase", "propagator"])
+def test_propagator_fit_memory_is_bounded_on_a_large_grid(gate_model):
     # 400 points at the crossover, n = 1000: the Chebyshev sum takes at most
     # _CHUNK_ELEMENTS // 16 (point, state) pairs at a time, and each point's rows
-    # hold 6 * 2 * 8 doubles, next to the (points, n) means (3.2 MB)
+    # hold 8 * 2 * 8 doubles, next to the (points, n) means (3.2 MB). "phase" runs
+    # fast drives: its 8-node fit resolves none of fig4's geometric points
     params = [two_qubit_from_alpha(2.0 + 0.1 * i, 60.0, SQRT3) for i in range(400)]
+    if gate_model == "phase":
+        params = [TwoQubitParams(target=DriveParams(40.0, 0.5 + 0.005 * i, 1.0), coupling_j=0.5)
+                  for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
-                                   gate_model="propagator")
-    assert chebyshev.fits(params, [0, 1], cfg.spec, fidelity._CHUNK_ELEMENTS)[0].all()
+                                   gate_model=gate_model)
+    assert chebyshev.fits(params, [0, 1], cfg, fidelity._CHUNK_ELEMENTS)[0].all()
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))

@@ -218,7 +218,7 @@ def assert_both_paths(points, cfg):
     params = [p.params for p in points if p.feasible]
     live = [0] if isinstance(params[0], DriveParams) else {
         "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
-    resolved, _ = chebyshev.fits(params, live, cfg.spec, fidelity._CHUNK_ELEMENTS)
+    resolved, _ = chebyshev.fits(params, live, cfg, fidelity._CHUNK_ELEMENTS)
     assert np.count_nonzero(~resolved) == 1 and resolved.any()
 
 
