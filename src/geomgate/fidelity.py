@@ -301,7 +301,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     views = {}
     for first in range(0, n, states):
         count = min(states, n - first)
-        u = state_rng.generator.random((count, width))
+        u = state_rng.random((count, width))
         t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], haar))
         # the live blocks' control weights, (blocks, 1, states or 1, 1)
         w = np.reshape([weights[k] for k in live] if weights else

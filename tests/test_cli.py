@@ -767,6 +767,27 @@ def test_gate_loads_no_numpy(argv):
     assert fresh_output(code).splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel=-0.4:3.6:21",
+     "--m", "8", "--n", "400", "--workers", "1", "--out", "s.csv"],
+    ["reproduce", "fig4", "--gate-model", "propagator", "--m", "12000", "--n", "12",
+     "--out", "f.csv"],
+], ids=["per-shot", "fit"])
+def test_scan_loads_no_numpy_random(argv, tmp_path):
+    # the streams are computed on plain arrays: a scan never pays numpy.random's
+    # import, nor the _hashlib that numpy.random's use of secrets loads
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: print(sorted({'numpy.random', '_hashlib'} & "
+              "set(sys.modules))))\n"
+              f"sys.argv[1:] = {argv!r}\n"
+              "runpy.run_module('geomgate', run_name='__main__', alter_sys=True)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomgate.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # --- process entry point --------------------------------------------------------
 
 

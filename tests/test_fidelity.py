@@ -272,8 +272,9 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     under "propagator", the closed form cos(d) + i*z*sin(d) under "phase",
     d = pi*(big0 - big)/omega and z the target's Bloch vector on the block axis.
 
-    Reads the estimator's draws all at once: both streams are read in order,
-    so its chunks of states see the same doubles.
+    Reads the estimator's draws all at once, from numpy's own Philox generator
+    under the streams' SeedSequence keys: both streams are read in order, so
+    its chunks of states see the same doubles.
     """
     m, n, spec, phase = cfg.m, cfg.n, cfg.spec, cfg.gate_model == "phase"
     single = isinstance(params[0], DriveParams)
@@ -286,10 +287,12 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     targets = [getattr(p, "target", p) for p in params]
     omega, omega0, omega1 = (column([getattr(t, f) for t in targets])
                              for f in ("omega", "omega0", "omega1"))
-    u = rng.child(0).generator.random((n, 3 if weights else 6))
+    state_gen, noise_gen = (np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=rng.seed, spawn_key=rng.path + (k,)))) for k in (0, 1))
+    u = state_gen.random((n, 3 if weights else 6))
     t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], cfg.haar))
     w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], cfg.haar)]
-    draws = relative_draws(rng.child(1), n * m * (1 + spec.independent)).reshape(1, n, -1)
+    draws = noise_gen.uniform(-1.0, 1.0, n * m * (1 + spec.independent)).reshape(1, n, -1)
     u0, u1 = draws[..., :m], draws[..., -m:]
     bz, bx = abs(t0) ** 2 - abs(t1) ** 2, 2.0 * (t0.conjugate() * t1).real
     re = im = 0.0

@@ -1,14 +1,17 @@
 """Determinism of the stream machinery and distribution checks on the samplers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geomgate.noise import (
+    _PASS,
     NoiseSpec,
     RngStream,
     _input_amplitudes,
+    _philox,
     relative_draws,
     sample_input_state,
     sample_two_qubit_input,
@@ -30,14 +33,14 @@ def test_noise_spec_bounds():
 
 
 def test_same_seed_and_path_replays_identical_sequence():
-    a = RngStream(1234, (5, 6)).generator.uniform(0, 1, 100)
-    b = RngStream(1234, (5, 6)).generator.uniform(0, 1, 100)
+    a = RngStream(1234, (5, 6)).random(100)
+    b = RngStream(1234, (5, 6)).random(100)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_paths_differ():
     base = RngStream(1234)
-    seqs = [base.child(*path).generator.uniform(0, 1, 8)
+    seqs = [base.child(*path).random(8)
             for path in [(0,), (1,), (0, 0), (0, 1), (1, 0)]]
     for i in range(len(seqs)):
         for j in range(i + 1, len(seqs)):
@@ -52,15 +55,69 @@ def test_child_path_composition():
 def test_block_draw_equals_scalar_draws():
     # the estimator draws blocks; the scalar op must walk the same sequence
     block = relative_draws(RngStream(9, (4,)), 16)
-    g = RngStream(9, (4,)).generator
-    singles = np.array([g.uniform(-1.0, 1.0) for _ in range(16)])
+    s = RngStream(9, (4,))
+    singles = np.array([relative_draws(s, 1)[0] for _ in range(16)])
     np.testing.assert_array_equal(block, singles)
 
 
 def test_negative_seed_accepted():
     s = RngStream(-17)
     assert s.seed == (-17) & 0xFFFFFFFFFFFFFFFF
-    s.generator.uniform()
+    assert 0.0 <= s.random(()) < 1.0
+
+
+def test_negative_path_index_refused():
+    # SeedSequence's spawn key takes non-negative integers only
+    with pytest.raises(ValueError, match="path"):
+        RngStream(1, (0, -1))
+
+
+def numpy_stream(seed, path):
+    """numpy's own generator on the stream (seed, path): the reference."""
+    ss = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=path)
+    return np.random.Generator(np.random.Philox(ss))
+
+
+# request sizes, in doubles, that cross the 4-word block, the smallest pass
+# (4 * _PASS[0] words) and the largest (4 * _PASS[1] words)
+SMALL, LARGE = 4 * _PASS[0], 4 * _PASS[1]
+REQUESTS = [(1, 2, 3, 5, 7, 4, 1), (3,) * 200, (SMALL - 1, 2, SMALL, 6, 12000, 6),
+            (LARGE + 3, 1, LARGE - 1, 2 * LARGE + 5), (6, 12000) * 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1, -17])
+def test_streams_match_numpy_philox_bit_for_bit(seed):
+    # the stream is numpy's Generator(Philox(SeedSequence(entropy=seed,
+    # spawn_key=path))) double for double, whatever sizes the draws come in
+    for path in [(), (0,), (0, 1), (5, 6), (2**33, 0), (0, 0, 0)]:
+        for sizes in REQUESTS:
+            ours, ref = RngStream(seed, path), numpy_stream(seed, path)
+            ours_u, ref_u = RngStream(seed, path), numpy_stream(seed, path)
+            for n in sizes:
+                np.testing.assert_array_equal(ours.random(n), ref.random(n))
+                np.testing.assert_array_equal(relative_draws(ours_u, n),
+                                              ref_u.uniform(-1.0, 1.0, n))
+    np.testing.assert_array_equal(RngStream(seed, (3,)).random((5, 6)),
+                                  numpy_stream(seed, (3,)).random((5, 6)))
+
+
+def test_philox_known_answer():
+    # Random123's known-answer vector for philox4x64-10: zero counter, zero key
+    words = _philox(0, 1, np.zeros((2, 1), np.uint64))
+    assert [f"{int(w):016x}" for w in words[0]] == [
+        "16554d9eca36314c", "db20fe9d672d0fdc", "d7e772cee186176b", "7e68b68aec7ba23b"]
+
+
+def test_large_draw_memory_is_bounded():
+    # a pass of at most 4 * _PASS[1] words is converted straight into the
+    # output, so a draw of 2M doubles holds little beside its own 15.3 MB
+    tracemalloc.start()
+    try:
+        u = relative_draws(RngStream(3, (1,)), 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 2**20
 
 
 def test_fluctuated_field_bounds_mean_and_variance():
@@ -88,7 +145,7 @@ def test_state_forms():
 def test_sample_input_state_reads_block_rows():
     # one state per row of three doubles: consecutive calls on one stream walk
     # the rows of the block the estimator reads from its state stream
-    block = RngStream(5, (0,)).generator.random((4, 3))
+    block = RngStream(5, (0,)).random((4, 3))
     s = RngStream(5, (0,))
     for row in block:
         np.testing.assert_array_equal(sample_input_state(s, haar=True),
