@@ -6,7 +6,7 @@ the same (seed, path) replays bit-identical draws regardless of evaluation
 order, worker count or platform; there is no global RNG state. A stream is
 Philox4x64-10 (Salmon et al., SC11) under SeedSequence(entropy=seed,
 spawn_key=path)'s key, run on uint64 arrays: numpy.random's doubles bit for
-bit on any numpy version, and numpy.random is never imported.
+bit on any numpy version; numpy.random is unused (numpy 1.x imports it anyway).
 
 Control noise is quasi-static: one fluctuation per gate run, frozen over
 the cycle. The default draw is a single relative deviation u ~ U[-1, 1]
@@ -66,11 +66,8 @@ def _hasher(h: int, mult: int):
 
 
 def _key(seed: int, path: tuple) -> np.ndarray:
-    """The Philox key, a (2, 1) column, of numpy's SeedSequence(entropy=seed,
-    spawn_key=path): seed's 32-bit words, padded to 4 if path is not empty, and
-    path's, trailing zeros too, are mixed into a pool of 4 words hashed into the key."""
-    if any(i < 0 for i in path):
-        raise ValueError(f"path indices must be >= 0, got {path}")
+    """The Philox key, a (2, 1) column, of numpy's SeedSequence(entropy=seed, spawn_key=path):
+    seed's 32-bit words (4 if path is not empty) and path's, zeros too, hashed via a 4-word pool."""
     seed_words, *path_words = ([v >> s & _M32 for s in range(0, max(v.bit_length(), 1), 32)]
                                for v in (seed, *path))
     entropy = seed_words + ([0] * (4 - len(seed_words)) if path else []) + sum(path_words, [])
@@ -116,7 +113,9 @@ class RngStream:
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.path = tuple(int(i) for i in path)
-        self._key = _key(self.seed, self.path)
+        if any(i < 0 for i in self.path):
+            raise ValueError(f"path indices must be >= 0, got {self.path}")
+        self._key = None  # hashed at the first draw: a stream may only give children
         self._counter = 0  # the last counter used
         self._words = np.empty(0, np.uint64)  # generated and not drawn yet
 
@@ -132,6 +131,7 @@ class RngStream:
         while flat.size:
             if not self._words.size:
                 count = min(max((flat.size + 3) // 4, _PASS[0]), _PASS[1])
+                self._key = _key(self.seed, self.path) if self._key is None else self._key
                 self._words = _philox(self._counter + 1, count, self._key).reshape(-1)
                 self._counter += count
             n = min(flat.size, self._words.size)
