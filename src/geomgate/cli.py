@@ -15,6 +15,11 @@ a sidecar <name>.meta recording the full configuration; reruns with an
 identical configuration are byte-identical, whatever --workers is. Preset
 defaults live in sweep.PRESETS.
 
+A command loads only what it runs. main() gives options to the named
+subcommand's parser alone; `gate` runs here, on model's closed forms in
+math; fidelity, sweep and reproduce run in module scans, whose import loads
+fidelity, noise, sweep and numpy.
+
 A CLI process (`python -m geomgate`, the `geomgate` script) enters through
 run(): it turns the cyclic garbage collector off before a command imports
 numpy and freezes every object before the interpreter exits, so the process
@@ -32,7 +37,6 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .model import (
@@ -53,12 +57,6 @@ from .model import (
     two_qubit_geometric_point,
     zero_dynamic_omega1,
 )
-
-# only the commands that estimate import numpy's modules, when they run
-if TYPE_CHECKING:
-    from .fidelity import EstimatorConfig
-    from .noise import NoiseSpec
-    from .sweep import SweepResult
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -122,8 +120,8 @@ def _write_atomic(files: dict) -> None:
         raise
 
 
-def write_csv(result: SweepResult, path: str) -> None:
-    """CSV plus its .meta sidecar; an error leaves neither file half written."""
+def write_csv(result, path: str) -> None:
+    """A SweepResult's CSV plus its .meta sidecar; an error leaves neither half written."""
     rows = (",".join(_fmt(row[c]) for c in result.columns) + "\n" for row in result.rows)
     _write_atomic({path: itertools.chain([",".join(result.columns) + "\n"], rows),
                    path + ".meta": _kv_lines(result.metadata)})
@@ -367,121 +365,6 @@ def cmd_gate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
-    """Estimator options given as flags or config keys, else the given spec and
-    control mode, else EstimatorConfig's; control_mode None reads no --control-mode."""
-    from .fidelity import EstimatorConfig
-    from .noise import NoiseSpec
-
-    given = {key: s.get(key) for key in ("m", "n", "workers", "gate_model", "haar")}
-    if control_mode is not None:
-        given["control_mode"] = s.get("control_mode", control_mode)
-    try:
-        spec = NoiseSpec(
-            s.get("delta0", spec.delta0),
-            s.get("delta1", spec.delta1),
-            s.get("independent", spec.independent),
-        )
-        return EstimatorConfig(spec=spec, seed=s.seed(),
-                               **{key: val for key, val in given.items() if val is not None})
-    except ValueError as err:
-        # a bound's message starts with its field: name the file or variable that set it
-        source = s.source.get(str(err).split(" ", 1)[0])
-        if source is None:
-            raise
-        raise ValueError(f"{source}: {err}") from err
-
-
-def cmd_fidelity(ns: argparse.Namespace) -> int:
-    from .noise import NoiseSpec
-    from .sweep import SweepPoint, sweep_generic
-
-    s = _Settings(ns)
-    two_qubit = s.get("two_qubit", False)
-    cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
-    p, coords = _resolve(s)
-    point = SweepPoint(coords=coords, kind="two_qubit" if two_qubit else "single", params=p)
-    out = s.get("out")
-    s.refuse_unread()
-    result = sweep_generic([point], cfg, {"preset": "point"})
-    row = result.rows[0]
-    print(",".join(result.columns))
-    print(",".join(_fmt(row[c]) for c in result.columns))
-    print(f"F = {_fmt(row['F_mean'])} +- {_fmt(row['F_stderr']) or 'nan'} "
-          f"(m={row['m']}, n={row['n']}, seed={row['seed']})")
-    if out:
-        write_csv(result, out)
-    return 0
-
-
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    """A two-qubit sweep is one fig4 curve, a single-qubit one a fig1 line at
-    fig2's omega0; each on a grid of its own, with the presets' defaults."""
-    from .sweep import PRESETS, single_point, sweep_generic, two_qubit_point
-
-    s = _Settings(ns)
-    if s.get("two_qubit", False):
-        fig4 = PRESETS["fig4"]
-        cfg = _estimator_config(s, fig4.spec, fig4.control_mode)
-        alpha = s.get("alpha")
-        if alpha is None:
-            raise InfeasibleParameters("--alpha is required for a two-qubit sweep")
-        omega1 = s.get("omega1", fig4.options["omega1"])
-        grid = s.get("grid_omega0") or list(fig4.grids["omega0_grid"])
-        points = [two_qubit_point(w0, omega1, alpha) for w0 in grid]
-        meta = {"preset": "sweep", "alpha": alpha, "omega1": omega1,
-                "omega0_grid": grid}
-    else:
-        fig1 = PRESETS["fig1"]
-        cfg = _estimator_config(s, fig1.spec, None)
-        beta = s.get("beta", fig1.options["beta"])
-        branch = s.get("branch", fig1.options["branch"])
-        omega0 = s.get("omega0", PRESETS["fig2"].options["omega0"])
-        grid = s.get("grid_delta_rel") or list(fig1.grids["delta_grid"])
-        points = [single_point(omega0, d, beta, branch) for d in grid]
-        meta = {"preset": "sweep", "beta": beta, "branch": branch,
-                "omega0": omega0, "delta_grid": grid}
-    out = s.get("out", "sweep.csv")
-    s.refuse_unread()
-    result = sweep_generic(points, cfg, meta)
-    write_csv(result, out)
-    print(f"wrote {out} ({len(result.rows)} rows)")
-    return 0
-
-
-def _preset_option(s: _Settings, key: str, default):
-    """A preset keyword from the option of the same name; a `_list` keyword
-    from its option without the suffix, whose one value makes the list."""
-    if isinstance(default, tuple):
-        value = s.get(key.removesuffix("_list"))
-        return default if value is None else (value,)
-    return s.get(key, default)
-
-
-def cmd_reproduce(ns: argparse.Namespace) -> int:
-    from . import sweep
-
-    s = _Settings(ns)
-    preset = sweep.PRESETS[ns.figure]
-    cfg = _estimator_config(s, preset.spec, preset.control_mode)
-    kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
-    out = s.get("out", f"{ns.figure}.csv")
-    s.refuse_unread()
-    run = {"fig1": sweep.sweep_fig1, "fig2": sweep.sweep_fig2, "fig3": sweep.sweep_fig3,
-           "fig4": sweep.sweep_fig4}[ns.figure]
-    results = run(cfg=cfg, **kwargs)
-    if isinstance(results, sweep.SweepResult):
-        results = {out: results}
-    else:  # one file per delta1 curve
-        stem, ext = os.path.splitext(out)
-        results = {f"{stem}_delta1_{val:g}{ext or '.csv'}": result
-                   for val, result in results.items()}
-    for path, result in results.items():
-        write_csv(result, path)
-        print(f"wrote {path} ({len(result.rows)} rows)")
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts with '-' and a digit, such as the grid
     -0.4:3.6:21, as a value rather than an option (the rule of Python 3.13;
@@ -492,7 +375,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is registered, for the help and the
+    choices; with a command named, only that one gets its options, which is
+    all that parsing an argv that runs it needs."""
     parser = _Parser(
         prog="geomgate",
         description="Rotating-field qubit gates and their fidelity under control noise",
@@ -500,12 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, summary, options in (
-            ("gate", cmd_gate, "solve one gate point and print phases and matrix", _GATE_OPTIONS),
-            ("fidelity", cmd_fidelity, "Monte Carlo fidelity at one point", _RUN_OPTIONS),
-            ("sweep", cmd_sweep, "generic grid scan to CSV", _SWEEP_OPTIONS),
-            ("reproduce", cmd_reproduce, "run a built-in figure preset", _RUN_OPTIONS)):
+    for name, summary, options in (
+            ("gate", "solve one gate point and print phases and matrix", _GATE_OPTIONS),
+            ("fidelity", "Monte Carlo fidelity at one point", _RUN_OPTIONS),
+            ("sweep", "generic grid scan to CSV", _SWEEP_OPTIONS),
+            ("reproduce", "run a built-in figure preset", _RUN_OPTIONS)):
         sub = subs.add_parser(name, help=summary)
+        if command not in (None, name):
+            continue
         if name == "reproduce":
             sub.add_argument("figure", choices=list(PRESET_NAMES))
         for dest in options:
@@ -518,15 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 sub.add_argument(flag, dest=dest, help=text,
                                  type=_grid_argument if parse is _parse_grid else parse)
-        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first token that is not an option: top-level options take no value
+    ns = build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
     try:
-        return ns.func(ns)
+        if ns.command == "gate":
+            return cmd_gate(ns)
+        from . import scans
+
+        return getattr(scans, f"cmd_{ns.command}")(ns)
     except (InfeasibleParameters, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

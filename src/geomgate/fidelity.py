@@ -74,7 +74,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,13 +83,10 @@ from .model import CONTROL_MODES, GATE_MODELS, DriveParams, TwoQubitParams, bloc
 from .noise import NoiseSpec, RngStream, _input_amplitudes, relative_draws
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
+class FidelityEstimate(namedtuple("FidelityEstimate", "mean stderr n_states")):
     """Grand-mean fidelity with its standard error over n_states input states."""
 
-    mean: float
-    stderr: float
-    n_states: int
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class EstimatorConfig:
 
     m: int = 500
     n: int = 500
-    spec: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.1, 0.1))
+    spec: NoiseSpec = NoiseSpec(0.1, 0.1)
     seed: int = 0
     gate_model: str = "phase"
     haar: bool = False

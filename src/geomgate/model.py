@@ -13,12 +13,16 @@ and gamma_g the geometric part (half the swept solid angle). The gate is
 purely geometric when gamma_d = 0.
 
 All frequencies are unitless reals; only ratios matter.
+
+The value types here and in noise, fidelity and sweep (all but EstimatorConfig)
+are namedtuples, checked in __new__ (which unpickling and _replace call too);
+their equality is tuple equality: DriveParams(1.0, 2.0, 3.0) == (1.0, 2.0, 3.0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: the option vocabularies and the scan presets' names, here for the numpy-free CLI parser
 GATE_MODELS = ("phase", "propagator")
@@ -41,8 +45,7 @@ def _check_fields(**fields):
             raise InfeasibleParameters(f"{name} must lie in [1e-100, 1e100], got {value}")
 
 
-@dataclass(frozen=True)
-class DriveParams:
+class DriveParams(namedtuple("DriveParams", "omega omega0 omega1")):
     """Single-qubit drive point.
 
     omega:  rotation rate of the transverse field, in [1e-100, 1e100]
@@ -51,25 +54,21 @@ class DriveParams:
             squares of the fields and their sums, noisy ones included, are normal doubles
     """
 
-    omega: float
-    omega0: float
-    omega1: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        _check_fields(omega=self.omega, omega0=self.omega0, omega1=self.omega1)
+    def __new__(cls, omega: float, omega0: float, omega1: float):
+        _check_fields(omega=omega, omega0=omega0, omega1=omega1)
+        return super().__new__(cls, omega, omega0, omega1)
 
 
-@dataclass(frozen=True)
-class PhaseTriple:
+class PhaseTriple(namedtuple("PhaseTriple", "gamma gamma_g gamma_d")):
     """Total, geometric and dynamic phase for one cycle, in radians."""
 
-    gamma: float
-    gamma_g: float
-    gamma_d: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TwoQubitParams:
+class TwoQubitParams(namedtuple("TwoQubitParams", "target coupling_j alpha")):
     """Target-qubit drive plus Ising coupling.
 
     The control qubit conditions the target's longitudinal frequency:
@@ -78,12 +77,13 @@ class TwoQubitParams:
     from one; it is bookkeeping only. Both blocks' fields must be in range.
     """
 
-    target: DriveParams
-    coupling_j: float
-    alpha: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, target: DriveParams, coupling_j: float, alpha: float | None = None):
+        self = super().__new__(cls, target, coupling_j, alpha)
         blocks(self)
+        return self
 
 
 def big_omega(p: DriveParams) -> float:

@@ -22,27 +22,26 @@ both). Setting NoiseSpec(independent=True) draws one u per channel instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(namedtuple("NoiseSpec", "delta0 delta1 independent")):
     """Relative half-widths of the flat fluctuation distributions.
 
     delta0 applies to omega0, delta1 to the longitudinal frequency. With
     independent=False (default) the two channels share one draw per shot.
     """
 
-    delta0: float
-    delta1: float
-    independent: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks too
 
-    def __post_init__(self):
-        for name, d in (("delta0", self.delta0), ("delta1", self.delta1)):
+    def __new__(cls, delta0: float, delta1: float, independent: bool = False):
+        for name, d in (("delta0", delta0), ("delta1", delta1)):
             if not 0.0 <= d < 1.0:
                 raise ValueError(f"{name} must satisfy 0 <= delta < 1, got {d}")
+        return super().__new__(cls, delta0, delta1, independent)
 
 
 # every uint64 operand is an np.uint64 or a uint64 array: under numpy 1.x's value-based

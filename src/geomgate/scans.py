@@ -1,0 +1,119 @@
+"""The command line's scan commands: fidelity, sweep and reproduce. cli.main imports
+this module only to run one, so a `gate` report loads neither it nor numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+
+from . import sweep
+from .cli import _fmt, _resolve, _Settings, write_csv
+from .fidelity import EstimatorConfig
+from .model import InfeasibleParameters
+from .noise import NoiseSpec
+
+
+def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
+    """Estimator options given as flags or config keys, else the given spec and
+    control mode, else EstimatorConfig's; control_mode None reads no --control-mode."""
+    given = {key: s.get(key) for key in ("m", "n", "workers", "gate_model", "haar")}
+    if control_mode is not None:
+        given["control_mode"] = s.get("control_mode", control_mode)
+    try:
+        spec = NoiseSpec(
+            s.get("delta0", spec.delta0),
+            s.get("delta1", spec.delta1),
+            s.get("independent", spec.independent),
+        )
+        return EstimatorConfig(spec=spec, seed=s.seed(),
+                               **{key: val for key, val in given.items() if val is not None})
+    except ValueError as err:
+        # a bound's message starts with its field: name the file or variable that set it
+        source = s.source.get(str(err).split(" ", 1)[0])
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {err}") from err
+
+
+def cmd_fidelity(ns: argparse.Namespace) -> int:
+    s = _Settings(ns)
+    two_qubit = s.get("two_qubit", False)
+    cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
+    p, coords = _resolve(s)
+    point = sweep.SweepPoint(coords=coords, kind="two_qubit" if two_qubit else "single", params=p)
+    out = s.get("out")
+    s.refuse_unread()
+    result = sweep.sweep_generic([point], cfg, {"preset": "point"})
+    row = result.rows[0]
+    print(",".join(result.columns))
+    print(",".join(_fmt(row[c]) for c in result.columns))
+    print(f"F = {_fmt(row['F_mean'])} +- {_fmt(row['F_stderr']) or 'nan'} "
+          f"(m={row['m']}, n={row['n']}, seed={row['seed']})")
+    if out:
+        write_csv(result, out)
+    return 0
+
+
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    """A two-qubit sweep is one fig4 curve, a single-qubit one a fig1 line at
+    fig2's omega0; each on a grid of its own, with the presets' defaults."""
+    s = _Settings(ns)
+    if s.get("two_qubit", False):
+        fig4 = sweep.PRESETS["fig4"]
+        cfg = _estimator_config(s, fig4.spec, fig4.control_mode)
+        alpha = s.get("alpha")
+        if alpha is None:
+            raise InfeasibleParameters("--alpha is required for a two-qubit sweep")
+        omega1 = s.get("omega1", fig4.options["omega1"])
+        grid = s.get("grid_omega0") or list(fig4.grids["omega0_grid"])
+        points = [sweep.two_qubit_point(w0, omega1, alpha) for w0 in grid]
+        meta = {"preset": "sweep", "alpha": alpha, "omega1": omega1,
+                "omega0_grid": grid}
+    else:
+        fig1 = sweep.PRESETS["fig1"]
+        cfg = _estimator_config(s, fig1.spec, None)
+        beta = s.get("beta", fig1.options["beta"])
+        branch = s.get("branch", fig1.options["branch"])
+        omega0 = s.get("omega0", sweep.PRESETS["fig2"].options["omega0"])
+        grid = s.get("grid_delta_rel") or list(fig1.grids["delta_grid"])
+        points = [sweep.single_point(omega0, d, beta, branch) for d in grid]
+        meta = {"preset": "sweep", "beta": beta, "branch": branch,
+                "omega0": omega0, "delta_grid": grid}
+    out = s.get("out", "sweep.csv")
+    s.refuse_unread()
+    result = sweep.sweep_generic(points, cfg, meta)
+    write_csv(result, out)
+    print(f"wrote {out} ({len(result.rows)} rows)")
+    return 0
+
+
+def _preset_option(s: _Settings, key: str, default):
+    """A preset keyword from the option of the same name; a `_list` keyword
+    from its option without the suffix, whose one value makes the list."""
+    if isinstance(default, tuple):
+        value = s.get(key.removesuffix("_list"))
+        return default if value is None else (value,)
+    return s.get(key, default)
+
+
+def cmd_reproduce(ns: argparse.Namespace) -> int:
+    s = _Settings(ns)
+    preset = sweep.PRESETS[ns.figure]
+    cfg = _estimator_config(s, preset.spec, preset.control_mode)
+    kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
+    out = s.get("out", f"{ns.figure}.csv")
+    s.refuse_unread()
+    run = {"fig1": sweep.sweep_fig1, "fig2": sweep.sweep_fig2, "fig3": sweep.sweep_fig3,
+           "fig4": sweep.sweep_fig4}[ns.figure]
+    results = run(cfg=cfg, **kwargs)
+    if isinstance(results, sweep.SweepResult):
+        results = {out: results}
+    else:  # one file per delta1 curve
+        stem, ext = os.path.splitext(out)
+        results = {f"{stem}_delta1_{val:g}{ext or '.csv'}": result
+                   for val, result in results.items()}
+    for path, result in results.items():
+        write_csv(result, path)
+        print(f"wrote {path} ({len(result.rows)} rows)")
+    return 0

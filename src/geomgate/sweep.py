@@ -35,7 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .model import (
     PRESET_NAMES,
     DriveParams,
     InfeasibleParameters,
-    TwoQubitParams,
     blocks,
     chi_angle,
     omega_for_beta,
@@ -73,26 +73,21 @@ _PASS_ELEMENTS = 1 << 20
 _PROCESS_SHOTS = 1 << 22
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point: named coordinates plus resolved parameters.
+class SweepPoint(namedtuple("SweepPoint", "coords kind params feasible reason",
+                             defaults=(True, None))):
+    """One grid point: named coordinates, kind ("single" or "two_qubit"), parameters.
 
     params is None when the point violates a reality constraint; the point
     is still emitted, flagged infeasible, with the violation recorded.
     """
 
-    coords: dict
-    kind: str  # "single" | "two_qubit"
-    params: DriveParams | TwoQubitParams | None
-    feasible: bool = True
-    reason: str | None = None
+    __slots__ = ()
 
 
-@dataclass
-class SweepResult:
-    columns: list
-    rows: list  # list of dicts keyed by column name
-    metadata: dict
+class SweepResult(namedtuple("SweepResult", "columns rows metadata")):
+    """A scan's column names, its rows (dicts keyed by column name) and its metadata."""
+
+    __slots__ = ()
 
 
 def _point(coords: dict, kind: str, resolve) -> SweepPoint:
@@ -233,8 +228,7 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
 # presets
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(namedtuple("Preset", "spec control_mode options grids")):
     """One figure's defaults, read both by its sweep_figN and by the CLI.
 
     options maps each keyword of sweep_figN that the CLI fills from the option
@@ -244,10 +238,7 @@ class Preset:
     None for a single-qubit preset, which has no control qubit.
     """
 
-    spec: NoiseSpec
-    control_mode: str | None
-    options: dict
-    grids: dict
+    __slots__ = ()
 
 
 _FIG1, _FIG2, _FIG3, _FIG4 = (
@@ -295,7 +286,7 @@ def sweep_fig2(delta_grid=_FIG2.grids["delta_grid"], delta1_list=_FIG2.options["
             "delta_grid": list(delta_grid), "delta1_list": list(delta1_list)}
     out = {}
     for d1 in delta1_list:
-        sub = replace(cfg, spec=replace(cfg.spec, delta1=d1))
+        sub = replace(cfg, spec=cfg.spec._replace(delta1=d1))
         out[d1] = sweep_generic(points, sub, meta)
     return out
 

@@ -531,6 +531,38 @@ def test_benchmark_command_lines_run(tmp_path, capsys, monkeypatch):
         assert code == 0 and "gate (" in printed, (wl.name, err)
 
 
+def benchmark_and_readme_argvs():
+    """The argument lists of the scan benchmark's commands and of the README's."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    argvs = readme_command_lines()
+    for wl in workloads.WORKLOADS.values():
+        argvs.append([*wl.args, "--seed", "1", "--m", "2", "--n", "2",
+                      "--workers", str(wl.workers), "--out", "x.csv"])
+        argvs.append(list(wl.gate_args(1, 0)))
+    return argvs
+
+
+@pytest.mark.parametrize("command", ["gate", "fidelity", "sweep", "reproduce"])
+def test_one_commands_parser_reads_as_the_full_one(capsys, command):
+    # main() builds the options of the command it runs only: its help and what
+    # it parses are the full parser's
+    full, one = cli.build_parser(), cli.build_parser(command)
+    helps = []
+    for parser in (full, one):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--seed" in helps[0]
+    argvs = [argv for argv in benchmark_and_readme_argvs() if argv[0] == command]
+    assert argvs
+    for argv in argvs:
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv)), argv
+
+
 def test_write_csv_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
     # a failure while the rows are written leaves neither the target nor a
     # temporary file, and an earlier output stays as it was
@@ -761,10 +793,17 @@ def test_import_loads_no_process_pool():
     ["gate", "--two-qubit", "--alpha", "1.7320508", "--omega0", "30"],
 ], ids=["single", "two-qubit"])
 def test_gate_loads_no_numpy(argv):
-    # a gate report is closed forms in math only; a cold call pays no numpy import
+    # a gate report is closed forms in math only; a cold call pays no numpy import,
+    # nor the scan commands, dataclasses (with inspect) or typing. Without site
+    # (python -S), which may preload modules of its own
+    loads = ("numpy", "dataclasses", "inspect", "typing", "geomgate.scans")
     code = (f"import sys\nfrom geomgate import cli\nassert cli.main({argv!r}) == 0\n"
-            "print('numpy' in sys.modules)")
-    assert fresh_output(code).splitlines()[-1] == "False"
+            f"print(sorted(set({loads!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomgate.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv", [
