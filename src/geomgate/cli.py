@@ -412,7 +412,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the subcommand is the first token that is not an option: top-level options take no value
-    ns = build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    ns = build_parser(command).parse_args(argv)
     try:
         if ns.command == "gate":
             return cmd_gate(ns)
