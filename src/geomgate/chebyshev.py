@@ -3,11 +3,12 @@ quadrature that sums a polynomial in u over a state's draws.
 
 fidelity._paths loads this module only when a point may take the fit
 (lock-step draws, m >= fidelity._FIT_MIN_SHOTS), so other runs never compile
-it. A point's rows are fitted on NODES first-kind Chebyshev nodes x in
-u in [-1, 1]; the fit resolves them when it meets them at the 2*NODES
-Chebyshev nodes y between its own within TOLERANCE. A polynomial of degree
-< 2*NODES is then summed over a state's draws exactly on the nodes y, with
-weights from the power sums S_k = sum_i T_k(u_i) of the draws.
+it. It computes no rows of its own: a point's basis rows are fidelity._rows's,
+less those at u = 0, as the estimator reads them. They are fitted on NODES
+first-kind Chebyshev nodes x in u in [-1, 1]; the fit resolves them when it
+meets them at the 2*NODES Chebyshev nodes y between its own within TOLERANCE.
+A polynomial of degree < 2*NODES is then summed over a state's draws exactly on
+the nodes y, with weights from the power sums S_k = sum_i T_k(u_i) of the draws.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .fidelity import EstimatorConfig, _columns, _cos_sin
+from .fidelity import EstimatorConfig, _columns, _cut, _rows
 
 #: a point's basis rows are fitted in u on this many Chebyshev nodes
 NODES = 8
@@ -54,51 +55,35 @@ def tables():
             transform(y))
 
 
-def fit(params: list, live: list, cfg: EstimatorConfig):
-    """Per point, whether the fit resolves its basis rows, and the rows' change from
-    u = 0 at the quadrature nodes, (points, 4*blocks, 2*NODES).
+def fit(params: list, live: list, cfg: EstimatorConfig, elements: int) -> np.ndarray:
+    """Per point, whether the fit resolves its basis rows (a bool array).
 
     The rows are fidelity._rows's (r, s*det, s*w0, sigma of each block) at the
-    relative draws of tables(), under the columns of fidelity._columns. Their
-    change is taken from the changes of the fields and of the half angle h = a/2,
-    in tan half-angle arithmetic, so that it keeps its own relative precision: with
-    h0 at u = 0, r - r0 = -sin(h + h0)*sin(h - h0), sigma - sigma0 = cos(h + h0)*
-    sin(h - h0) and s - s0 = (sigma - sigma0 - s0*(big - big0))/big. The rows a
-    block's axis does not read are zeroed, so the check reads the model's own rows:
-    a point is resolved when the fit on the nodes x meets the change at the nodes y
-    within TOLERANCE (never when it is not finite).
+    relative draws of tables(), under the columns of fidelity._columns, less those at
+    u = 0: the rows the estimator reads at the nodes y. The rows a block's axis does
+    not read are zeroed, so the check reads the model's own rows: a point is
+    resolved when the fit on the nodes x meets them at the nodes y within TOLERANCE
+    (never when they are not finite). fit takes as many points at a time as keep a
+    (blocks, points, u) array within `elements` elements; _rows' work array,
+    (5*blocks + 2, points, u), holds five of them and two rows.
     """
     u, to_y, _ = tables()
-    spec, c = cfg.spec, _columns(params, live, cfg)
-    omega0, half = c["omega0"][:, None, None], 0.5 * c["pio"][:, None, None]
-    gain, offset, noisy = (x.T[..., None] for x in (c["gain"], c["offset"], c["axis"][0]))
-    # (points, blocks, u), the fields as the kernel forms them; index 0 is u = 0
-    w0 = omega0 * (1.0 + spec.delta0 * u)
-    det = gain * (1.0 + spec.delta1 * u) + offset
-    big = np.sqrt(w0 * w0 + det * det)
-    dw0, ddet = omega0 * spec.delta0 * u, gain * spec.delta1 * u
-    dbig = (dw0 * (w0 + w0[..., :1]) + ddet * (det + det[..., :1])) / (big + big[..., :1])
-    cos_sum, sin_sum = _cos_sin(half * (big + big[..., :1]))
-    sin_diff = _cos_sin(half * dbig)[1]
-    t0 = np.tan(half * big[..., :1])
-    s0 = t0 / (big[..., :1] * (1.0 + t0 * t0))
-    dsigma = cos_sum * sin_diff
-    ds = (dsigma - s0 * dbig) / big
-    change = np.concatenate((-sin_sum * sin_diff, (ds * det + s0 * ddet) * noisy,
-                             (ds * w0 + s0 * dw0) * noisy, dsigma * (1.0 - noisy)), axis=1)
-    at_x, at_y = change[..., 1:NODES + 1], change[..., NODES + 1:]
-    error = np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(1, 2))
-    return error <= TOLERANCE, at_y
-
-
-def fits(params: list, live: list, cfg: EstimatorConfig, elements: int):
-    """Per point, whether the fit resolves its rows (a bool array), and their change
-    from fit, that of an unresolved point unread. fit takes as many points at a time
-    as keep its (points, blocks, u) arrays within `elements` elements."""
-    span = max(1, elements // (len(live) * (1 + 3 * NODES)))
-    resolved, change = zip(*(fit(params[lo:lo + span], live, cfg)
-                             for lo in range(0, len(params), span)))
-    return np.concatenate(resolved), np.concatenate(change)
+    cols, b, spec = _columns(params, live, cfg), len(live), cfg.spec
+    noisy0, scale = 1.0 + spec.delta0 * u, 1.0 + spec.delta1 * u
+    span = max(1, elements // (b * len(u)))
+    resolved = []
+    for lo in range(0, len(params), span):
+        c = _cut(cols, slice(lo, lo + span))
+        work = np.empty((5 * b + 2, len(c["pio"]), 1, len(u)))
+        # (4, blocks, points, 1, u); index 0 of u is u = 0
+        rows = _rows(c, noisy0, scale, work)
+        change = rows - rows[..., :1]
+        noisy = c["axis"][0]
+        change[1:3] *= noisy
+        change[3] *= 1.0 - noisy
+        at_x, at_y = change[..., 1:NODES + 1], change[..., NODES + 1:]
+        resolved.append(np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(0, 1, 3, 4)) <= TOLERANCE)
+    return np.concatenate(resolved)
 
 
 def power_sums(u: np.ndarray, degrees: int) -> np.ndarray:

@@ -105,26 +105,34 @@ def _kv_lines(mapping: dict):
 
 def _write_atomic(files: dict) -> None:
     """Write each {path: lines} to a temporary file beside its path, then
-    rename them all into place; on error no temporary file is left."""
+    rename them all into place; on error no temporary file is left, nor a
+    path this call has already moved into place."""
     tmps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
+    placed = []
     try:
         for path, lines in files.items():
             with open(tmps[path], "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(lines)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        for tmp in tmps.values():
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        for name in [*tmps.values(), *placed]:
+            if os.path.isfile(name):
+                os.remove(name)
         raise
+
+
+def _csv_files(result, path: str) -> dict:
+    """A SweepResult's CSV lines and .meta sidecar lines, by the path each goes to."""
+    rows = (",".join(_fmt(row[c]) for c in result.columns) + "\n" for row in result.rows)
+    return {path: itertools.chain([",".join(result.columns) + "\n"], rows),
+            path + ".meta": _kv_lines(result.metadata)}
 
 
 def write_csv(result, path: str) -> None:
     """A SweepResult's CSV plus its .meta sidecar; an error leaves neither half written."""
-    rows = (",".join(_fmt(row[c]) for c in result.columns) + "\n" for row in result.rows)
-    _write_atomic({path: itertools.chain([",".join(result.columns) + "\n"], rows),
-                   path + ".meta": _kv_lines(result.metadata)})
+    _write_atomic(_csv_files(result, path))
 
 
 def _parse_bool(text: str) -> bool:

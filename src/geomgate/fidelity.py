@@ -33,25 +33,29 @@ Both noisy-gate constructions are this one form, and the gate model is data
   first two together turn both blocks back by the noise-free angle about the held
   axis, which leaves U_k^dag U_k' as it is, so the kernel makes the third only.
 
-Per shot a block writes the basis rows r = 1/(1 + t^2), s*det, s*w0 and sigma =
-t*r from one tan of the half angle, t = tan(a/2), with s = sigma/Omega', so that
-cos(a) = 2r - 1 and sin(a) = 2*sigma (_rows: real arithmetic, sqrt and tan, which
-numpy vectorises, in place in work buffers). The amplitude is 1 at u = 0, so a
-shot's is 1 + e, with e a table of per-state coefficients (_table) against the
-rows' change from u = 0, and a state's mean fidelity is 1 plus the mean of
-2*Re(e) + |e|^2, clamped at 1 (_means). No noise gives e == 0, hence F == 1.
+A block's basis rows are r = 1/(1 + t^2), s*det, s*w0 and sigma = t*r, from one
+tan of the half angle, t = tan(a/2), with s = sigma/Omega', so that cos(a) = 2r - 1
+and sin(a) = 2*sigma; _rows alone computes them (real arithmetic, sqrt and tan,
+which numpy vectorises, in place in work buffers), at a shot's draw or at a
+Chebyshev node alike. The amplitude is 1 at u = 0, so a shot's is 1 + e, with e a
+table of per-state coefficients (_table) against the rows' change from u = 0, and
+a state's mean fidelity is 1 plus the mean of 2*Re(e) + |e|^2, clamped at 1
+(_means). No noise gives e == 0, hence F == 1.
 
 Under lock-step draws the rows depend on one draw u in [-1, 1]. A point with m
 >= _FIT_MIN_SHOTS sums its shots without visiting them when the Chebyshev fit of
 module chebyshev resolves its rows' change: 2*Re(e) + |e|^2 is then a polynomial
 in u, which chebyshev.weights sums exactly from the power sums of the state's
-draws, shared by every point of a batch. This holds for both models; "phase"
-fluctuates the coupling as well, so fewer of its points resolve (at the presets'
-widths 625 of fig3's 961 with the control fixed to |0>, 55 of fig2's 255, none
-of fig1's or fig4's). The per-shot kernel runs for independent draws, below the
-crossover and for a point the fit does not resolve. The path is chosen in
-_paths only, from the point, the config and m; sweep.sweep_generic reads it to
-count the per-shot work that sizes its pool.
+draws, shared by every point of a batch; such a point's rows are taken at the
+nodes once, before the states. This holds for both models; "phase" fluctuates
+the coupling as well, so fewer of its points resolve (at the presets' widths 625
+of fig3's 961 with the control fixed to |0>, 55 of fig2's 255, none of fig1's or
+fig4's). The per-shot kernel, whose rows are taken at each chunk of states'
+draws, runs for independent draws, below the crossover and for a point the fit
+does not resolve. Both kinds of chunk run in one loop and end in the same matrix
+product and _means. The path is chosen in _paths only, from the point, the
+config and m; sweep.sweep_generic reads it to count the per-shot work that sizes
+its pool.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -64,7 +68,7 @@ loop order, worker scheduling or the deltas, so a sweep reusing one base
 stream sees common random numbers across its points.
 
 Every point of a batch is evaluated on each chunk of states, on (points,
-states, M) arrays; the states per chunk depend on M only, so a point's
+states, M or 2*NODES) arrays; the states per chunk depend on M only, so a point's
 estimate is the same bit for bit in a batch of any size and in a one-point
 call (estimate_single, estimate_two_qubit). EstimatorConfig is the one
 input and one check of options; sweep.sweep_generic bounds the points per batch.
@@ -126,13 +130,6 @@ _CHUNK_ELEMENTS = 1 << 12
 #: a lock-step point with this many shots per state tries the Chebyshev sum
 #: (module chebyshev); below it the per-shot kernel runs
 _FIT_MIN_SHOTS = 128
-
-
-def _cos_sin(a):
-    """cos(a), sin(a) from t = tan(a/2); t*t cannot overflow for a double a."""
-    t = np.tan(0.5 * a)
-    tt = t * t
-    return (1.0 - tt) / (1.0 + tt), (t + t) / (1.0 + tt)
 
 
 def _columns(params: list, live: list, cfg: EstimatorConfig) -> dict:
@@ -227,14 +224,14 @@ def _means(e: np.ndarray, out: np.ndarray, m: int, weight=None) -> np.ndarray:
 
 
 def _paths(params: list, cfg: EstimatorConfig) -> tuple:
-    """How _estimate evaluates the points: (weights, live, fit), chosen here only.
+    """How _estimate evaluates the points: (weights, live, resolved), chosen here only.
 
     weights are the blocks' control weights, None where the control is sampled per
-    state; live lists the blocks of nonzero weight. fit is None when no point may
-    take the Chebyshev sum (independent draws, m below _FIT_MIN_SHOTS); otherwise
-    it is chebyshev.fits's (resolved, change), and a point takes the sum where
+    state; live lists the blocks of nonzero weight. resolved is None when no point
+    may take the Chebyshev sum (independent draws, m below _FIT_MIN_SHOTS);
+    otherwise it is chebyshev.fit's bool array, and a point takes the sum where
     resolved, the per-shot kernel elsewhere. The choice reads each point, the
-    config and m only: the fit of some of the points is the slice of theirs
+    config and m only: the mask of some of the points is the slice of theirs
     (sweep.sweep_generic cuts it into its batches' shares).
     """
     fixed = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}
@@ -246,7 +243,7 @@ def _paths(params: list, cfg: EstimatorConfig) -> tuple:
     # imported only here: runs that fit nothing never load it
     from . import chebyshev
 
-    return weights, live, chebyshev.fits(params, live, cfg, _CHUNK_ELEMENTS)
+    return weights, live, chebyshev.fit(params, live, cfg, _CHUNK_ELEMENTS)
 
 
 def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
@@ -257,86 +254,91 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     are weighted by cfg.control_mode, read for a conditional gate only. paths
     is _paths(params, cfg), computed here when not given. All
     points share the draws: each chunk of states is drawn once and every
-    point is evaluated on it, on (points, states, m) arrays of at most
-    max(_CHUNK_ELEMENTS, m) elements. The (points, n) per-state means are
-    held at once, so a caller bounds the points per call; a fitted point
-    also holds its rows' change, 4*blocks*2*chebyshev.NODES doubles.
+    point is evaluated on it, on (points, states, width) arrays of at most
+    max(_CHUNK_ELEMENTS, width) elements, width the m shots of a per-shot
+    point or the 2*chebyshev.NODES nodes of a fitted one. The (points, n)
+    per-state means are held at once, so a caller bounds the points per call;
+    a fitted point also holds its rows at the nodes, 4*blocks*2*NODES doubles.
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
-    weights, live, fit = paths or _paths(params, cfg)
+    weights, live, resolved = paths or _paths(params, cfg)
     states = max(1, _CHUNK_ELEMENTS // m)
-    step = max(1, _CHUNK_ELEMENTS // (min(states, n) * m))
     points, b = len(params), len(live)
     # the gate model's columns and each block's ideal entries (model.cycle_entries)
     gates = [blocks(p) for p in params]
     cols = dict(_columns(params, live, cfg), ideal=np.moveaxis(
         np.array([[cycle_entries(g[k]) for g in gates] for k in live]), -1, 0))
-    # the points whose fit resolves their rows take the Chebyshev sum; the
-    # per-shot kernel below runs on the rest, `shot`
-    resolved, change = fit or (np.zeros(points, bool), None)
+    # the points whose fit resolves their rows take the Chebyshev sum on the nodes
+    # y, the rest the per-shot kernel on their draws (nodes None)
+    resolved = np.zeros(points, bool) if resolved is None else resolved
     fitted, shot = np.flatnonzero(resolved), np.flatnonzero(~resolved)
+    kinds = [(shot, None)]
     if len(fitted):
         from . import chebyshev
 
-        change = change[fitted]
-        # the Chebyshev sum takes `pairs` (point, state) pairs at a time
-        pairs = max(1, _CHUNK_ELEMENTS // (2 * chebyshev.NODES) // min(states, n))
-    # each chunk of per-shot points with its rows at u = 0, where the kernel's
-    # amplitude is 1: the rows are computed there as at the draws
+        kinds.insert(0, (fitted, chebyshev.tables()[0][chebyshev.NODES + 1:]))
+    # each chunk of points with its rows at u = 0, where the amplitude is 1, and a
+    # fitted chunk with its basis, the rows at the nodes y less those: the rows are
+    # computed there as at the draws. A pass of states builds the table for `group`
+    # points (whole chunks) at a time, at most _CHUNK_ELEMENTS (point, state) pairs
     chunks = []
-    for lo in range(0, len(shot), step):
-        c = _cut(cols, shot[lo:lo + step])
-        rows0 = _rows(c, 1.0, 1.0, np.empty((5 * b + 2, len(c["pio"]), 1, 1)))
-        chunks.append((slice(lo, lo + len(c["pio"])), c, rows0))
+    for sel, nodes in kinds:
+        width = m if nodes is None else len(nodes)
+        step = max(1, _CHUNK_ELEMENTS // (min(states, n) * width))
+        group = step * max(1, _CHUNK_ELEMENTS // min(states, n) // step)
+        for lo in range(0, len(sel), step):
+            idx = sel[lo:lo + step]
+            c = _cut(cols, idx)
+            rows0 = _rows(c, 1.0, 1.0, np.empty((5 * b + 2, len(idx), 1, 1)))
+            basis = None
+            if nodes is not None:
+                at_y = _rows(c, 1.0 + spec.delta0 * nodes, 1.0 + spec.delta1 * nodes,
+                             np.empty((5 * b + 2, len(idx), 1, width)))
+                basis = np.moveaxis((at_y - rows0).reshape(4 * b, len(idx), 1, width), 0, 2)
+            chunks.append((idx, sel[lo:lo + group] if lo % group == 0 else None, lo % group,
+                           c, rows0, basis))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
-    width = 3 if weights is not None else 6
     per_state = np.empty((points, n))
-    # a pass of states builds the table for `group` points (whole chunks) at a
-    # time, at most _CHUNK_ELEMENTS (point, state) pairs
-    group = step * max(1, _CHUNK_ELEMENTS // min(states, n) // step)
     views = {}
     for first in range(0, n, states):
         count = min(states, n - first)
-        u = state_rng.random((count, width))
+        u = state_rng.random((count, 3 if weights is not None else 6))
         t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], haar))
         # the live blocks' control weights, (blocks, 1, states or 1, 1)
         w = np.reshape([weights[k] for k in live] if weights else
                        [abs(a) ** 2 for a in _input_amplitudes(u[:, :3], haar)], (b, 1, -1, 1))
         draws = relative_draws(noise_rng, count * m * (1 + spec.independent)).reshape(1, count, -1)
         if len(fitted):
-            # each shot's amplitude is 1 + e(u), e = the table against the rows' change
-            # from u = 0. Once the fit resolves the rows, 2*Re(e) + |e|^2 has degree
-            # < 2*NODES in u, so a state's sum of it over its shots is exact on the
-            # nodes y, weighted from the power sums of its draws
+            # once the fit resolves the rows, 2*Re(e) + |e|^2 has degree < 2*NODES
+            # in u, so a state's sum of it over its shots is exact on the nodes y,
+            # weighted from the power sums of its draws
             weight = chebyshev.weights(draws[0])
-            for lo in range(0, len(fitted), pairs):
-                e = np.matmul(_table(_cut(cols, fitted[lo:lo + pairs]), w, t0, t1),
-                              change[lo:lo + pairs, None])
-                per_state[fitted[lo:lo + pairs], first:first + count] = _means(
-                    e, np.empty(e[..., 0, :].shape), m, weight)
-        if not chunks:
-            continue
-        # omega1 reads the last m columns: omega0's draws unless independent
-        noisy0 = 1.0 + spec.delta0 * draws[..., :m]
-        scale = 1.0 + spec.delta1 * draws[..., -m:]
-        for sel, c, rows0 in chunks:
-            if sel.start % group == 0:
-                table = _table(_cut(cols, shot[sel.start:sel.start + group]), w, t0, t1)
-            shape = (sel.stop - sel.start, count, m)
+        if len(shot):
+            # omega1 reads the last m columns: omega0's draws unless independent
+            noisy0 = 1.0 + spec.delta0 * draws[..., :m]
+            scale = 1.0 + spec.delta1 * draws[..., -m:]
+        for idx, grouped, offset, c, rows0, at_nodes in chunks:
+            if grouped is not None:
+                table = _table(_cut(cols, grouped), w, t0, t1)
+            shape = (len(idx), count, m if at_nodes is None else at_nodes.shape[-1])
             if shape not in views:
-                # a chunk shape's work array (at most four shapes) and its views for
-                # the matmul: (re, im) go where w0 and w0sq were
+                # a chunk shape's work array (at most four shapes of each kind) and
+                # its views for the matmul: (re, im) go where w0 and w0sq were
                 work = np.empty((5 * b + 2, *shape))
                 views[shape] = (work, np.moveaxis(work[:4 * b], 0, 2),
                                 np.moveaxis(work[4 * b:4 * b + 2], 0, 2))
-            work, basis_t, e = views[shape]
-            # the same amplitude 1 + e as the fit's, e = the table against rows - rows0
-            basis = _rows(c, noisy0, scale, work)
-            np.subtract(basis, rows0, out=basis)
-            np.matmul(table[sel.start % group:][:shape[0]], basis_t, out=e)
-            per_state[shot[sel], first:first + count] = _means(e, work[-1], m)
+            work, basis, e = views[shape]
+            if at_nodes is None:
+                rows = _rows(c, noisy0, scale, work)
+                np.subtract(rows, rows0, out=rows)
+            else:
+                basis = at_nodes
+            # each shot's amplitude is 1 + e, e = the table against rows - rows0
+            np.matmul(table[offset:offset + len(idx)], basis, out=e)
+            per_state[idx, first:first + count] = _means(
+                e, work[-1], m, None if at_nodes is None else weight)
 
     # per_state.std(axis=1, ddof=1) by numpy's own steps, in per_state's buffer rather
     # than a (points, n) copy; one state gives no spread, hence no standard error

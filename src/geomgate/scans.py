@@ -8,7 +8,7 @@ import argparse
 import os
 
 from . import sweep
-from .cli import _fmt, _resolve, _Settings, write_csv
+from .cli import _csv_files, _fmt, _resolve, _Settings, _write_atomic, write_csv
 from .fidelity import EstimatorConfig
 from .model import InfeasibleParameters
 from .noise import NoiseSpec
@@ -113,7 +113,9 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
         stem, ext = os.path.splitext(out)
         results = {f"{stem}_delta1_{val:g}{ext or '.csv'}": result
                    for val, result in results.items()}
+    # one write for all the files, so an error leaves none of them
+    _write_atomic({name: lines for path, result in results.items()
+                   for name, lines in _csv_files(result, path).items()})
     for path, result in results.items():
-        write_csv(result, path)
         print(f"wrote {path} ({len(result.rows)} rows)")
     return 0

@@ -152,11 +152,11 @@ def _eval_batch(args) -> list:
 
 def _share(paths: tuple | None, lo: int, hi: int) -> tuple | None:
     """fidelity._paths of a sweep's feasible points lo:hi, cut from that of all
-    of them: the fit is per point, the weights and live blocks are shared."""
+    of them: the resolved mask is per point, the weights and live blocks are shared."""
     if paths is None or paths[2] is None:
         return paths
-    weights, live, fit = paths
-    return weights, live, tuple(part[lo:hi] for part in fit)
+    weights, live, resolved = paths
+    return weights, live, resolved[lo:hi]
 
 
 def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
@@ -169,8 +169,9 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     _PROCESS_SHOTS), at least one, where the per-shot work is m*n shots per
     feasible point that runs the per-shot kernel (fidelity._paths). A point
     the Chebyshev sum takes counts none: its cost does not grow with m, and
-    every batch repeats its draws and power sums, so it never splits across
-    processes. With one process the batches run in process; with more they
+    every batch repeats its draws and power sums, so fitted points alone start
+    no pool; where one runs, they fall in whichever batches of the contiguous
+    cut hold them. With one process the batches run in process; with more they
     go to a pool of that many. Output is identical byte for byte whatever
     the batching.
     """
@@ -186,8 +187,8 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     if procs > 1:
         # found only where it may allow more than one process; the batches reuse it
         paths = _paths(feasible, cfg)
-        fit = paths[2]
-        shot = len(feasible) if fit is None else int(np.count_nonzero(~fit[0]))
+        resolved = paths[2]
+        shot = len(feasible) if resolved is None else int(np.count_nonzero(~resolved))
         procs = max(1, min(procs, cfg.m * cfg.n * shot // _PROCESS_SHOTS))
     count = max(procs, math.ceil(len(points) / max(1, _PASS_ELEMENTS // cfg.n)))
     cuts = [len(points) * b // count for b in range(count + 1)]

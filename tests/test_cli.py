@@ -569,6 +569,8 @@ def test_write_csv_leaves_no_partial_output(tmp_path, capsys, monkeypatch):
     out, argv = fast_fig1_args(tmp_path, "fig1.csv")
     calls = []
     fmt = cli._fmt
+    # scans imports _fmt by name: loaded here first, it would keep the patched one
+    importlib.import_module("geomgate.scans")
 
     def failing(value):
         calls.append(value)
@@ -595,6 +597,20 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write_csv(SweepResult(["seed"], [{"seed": 1}], {"seed": 1}), str(tmp_path / "run.csv"))
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "4", "--n", "3"], "out.csv.meta"),
+    (["reproduce", "fig2", "--m", "4", "--n", "3"], "out_delta1_0.04.csv.meta"),
+], ids=["fidelity", "fig2"])
+def test_failed_later_rename_leaves_no_output(tmp_path, capsys, argv, blocked):
+    # a directory where a later file goes fails its rename after the earlier
+    # files are in place; they are taken out again, so no half of the output is
+    # left: the CSV of a pair, or fig2's first curves
+    (tmp_path / blocked).mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 1 and "Is a directory" in err and "wrote" not in out
+    assert os.listdir(tmp_path) == [blocked]
 
 
 # --- config file and seed sources -----------------------------------------------

@@ -218,7 +218,7 @@ def assert_both_paths(points, cfg):
     params = [p.params for p in points if p.feasible]
     live = [0] if isinstance(params[0], DriveParams) else {
         "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
-    resolved, _ = chebyshev.fits(params, live, cfg, fidelity._CHUNK_ELEMENTS)
+    resolved = chebyshev.fit(params, live, cfg, fidelity._CHUNK_ELEMENTS)
     assert np.count_nonzero(~resolved) == 1 and resolved.any()
 
 
@@ -392,10 +392,36 @@ def test_fitted_points_start_no_pool(recording_pool, monkeypatch):
     points = [two_qubit_point(w0, 60.0, SQRT3) for w0 in (2.0, 10.0, 21.0, 40.0)]
     cfg = EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=5, spec=NoiseSpec(0.05, 0.05), seed=3,
                           gate_model="propagator", workers=4)
-    assert fidelity._paths([p.params for p in points], cfg)[2][0].all()
+    assert fidelity._paths([p.params for p in points], cfg)[2].all()
     res = sweep_generic(points, cfg)
     assert recording_pool == []
     assert res.rows == sweep_generic(points, replace(cfg, workers=1)).rows
+
+
+@pytest.mark.parametrize("figure,mode,counts", [
+    ("fig1", None, (0, 0)),
+    ("fig2", None, (55, 104)),
+    ("fig3", "fixed0", (625, 610)),
+    ("fig3", "fixed1", (0, 555)),
+    ("fig3", "unfixed", (0, 555)),
+    ("fig4", "unfixed", (0, 195)),
+], ids=["fig1", "fig2", "fig3-fixed0", "fig3-fixed1", "fig3-unfixed", "fig4"])
+def test_fit_resolves_the_stated_preset_counts(figure, mode, counts, monkeypatch):
+    # the points the 8-node fit resolves at each preset's own noise widths, under
+    # "phase" then "propagator", as the README and the fidelity docstring state
+    # them; fig2 counts its five delta1 curves together
+    scans = []
+    monkeypatch.setattr(sweep, "sweep_generic",
+                        lambda points, cfg, meta: scans.append((points, cfg)))
+    preset, got = sweep.PRESETS[figure], []
+    for model in ("phase", "propagator"):
+        scans.clear()
+        getattr(sweep, f"sweep_{figure}")(cfg=EstimatorConfig(
+            m=fidelity._FIT_MIN_SHOTS, n=2, spec=preset.spec, gate_model=model,
+            control_mode=mode or "unfixed"))
+        got.append(sum(int(np.count_nonzero(fidelity._paths(
+            [p.params for p in points if p.feasible], cfg)[2])) for points, cfg in scans))
+    assert tuple(got) == counts
 
 
 @pytest.mark.parametrize("k,workers,cpus", [
