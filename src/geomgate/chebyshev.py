@@ -3,7 +3,8 @@ quadrature that sums a polynomial in u over a state's draws.
 
 fidelity._paths loads this module only when a point may take the fit
 (lock-step draws, m >= fidelity._FIT_MIN_SHOTS), so other runs never compile
-it. It computes no rows of its own: a point's basis rows are fidelity._rows's,
+it; a sweep fits once, over all its feasible points, before its batches run.
+It computes no rows of its own: a point's basis rows are fidelity._rows's,
 less those at u = 0, as the estimator reads them. They are fitted on NODES
 first-kind Chebyshev nodes x in u in [-1, 1]; the fit resolves them when it
 meets them at the 2*NODES Chebyshev nodes y between its own within TOLERANCE.
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .fidelity import EstimatorConfig, _columns, _cut, _rows
+from . import fidelity
 
 #: a point's basis rows are fitted in u on this many Chebyshev nodes
 NODES = 8
@@ -55,7 +56,7 @@ def tables():
             transform(y))
 
 
-def fit(params: list, live: list, cfg: EstimatorConfig, elements: int) -> np.ndarray:
+def fit(params: list, live: list, cfg: fidelity.EstimatorConfig) -> np.ndarray:
     """Per point, whether the fit resolves its basis rows (a bool array).
 
     The rows are fidelity._rows's (r, s*det, s*w0, sigma of each block) at the
@@ -63,20 +64,21 @@ def fit(params: list, live: list, cfg: EstimatorConfig, elements: int) -> np.nda
     u = 0: the rows the estimator reads at the nodes y. The rows a block's axis does
     not read are zeroed, so the check reads the model's own rows: a point is
     resolved when the fit on the nodes x meets them at the nodes y within TOLERANCE
-    (never when they are not finite). fit takes as many points at a time as keep a
-    (blocks, points, u) array within `elements` elements; _rows' work array,
+    (never when they are not finite). live is the blocks the estimator reads
+    (fidelity._weights). fit takes as many points at a time as keep a (blocks,
+    points, u) array within fidelity._CHUNK_ELEMENTS elements; _rows' work array,
     (5*blocks + 2, points, u), holds five of them and two rows.
     """
     u, to_y, _ = tables()
-    cols, b, spec = _columns(params, live, cfg), len(live), cfg.spec
+    cols, b, spec = fidelity._columns(params, live, cfg), len(live), cfg.spec
     noisy0, scale = 1.0 + spec.delta0 * u, 1.0 + spec.delta1 * u
-    span = max(1, elements // (b * len(u)))
+    span = max(1, fidelity._CHUNK_ELEMENTS // (b * len(u)))
     resolved = []
     for lo in range(0, len(params), span):
-        c = _cut(cols, slice(lo, lo + span))
+        c = fidelity._cut(cols, slice(lo, lo + span))
         work = np.empty((5 * b + 2, len(c["pio"]), 1, len(u)))
         # (4, blocks, points, 1, u); index 0 of u is u = 0
-        rows = _rows(c, noisy0, scale, work)
+        rows = fidelity._rows(c, noisy0, scale, work)
         change = rows - rows[..., :1]
         noisy = c["axis"][0]
         change[1:3] *= noisy

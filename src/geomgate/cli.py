@@ -154,43 +154,48 @@ def _parse_grid(text: str) -> list:
         else:
             values = given = [float(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError(f"grid must be START:STOP:NUM or a comma list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"grid must be START:STOP:NUM or a comma list, got {text!r}") from None
     if ":" in text:
         if num < 1:
-            raise ValueError(f"grid needs >= 1 points, got {num}")
+            raise argparse.ArgumentTypeError(f"grid needs >= 1 points, got {num}")
         values = [start] if num == 1 else [start + (stop - start) / (num - 1) * k
                                            for k in range(num)]
         given = [start, stop]
     if not all(map(math.isfinite, given + values)):
-        raise ValueError(f"grid values must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     return values
 
 
-def _grid_argument(text: str) -> list:
-    """_parse_grid for a flag: argparse then gives the reason a grid is refused."""
-    try:
-        return _parse_grid(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from err
+def _parse_float(text: str) -> float:
+    """A float option's value, refused unless finite, as a grid's values are."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
+_parse_float.__name__ = "float"  # argparse names it where float() refuses a flag's value
 
 
 #: every option, dest -> (parser, help); the parser reads the flag's value and
-#: the config key's. A parser of bool makes a flag, a tuple the choices of a string
+#: the config key's, and argparse shows an ArgumentTypeError's reason as it is.
+#: A parser of bool makes a flag, a tuple the choices of a string
 _OPTIONS = {
     "config": (str, "key=value config file supplying defaults"),
     "seed": (int, "RNG seed (default: $SIM_SEED or 0)"),
-    "beta": (float, "total phase targeted as -beta*pi"),
-    "omega": (float, "drive rotation rate (direct entry)"),
-    "omega0": (float, "transverse field strength"),
-    "omega1": (float, "longitudinal field strength"),
-    "delta": (float, "offset added to the zero-dynamic omega1 (absolute)"),
+    "beta": (_parse_float, "total phase targeted as -beta*pi"),
+    "omega": (_parse_float, "drive rotation rate (direct entry)"),
+    "omega0": (_parse_float, "transverse field strength"),
+    "omega1": (_parse_float, "longitudinal field strength"),
+    "delta": (_parse_float, "offset added to the zero-dynamic omega1 (absolute)"),
     "branch": (BRANCHES, "root branch of the drive-rate solver (default minus)"),
     "two_qubit": (bool, "conditional two-qubit gate"),
-    "alpha": (float, "coupling generator J = alpha*omega0"),
-    "coupling_j": (float, "Ising coupling J (direct entry)"),
+    "alpha": (_parse_float, "coupling generator J = alpha*omega0"),
+    "coupling_j": (_parse_float, "Ising coupling J (direct entry)"),
     "zero_dynamic": (bool, "place omega1 on the zero-dynamic-phase line (with --beta)"),
-    "delta0": (float, "relative half-width on omega0"),
-    "delta1": (float, "relative half-width on omega1"),
+    "delta0": (_parse_float, "relative half-width on omega0"),
+    "delta1": (_parse_float, "relative half-width on omega1"),
     "independent": (bool, "draw the two noise channels independently"),
     "m": (int, "noise shots per input state"),
     "n": (int, "number of input states"),
@@ -250,7 +255,7 @@ class _Settings:
                 choices = ", ".join(map(repr, parse))
                 raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
             return raw if isinstance(parse, tuple) else parse(raw)
-        except ValueError as err:
+        except (ValueError, argparse.ArgumentTypeError) as err:
             raise ValueError(f"{self.source[key]}: {err}") from err
 
     def seed(self) -> int:
@@ -412,8 +417,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             elif isinstance(parse, tuple):
                 sub.add_argument(flag, dest=dest, choices=parse, help=text)
             else:
-                sub.add_argument(flag, dest=dest, help=text,
-                                 type=_grid_argument if parse is _parse_grid else parse)
+                sub.add_argument(flag, dest=dest, type=parse, help=text)
     return parser
 
 

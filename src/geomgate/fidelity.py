@@ -54,8 +54,9 @@ fig4's). The per-shot kernel, whose rows are taken at each chunk of states'
 draws, runs for independent draws, below the crossover and for a point the fit
 does not resolve. Both kinds of chunk run in one loop and end in the same matrix
 product and _means. The path is chosen in _paths only, from the point, the
-config and m; sweep.sweep_generic reads it to count the per-shot work that sizes
-its pool.
+config and m, as a bool mask over the points; sweep.sweep_generic computes it
+once per sweep, sizes its pool by the per-shot work it leaves and passes each
+batch its slice.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -223,35 +224,34 @@ def _means(e: np.ndarray, out: np.ndarray, m: int, weight=None) -> np.ndarray:
     return np.minimum(1.0 + np.add.reduce(out, axis=-1) / m, 1.0)
 
 
-def _paths(params: list, cfg: EstimatorConfig) -> tuple:
-    """How _estimate evaluates the points: (weights, live, resolved), chosen here only.
-
-    weights are the blocks' control weights, None where the control is sampled per
-    state; live lists the blocks of nonzero weight. resolved is None when no point
-    may take the Chebyshev sum (independent draws, m below _FIT_MIN_SHOTS);
-    otherwise it is chebyshev.fit's bool array, and a point takes the sum where
-    resolved, the per-shot kernel elsewhere. The choice reads each point, the
-    config and m only: the mask of some of the points is the slice of theirs
-    (sweep.sweep_generic cuts it into its batches' shares).
-    """
+def _weights(params: list, cfg: EstimatorConfig) -> tuple:
+    """The blocks' control weights, None where the control is sampled per state,
+    and the live blocks, those of nonzero weight."""
     fixed = {"fixed0": (1.0, 0.0), "fixed1": (0.0, 1.0)}
     count = len(blocks(params[0]))
     weights = (1.0,) if count == 1 else fixed.get(cfg.control_mode)
-    live = [k for k in range(count) if weights is None or weights[k] != 0.0]
-    if cfg.spec.independent or cfg.m < _FIT_MIN_SHOTS:
-        return weights, live, None
+    return weights, [k for k in range(count) if weights is None or weights[k] != 0.0]
+
+
+def _paths(params: list, cfg: EstimatorConfig) -> np.ndarray:
+    """Per point, whether _estimate takes the Chebyshev sum or the per-shot kernel:
+    chebyshev.fit's bool array, all False without loading chebyshev for independent
+    draws, m below _FIT_MIN_SHOTS or no points. It reads each point, the config and
+    m only, so the mask of some of the points is the slice of theirs."""
+    if cfg.spec.independent or cfg.m < _FIT_MIN_SHOTS or not params:
+        return np.zeros(len(params), bool)
     # imported only here: runs that fit nothing never load it
     from . import chebyshev
 
-    return weights, live, chebyshev.fit(params, live, cfg, _CHUNK_ELEMENTS)
+    return chebyshev.fit(params, _weights(params, cfg)[1], cfg)
 
 
 def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
-              paths: tuple | None = None) -> list:
+              resolved: np.ndarray | None = None) -> list:
     """Two-level average at each point; one FidelityEstimate per point.
 
     params holds DriveParams or TwoQubitParams, whose blocks (model.blocks)
-    are weighted by cfg.control_mode, read for a conditional gate only. paths
+    are weighted by cfg.control_mode, read for a conditional gate only. resolved
     is _paths(params, cfg), computed here when not given. All
     points share the draws: each chunk of states is drawn once and every
     point is evaluated on it, on (points, states, width) arrays of at most
@@ -262,7 +262,8 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
-    weights, live, resolved = paths or _paths(params, cfg)
+    weights, live = _weights(params, cfg)
+    resolved = _paths(params, cfg) if resolved is None else resolved
     states = max(1, _CHUNK_ELEMENTS // m)
     points, b = len(params), len(live)
     # the gate model's columns and each block's ideal entries (model.cycle_entries)
@@ -271,7 +272,6 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
         np.array([[cycle_entries(g[k]) for g in gates] for k in live]), -1, 0))
     # the points whose fit resolves their rows take the Chebyshev sum on the nodes
     # y, the rest the per-shot kernel on their draws (nodes None)
-    resolved = np.zeros(points, bool) if resolved is None else resolved
     fitted, shot = np.flatnonzero(resolved), np.flatnonzero(~resolved)
     kinds = [(shot, None)]
     if len(fitted):

@@ -9,9 +9,10 @@ Determinism: a row's values depend only on (seed, point parameters, m, n,
 noise spec, estimator options) - never on grid shape, point order, or the
 worker count. All points of a sweep share one base random stream (common
 random numbers), which makes curves smooth in the scan coordinate and
-argmax localization stable. A sweep runs in process unless its per-shot
-work (m*n shots per feasible point that runs the per-shot kernel) pays for
-more than one process, _PROCESS_SHOTS each (sweep_generic). It cuts its
+argmax localization stable. A sweep builds every row in process and runs
+in process unless its per-shot work (m*n shots per feasible point that
+runs the per-shot kernel, from one path mask per sweep) pays for more than
+one process, _PROCESS_SHOTS each (sweep_generic). It cuts its feasible
 points into contiguous batches, at least one per process and at most
 _PASS_ELEMENTS // n points each; a batch reads the two draw streams of
 fidelity's layout (rng_layout in the metadata, fidelity.RNG_LAYOUT) and
@@ -134,46 +135,28 @@ def _row(point: SweepPoint, cfg: EstimatorConfig) -> dict:
 
 
 def _eval_batch(args) -> list:
-    """Rows of a batch of points, with one estimate over all its feasible points;
-    paths is fidelity._paths of those points, or None to let the estimate find it."""
-    points, cfg, paths = args
-    rows = [_row(point, cfg) for point in points]
-    feasible = [k for k, point in enumerate(points) if point.feasible]
-    if not feasible:
-        return rows
-    tag = SINGLE_STREAM_TAG if points[0].kind == "single" else TWO_QUBIT_STREAM_TAG
-    ests = _estimate([points[k].params for k in feasible], cfg,
-                     RngStream(cfg.seed).child(tag), paths)
-    for k, est in zip(feasible, ests):
-        rows[k]["F_mean"] = est.mean
-        rows[k]["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
-    return rows
-
-
-def _share(paths: tuple | None, lo: int, hi: int) -> tuple | None:
-    """fidelity._paths of a sweep's feasible points lo:hi, cut from that of all
-    of them: the resolved mask is per point, the weights and live blocks are shared."""
-    if paths is None or paths[2] is None:
-        return paths
-    weights, live, resolved = paths
-    return weights, live, resolved[lo:hi]
+    """The estimates of a batch of feasible parameters, on the sweep's base stream;
+    resolved is fidelity._paths of them."""
+    params, cfg, resolved = args
+    tag = SINGLE_STREAM_TAG if isinstance(params[0], DriveParams) else TWO_QUBIT_STREAM_TAG
+    return _estimate(params, cfg, RngStream(cfg.seed).child(tag), resolved)
 
 
 def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
                   metadata: dict | None = None) -> SweepResult:
     """Evaluate the configured estimator at every point, in point order.
 
-    The points are cut into contiguous batches, at least one per process
-    used and at most _PASS_ELEMENTS // cfg.n points each. The processes are
-    min(cfg.workers, os.cpu_count(), feasible points, per-shot work //
-    _PROCESS_SHOTS), at least one, where the per-shot work is m*n shots per
-    feasible point that runs the per-shot kernel (fidelity._paths). A point
-    the Chebyshev sum takes counts none: its cost does not grow with m, and
-    every batch repeats its draws and power sums, so fitted points alone start
-    no pool; where one runs, they fall in whichever batches of the contiguous
-    cut hold them. With one process the batches run in process; with more they
-    go to a pool of that many. Output is identical byte for byte whatever
-    the batching.
+    Every row is built here, in the calling process. The feasible points'
+    parameters are cut into contiguous batches, at least one per process used
+    and at most _PASS_ELEMENTS // cfg.n points each, whose estimates fill in
+    their rows. The path mask (fidelity._paths) is computed once per sweep and
+    sliced per batch. The processes are min(cfg.workers, os.cpu_count(),
+    feasible points, per-shot work // _PROCESS_SHOTS), the per-shot work being
+    m*n shots per point the mask leaves to the per-shot kernel: a fitted point
+    counts none, since its cost does not grow with m and every batch repeats
+    its draws and power sums. With at most one process the batches run in
+    process, else in a pool of that many. Output is identical byte for byte
+    whatever the batching.
     """
     if not points:
         raise ValueError("points must be non-empty")
@@ -181,21 +164,15 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
     if len(kinds) != 1:
         raise ValueError(f"mixed point kinds in one sweep: {kinds}")
     columns = SINGLE_COLUMNS if points[0].kind == "single" else TWO_QUBIT_COLUMNS
-    feasible = [p.params for p in points if p.feasible]
-    procs = min(cfg.workers, os.cpu_count() or 1, len(feasible))
-    paths = None
-    if procs > 1:
-        # found only where it may allow more than one process; the batches reuse it
-        paths = _paths(feasible, cfg)
-        resolved = paths[2]
-        shot = len(feasible) if resolved is None else int(np.count_nonzero(~resolved))
-        procs = max(1, min(procs, cfg.m * cfg.n * shot // _PROCESS_SHOTS))
-    count = max(procs, math.ceil(len(points) / max(1, _PASS_ELEMENTS // cfg.n)))
-    cuts = [len(points) * b // count for b in range(count + 1)]
-    # the feasible points before each point, to give a batch its share of `paths`
-    ranks = list(itertools.accumulate((p.feasible for p in points), initial=0))
-    jobs = [(points[lo:hi], cfg, _share(paths, ranks[lo], ranks[hi]))
-            for lo, hi in zip(cuts, cuts[1:])]
+    rows = [_row(point, cfg) for point in points]
+    feasible = [row for row, point in zip(rows, points) if point.feasible]
+    params = [point.params for point in points if point.feasible]
+    resolved = _paths(params, cfg)
+    shots = cfg.m * cfg.n * int(np.count_nonzero(~resolved))
+    procs = min(cfg.workers, os.cpu_count() or 1, len(params), shots // _PROCESS_SHOTS)
+    count = max(procs, math.ceil(len(params) / max(1, _PASS_ELEMENTS // cfg.n)))
+    cuts = [slice(len(params) * b // count, len(params) * (b + 1) // count) for b in range(count)]
+    jobs = [(params[cut], cfg, resolved[cut]) for cut in cuts]
     if procs > 1:
         # imported only here: one-process runs and the CLI's import never load it
         from concurrent.futures import ProcessPoolExecutor
@@ -204,7 +181,9 @@ def sweep_generic(points: list[SweepPoint], cfg: EstimatorConfig,
             batches = list(pool.map(_eval_batch, jobs))
     else:
         batches = [_eval_batch(job) for job in jobs]
-    rows = [row for batch in batches for row in batch]
+    for row, est in zip(feasible, itertools.chain.from_iterable(batches)):
+        row["F_mean"] = est.mean
+        row["F_stderr"] = None if math.isnan(est.stderr) else est.stderr
     meta = {
         "version": __version__,
         "seed": cfg.seed,

@@ -417,7 +417,7 @@ def subcommand_parsers():
 
 
 #: a sample value per value parser of the option table
-SAMPLES = {float: "2.5", int: "3", str: "x.csv", cli._grid_argument: "0:1:3"}
+SAMPLES = {cli._parse_float: "2.5", int: "3", str: "x.csv", cli._parse_grid: "0:1:3"}
 
 
 def test_every_option_reads_alike_as_flag_and_as_config_key(tmp_path):
@@ -692,6 +692,52 @@ def test_non_finite_grid_refused(tmp_path, capsys, grid):
     assert_grid_refused(tmp_path, capsys, grid, reason)
 
 
+@pytest.mark.parametrize("argv,key,value", [
+    (["sweep", "--beta", "1.5"], "omega0", "nan"),
+    (["sweep", "--two-qubit"], "alpha", "nan"),
+    (["reproduce", "fig4"], "omega1", "inf"),
+    (["reproduce", "fig2"], "omega0", "inf"),
+    (["fidelity", "--beta", "1.5", "--omega0", "1e5"], "delta", "1e400"),
+    (["fidelity", "--beta", "1.5", "--omega0", "1e5"], "delta1", "-inf"),
+    (["gate", "--beta", "1.5"], "omega0", "nan"),
+], ids=["sweep-omega0", "sweep-alpha", "fig4-omega1", "fig2-omega0", "fidelity-delta",
+        "fidelity-delta1", "gate-omega0"])
+def test_non_finite_float_option_refused(tmp_path, capsys, monkeypatch, argv, key, value):
+    # every row of these runs used to be infeasible, written with exit 0: the flag
+    # exits 2 and the config key 1, both with the same reason, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    argv = argv + ([] if argv[0] == "gate" else ["--m", "2", "--n", "2"])
+    flag, reason = "--" + key.replace("_", "-"), f"value must be finite, got {value!r}"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [f"{flag}={value}"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {reason}\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (
+        1, "", f"error: {cfg}: {key}: {reason}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_every_float_option_refuses_non_finite_values(tmp_path):
+    # each float option of each subcommand, as a flag and as a config key
+    parser, cfg = cli.build_parser(), tmp_path / "c.cfg"
+    covered = set()
+    for command, sub in subcommand_parsers().items():
+        head = [command, "fig1"] if command == "reproduce" else [command]
+        for action in sub._actions:
+            if action.type is not cli._parse_float:
+                continue
+            with pytest.raises(SystemExit):
+                parser.parse_args(head + [action.option_strings[0], "nan"])
+            cfg.write_text(f"{action.dest}=-inf\n")
+            settings = cli._Settings(parser.parse_args(head + ["--config", str(cfg)]))
+            with pytest.raises(ValueError, match=f"^{cfg}: {action.dest}: value must be finite"):
+                settings.get(action.dest)
+            covered.add(action.dest)
+    assert covered == {key for key, (parse, _) in cli._OPTIONS.items() if parse is cli._parse_float}
+
+
 @pytest.mark.parametrize("grid", ["0:1", "0:1:2:3", "0:1:2.5", "0,one"])
 def test_malformed_grid_refused(tmp_path, capsys, grid):
     # a wrong count of parts or a non-integral NUM names the forms a grid takes
@@ -822,18 +868,20 @@ def test_gate_loads_no_numpy(argv):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel=-0.4:3.6:21",
-     "--m", "8", "--n", "400", "--workers", "1", "--out", "s.csv"],
-    ["reproduce", "fig4", "--gate-model", "propagator", "--m", "12000", "--n", "12",
-     "--out", "f.csv"],
+@pytest.mark.parametrize("argv,fitted", [
+    (["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel=-0.4:3.6:21",
+      "--m", "8", "--n", "400", "--workers", "1", "--out", "s.csv"], False),
+    (["reproduce", "fig4", "--gate-model", "propagator", "--m", "12000", "--n", "12",
+      "--out", "f.csv"], True),
 ], ids=["per-shot", "fit"])
-def test_scan_loads_no_numpy_random(argv, tmp_path):
+def test_scan_loads_no_numpy_random(argv, fitted, tmp_path):
     # the streams are computed on plain arrays: a scan pays neither numpy.random's
     # import nor the _hashlib that numpy.random's use of secrets loads, beyond what
-    # `import numpy` loads itself (nothing on numpy 2.x, both on numpy 1.x)
+    # `import numpy` loads itself (nothing on numpy 2.x, both on numpy 1.x). Every
+    # sweep computes its path mask, but only a scan that fits loads chebyshev
+    loads = {"numpy.random", "_hashlib", "geomgate.chebyshev"}
     report = ("import atexit, sys\n"
-              "atexit.register(lambda: print(*{'numpy.random', '_hashlib'} & set(sys.modules)))\n")
+              f"atexit.register(lambda: print(*{loads!r} & set(sys.modules)))\n")
     scan = (f"import runpy\nsys.argv[1:] = {argv!r}\n"
             "runpy.run_module('geomgate', run_name='__main__', alter_sys=True)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geomgate.__file__)))
@@ -844,7 +892,7 @@ def test_scan_loads_no_numpy_random(argv, tmp_path):
         assert proc.returncode == 0, proc.stderr
         loaded.append(set(proc.stdout.splitlines()[-1].split()))
     baseline, scanned = loaded
-    assert scanned <= baseline, scanned - baseline
+    assert scanned - baseline == ({"geomgate.chebyshev"} if fitted else set())
 
 
 # --- process entry point --------------------------------------------------------

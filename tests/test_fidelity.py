@@ -426,7 +426,7 @@ def test_propagator_fit_equals_the_per_shot_sum(gate_model, mode, family, spec, 
     cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model=gate_model, haar=haar,
                                    control_mode=mode or "unfixed")
     live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
-    resolved = chebyshev.fit(params, live, cfg, fidelity._CHUNK_ELEMENTS)
+    resolved = chebyshev.fit(params, live, cfg)
     assert resolved.all() and len(resolved) == len(params)
     sums, power_sums = [], chebyshev.power_sums
     monkeypatch.setattr(chebyshev, "power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
@@ -451,7 +451,7 @@ def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
     for model in ("propagator", "phase"):
         cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6,
                                        spec=NoiseSpec(0.3, 0.3), gate_model=model)
-        resolved = chebyshev.fit(params, [0], cfg, fidelity._CHUNK_ELEMENTS)
+        resolved = chebyshev.fit(params, [0], cfg)
         assert list(resolved) == [False, True]
         got = fidelity._estimate(params, cfg, RngStream(4).child(1))
         assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
@@ -555,7 +555,7 @@ def test_propagator_fit_memory_is_bounded_on_a_large_grid(gate_model):
                   for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model=gate_model)
-    assert chebyshev.fit(params, [0, 1], cfg, fidelity._CHUNK_ELEMENTS).all()
+    assert chebyshev.fit(params, [0, 1], cfg).all()
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))

@@ -218,7 +218,7 @@ def assert_both_paths(points, cfg):
     params = [p.params for p in points if p.feasible]
     live = [0] if isinstance(params[0], DriveParams) else {
         "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
-    resolved = chebyshev.fit(params, live, cfg, fidelity._CHUNK_ELEMENTS)
+    resolved = chebyshev.fit(params, live, cfg)
     assert np.count_nonzero(~resolved) == 1 and resolved.any()
 
 
@@ -392,10 +392,29 @@ def test_fitted_points_start_no_pool(recording_pool, monkeypatch):
     points = [two_qubit_point(w0, 60.0, SQRT3) for w0 in (2.0, 10.0, 21.0, 40.0)]
     cfg = EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=5, spec=NoiseSpec(0.05, 0.05), seed=3,
                           gate_model="propagator", workers=4)
-    assert fidelity._paths([p.params for p in points], cfg)[2].all()
+    assert fidelity._paths([p.params for p in points], cfg).all()
     res = sweep_generic(points, cfg)
     assert recording_pool == []
     assert res.rows == sweep_generic(points, replace(cfg, workers=1)).rows
+
+
+def test_a_sweep_fits_once_over_all_its_batches(child_calls, monkeypatch):
+    # the path mask is computed once per sweep and each batch gets its slice, so
+    # a fitted grid cut into several batches calls the fit once, over every
+    # feasible point, and gives the rows of one batch
+    points = [two_qubit_point(w0, 60.0, SQRT3) for w0 in (2.0, 10.0, 21.0, 30.0, 40.0)]
+    points.insert(1, two_qubit_point(1e100, -9e99, 1.0))  # infeasible
+    cfg = EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=5, spec=NoiseSpec(0.05, 0.05), seed=3,
+                          gate_model="propagator")
+    whole = sweep_generic(points, cfg)
+    fits, fit = [], chebyshev.fit
+    monkeypatch.setattr(chebyshev, "fit", lambda *args: fits.append(args[0]) or fit(*args))
+    monkeypatch.setattr(sweep, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per batch
+    child_calls.clear()
+    assert sweep_generic(points, cfg).rows == whole.rows
+    assert child_calls.count((TWO_QUBIT_STREAM_TAG,)) == 3
+    assert fits == [[p.params for p in points if p.feasible]]
+    assert fidelity._paths(fits[0], cfg).all()
 
 
 @pytest.mark.parametrize("figure,mode,counts", [
@@ -420,7 +439,7 @@ def test_fit_resolves_the_stated_preset_counts(figure, mode, counts, monkeypatch
             m=fidelity._FIT_MIN_SHOTS, n=2, spec=preset.spec, gate_model=model,
             control_mode=mode or "unfixed"))
         got.append(sum(int(np.count_nonzero(fidelity._paths(
-            [p.params for p in points if p.feasible], cfg)[2])) for points, cfg in scans))
+            [p.params for p in points if p.feasible], cfg))) for points, cfg in scans))
     assert tuple(got) == counts
 
 
