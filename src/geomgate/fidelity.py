@@ -9,12 +9,13 @@ Both estimators run one loop. Gates are block diagonal in the control qubit
 (a single qubit is one block), and inputs are product states c x t, so a
 shot's amplitude is the control-weighted sum over the 2x2 blocks k
 
-    A = sum_k w_k <t| U_k^dag U_k' |t>,    w_k = |c_k|^2,
+    A = sum_k w_k <t| U_k^dag U_k' |t>,    w_k = (1 +- z_c)/2,
 
 where U_k is the ideal block (model.cycle_entries) and U_k' its noisy version
--cos(a)*I + i*sin(a)*(n.sigma) at the noisy cycle angle a = pi*Omega'/omega.
-A single qubit has weights (1,); a control fixed to |0> or |1> has (1, 0) or
-(0, 1), and a zero-weight block is skipped; an unfixed control is sampled per state.
+-cos(a)*I + i*sin(a)*(n.sigma) at the noisy cycle angle a = pi*Omega'/omega. Both
+are in SU(2), so the term is real arithmetic on the target's Bloch vector (_table).
+A single qubit has weights (1,); a control fixed to |0> or |1> has (1, 0) or (0, 1),
+and a zero-weight block is skipped; an unfixed one is sampled, z_c its Bloch z.
 
 Both noisy-gate constructions are this one form, and the gate model is data
 (_columns): where the draw enters the detuning, and the block axis n.
@@ -38,7 +39,7 @@ tan of the half angle, t = tan(a/2), with s = sigma/Omega', so that cos(a) = 2r 
 and sin(a) = 2*sigma; _rows alone computes them (real arithmetic, sqrt and tan,
 which numpy vectorises, in place in work buffers), at a shot's draw or at a
 Chebyshev node alike. The amplitude is 1 at u = 0, so a shot's is 1 + e, with e a
-table of per-state coefficients (_table) against the rows' change from u = 0, and
+real table of per-state coefficients (_table) against the rows' change from u = 0, and
 a state's mean fidelity is 1 plus the mean of 2*Re(e) + |e|^2, clamped at 1
 (_means). No noise gives e == 0, hence F == 1.
 
@@ -48,31 +49,31 @@ module chebyshev resolves its rows' change: 2*Re(e) + |e|^2 is then a polynomial
 in u, which chebyshev.weights sums exactly from the power sums of the state's
 draws, shared by every point of a batch; such a point's rows are taken at the
 nodes once, before the states. This holds for both models; "phase" fluctuates
-the coupling as well, so fewer of its points resolve (at the presets' widths 625
-of fig3's 961 with the control fixed to |0>, 55 of fig2's 255, none of fig1's or
-fig4's). The per-shot kernel, whose rows are taken at each chunk of states'
-draws, runs for independent draws, below the crossover and for a point the fit
-does not resolve. Both kinds of chunk run in one loop and end in the same matrix
-product and _means. The path is chosen in _paths only, from the point, the
-config and m, as a bool mask over the points; sweep.sweep_generic computes it
-once per sweep, sizes its pool by the per-shot work it leaves and passes each
-batch its slice.
+the coupling as well, so fewer of its points resolve (625 of fig3's 961 fixed0
+points at the preset's widths, none of fig1's or fig4's). The per-shot kernel,
+whose rows are taken at each chunk of states' draws, runs for independent draws,
+below the crossover and for a point the fit does not resolve. Both kinds of
+chunk run in one loop and end in the same matrix product and _means. The path is
+chosen in _paths only, from the point, the config and m, as a bool mask over the
+points; sweep.sweep_generic computes it once per sweep, sizes its pool by the
+per-shot work it leaves and passes each batch its slice.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
 chunk of states at a time, so state j's draws do not depend on N. The state
 stream rng.child(0) gives k doubles per row: theta, phi and a form bit
-(noise.sample_input_state), for the control when it is sampled, then the
-target. The noise stream rng.child(1) gives M deviations per row (2M, the
-omega0 half first, if NoiseSpec.independent). The layout never depends on
-loop order, worker scheduling or the deltas, so a sweep reusing one base
-stream sees common random numbers across its points.
+(noise.sample_input_state; read as a Bloch vector, noise._input_bloch), for the
+control when it is sampled, then the target. The noise stream rng.child(1) gives
+M deviations per row (2M, the omega0 half first, if NoiseSpec.independent). The
+layout never depends on loop order, worker scheduling or the deltas, so a sweep
+reusing one base stream sees common random numbers across its points.
 
 Every point of a batch is evaluated on each chunk of states, on (points,
-states, M or 2*NODES) arrays; the states per chunk depend on M only, so a point's
-estimate is the same bit for bit in a batch of any size and in a one-point
-call (estimate_single, estimate_two_qubit). EstimatorConfig is the one
-input and one check of options; sweep.sweep_generic bounds the points per batch.
+states, M or 2*NODES) arrays; the states per chunk depend on M only, and the table
+rounds each element alone, so a point's estimate is the same bit for bit in a batch
+of any size and in a one-point call (estimate_single, estimate_two_qubit).
+EstimatorConfig is the one input and one check of options; sweep.sweep_generic
+bounds the points per batch.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CONTROL_MODES, GATE_MODELS, DriveParams, TwoQubitParams, blocks, cycle_entries
-from .noise import NoiseSpec, RngStream, _input_amplitudes, relative_draws
+from .noise import NoiseSpec, RngStream, _input_bloch, relative_draws
 
 
 class FidelityEstimate(namedtuple("FidelityEstimate", "mean stderr n_states")):
@@ -114,7 +115,7 @@ class EstimatorConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if key != "seed" and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
-        # RngStream keeps a seed's low 64 bits, so a wider seed would replay another
+        # the CLI's seeds are 64-bit words (RngStream takes any non-negative integer)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         for key, choices in (("gate_model", GATE_MODELS), ("control_mode", CONTROL_MODES)):
@@ -166,29 +167,23 @@ def _cut(cols: dict, sel) -> dict:
     return {key: col[..., sel, None, None] for key, col in cols.items()}
 
 
-def _table(c: dict, w, t0, t1) -> np.ndarray:
+def _table(c: dict, w, b) -> np.ndarray:
     """Each point's coefficients per state against the rows of _rows, real then
-    imaginary: (points, states, 2, 4*blocks).
+    imaginary: (points, states, 2, 4*blocks), by real ufuncs on all blocks at once.
 
-    With c_P = w*<t|U^dag P|t> for the ideal block U, the noisy block
-    -cos(a)*I + i*sin(a)*(n_z*sz + n_x*sx) has the term -c_I*cos(a) +
-    2i*sigma*(c_z*n_z + c_x*n_x), sigma = sin(a)/2. With cos(a) = 2r - 1 and the
-    axis n = noisy*(det, w0)/Omega' + held, the table holds -2*c_I, 2i*noisy*c_z,
-    2i*noisy*c_x and 2i*(c_z*held_z + c_x*held_x); the constant c_I drops out of
-    the rows' change from u = 0.
+    With the ideal block -C*I + i*(Sz*sz + Sx*sx), the target's Bloch vector b, P =
+    -(C*bz + Sx*by) and Q = Sz*by - C*bx, a block's w*<t|U^dag U'|t> is w*(C*cos(a) +
+    sin(a)*(Sz*n_z + Sx*n_x)) + i*w*(cos(a)*(Sz*bz + Sx*bx) + sin(a)*(P*n_z + Q*n_x)).
+    So each half (A, Y, Z) has 2w*(A, noisy*Y, noisy*Z, held_z*Y + held_x*Z) against
+    the rows (cos(a) = 2r - 1, sin(a) = 2*sigma); its constant -w*A drops out.
     """
-    parts = []
-    for k, (noisy, held_z, held_x) in enumerate(np.moveaxis(c["axis"], 1, 0)):
-        # block by block: numpy's complex products round by the shape they run on
-        i00, i01, i11 = c["ideal"][:, k]
-        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
-        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-        q0t0, q1t1 = q0 * t0, q1 * t1
-        c_z, c_x = q0t0 - q1t1, q0 * t1 + q1 * t0
-        parts.append((-2.0 * (q0t0 + q1t1), 2j * noisy * c_z, 2j * noisy * c_x,
-                      2j * (c_z * held_z + c_x * held_x)))
-    table = np.concatenate([x for kind in zip(*parts) for x in kind], axis=-1)
-    return np.stack((table.real, table.imag), axis=-2)
+    (big_c, s_z, s_x), (noisy, held_z, held_x), (bx, by, bz) = c["ideal"], c["axis"], b
+    halves = ((big_c, s_z, s_x),
+              (s_z * bz + s_x * bx, -(big_c * bz + s_x * by), s_z * by - big_c * bx))
+    table = np.stack(np.broadcast_arrays(*(2.0 * w * x for a, y, z in halves for x in (
+        a, noisy * y, noisy * z, held_z * y + held_x * z))))[..., 0]
+    # (2*4, blocks, points, states) to (points, states, 2, 4*blocks), contiguous for the matmul
+    return np.ascontiguousarray(np.moveaxis(table, (0, 1), (2, 3))).reshape(*table.shape[2:], 2, -1)
 
 
 def _rows(c: dict, noisy0, scale, work: np.ndarray) -> np.ndarray:
@@ -252,13 +247,13 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
 
     params holds DriveParams or TwoQubitParams, whose blocks (model.blocks)
     are weighted by cfg.control_mode, read for a conditional gate only. resolved
-    is _paths(params, cfg), computed here when not given. All
-    points share the draws: each chunk of states is drawn once and every
-    point is evaluated on it, on (points, states, width) arrays of at most
-    max(_CHUNK_ELEMENTS, width) elements, width the m shots of a per-shot
-    point or the 2*chebyshev.NODES nodes of a fitted one. The (points, n)
-    per-state means are held at once, so a caller bounds the points per call;
-    a fitted point also holds its rows at the nodes, 4*blocks*2*NODES doubles.
+    is _paths(params, cfg), computed here when not given. All points share the
+    draws: each chunk of states is drawn once and every point is evaluated on it,
+    on (points, states, width) arrays of at most max(_CHUNK_ELEMENTS, width)
+    elements, width the m shots of a per-shot point or the 2*chebyshev.NODES nodes
+    of a fitted one. The (points, n) per-state means are held at once, so a caller
+    bounds the points per call; a fitted point also holds its rows at the nodes,
+    4*blocks*2*NODES doubles.
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
@@ -266,10 +261,10 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     resolved = _paths(params, cfg) if resolved is None else resolved
     states = max(1, _CHUNK_ELEMENTS // m)
     points, b = len(params), len(live)
-    # the gate model's columns and each block's ideal entries (model.cycle_entries)
-    gates = [blocks(p) for p in params]
-    cols = dict(_columns(params, live, cfg), ideal=np.moveaxis(
-        np.array([[cycle_entries(g[k]) for g in gates] for k in live]), -1, 0))
+    # the gate model's columns and each block's ideal -C*I + i*(Sz*sz + Sx*sx) as (C, Sz, Sx)
+    entries = [[cycle_entries(blocks(p)[k]) for p in params] for k in live]
+    cols = dict(_columns(params, live, cfg), ideal=np.moveaxis(np.array(
+        [[(-u00.real, u00.imag, u01.imag) for u00, u01, _ in row] for row in entries]), -1, 0))
     # the points whose fit resolves their rows take the Chebyshev sum on the nodes
     # y, the rest the per-shot kernel on their draws (nodes None)
     fitted, shot = np.flatnonzero(resolved), np.flatnonzero(~resolved)
@@ -305,10 +300,10 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     for first in range(0, n, states):
         count = min(states, n - first)
         u = state_rng.random((count, 3 if weights is not None else 6))
-        t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], haar))
-        # the live blocks' control weights, (blocks, 1, states or 1, 1)
+        target = [x[None, :, None] for x in _input_bloch(u[:, -3:], haar)]
+        # the live blocks' control weights, (blocks, 1, states or 1, 1); sampled, (1 +- z_c)/2
         w = np.reshape([weights[k] for k in live] if weights else
-                       [abs(a) ** 2 for a in _input_amplitudes(u[:, :3], haar)], (b, 1, -1, 1))
+                       (1.0 + [[1.0], [-1.0]] * _input_bloch(u[:, :3], haar)[2]) / 2, (b, 1, -1, 1))
         draws = relative_draws(noise_rng, count * m * (1 + spec.independent)).reshape(1, count, -1)
         if len(fitted):
             # once the fit resolves the rows, 2*Re(e) + |e|^2 has degree < 2*NODES
@@ -321,7 +316,7 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
             scale = 1.0 + spec.delta1 * draws[..., -m:]
         for idx, grouped, offset, c, rows0, at_nodes in chunks:
             if grouped is not None:
-                table = _table(_cut(cols, grouped), w, t0, t1)
+                table = _table(_cut(cols, grouped), w, target)
             shape = (len(idx), count, m if at_nodes is None else at_nodes.shape[-1])
             if shape not in views:
                 # a chunk shape's work array (at most four shapes of each kind) and

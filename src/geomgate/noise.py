@@ -1,9 +1,9 @@
 """Seedable, path-keyed sampling of control fluctuations and input states.
 
 Reproducibility contract: every random quantity is drawn from an RngStream
-identified by (seed, path). Streams with distinct paths are independent;
-the same (seed, path) replays bit-identical draws regardless of evaluation
-order, worker count or platform; there is no global RNG state. A stream is
+identified by (seed, path), non-negative integers of any width. Streams with distinct
+paths are independent; the same (seed, path) replays bit-identical draws regardless of
+evaluation order, worker count or platform; there is no global RNG state. A stream is
 Philox4x64-10 (Salmon et al., SC11) under SeedSequence(entropy=seed,
 spawn_key=path)'s key, run on uint64 arrays: numpy.random's doubles bit for
 bit on any numpy version; numpy.random is unused (numpy 1.x imports it anyway).
@@ -110,10 +110,9 @@ class RngStream:
     __slots__ = ("seed", "path", "_key", "_counter", "_words")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.path = tuple(int(i) for i in path)
-        if any(i < 0 for i in self.path):
-            raise ValueError(f"path indices must be >= 0, got {self.path}")
+        self.seed, self.path = int(seed), tuple(int(i) for i in path)
+        if self.seed < 0 or any(i < 0 for i in self.path):
+            raise ValueError(f"seed and path indices must be >= 0, got {self.seed}, {self.path}")
         self._key = None  # hashed at the first draw: a stream may only give children
         self._counter = 0  # the last counter used
         self._words = np.empty(0, np.uint64)  # generated and not drawn yet
@@ -149,11 +148,9 @@ def relative_draws(rng: RngStream, n: int) -> np.ndarray:
 
 
 def _input_amplitudes(u: np.ndarray, haar: bool = False):
-    """Amplitudes (a0, a1) of the states drawn from rows u[..., :3] of doubles
-    in [0, 1): theta, phi and a form bit taken as u < 1/2 (the partner form).
-
-    theta = pi*u (arccos(1 - 2u) on the sphere measure), phi = 2*pi*u.
-    """
+    """Amplitudes (a0, a1) of the states drawn from rows u[..., :3] of doubles in [0, 1):
+    theta = pi*u (arccos(1 - 2u) on the sphere measure), phi = 2*pi*u and a form bit,
+    the partner form where u < 1/2."""
     theta = np.arccos(1.0 - 2.0 * u[..., 0]) if haar else np.pi * u[..., 0]
     phi = 2.0 * np.pi * u[..., 1]
     c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
@@ -162,14 +159,22 @@ def _input_amplitudes(u: np.ndarray, haar: bool = False):
     return np.where(partner, -s * em, c * em), np.where(partner, c * ep, s * ep)
 
 
+def _input_bloch(u: np.ndarray, haar: bool = False) -> list:
+    """Bloch vector [x, y, z] of _input_amplitudes' states, negated for the partner form."""
+    theta = np.arccos(1.0 - 2.0 * u[..., 0]) if haar else np.pi * u[..., 0]
+    sign, phi = np.where(u[..., 2] < 0.5, -1.0, 1.0), 2.0 * np.pi * u[..., 1]
+    sin = sign * np.sin(theta)
+    return [sin * np.cos(phi), sin * np.sin(phi), sign * np.cos(theta)]
+
+
 def sample_input_state(rng: RngStream, haar: bool = False) -> np.ndarray:
     """Random qubit state [cos(t/2)e^{-ip/2}, sin(t/2)e^{ip/2}] or its
     orthogonal partner [-sin(t/2)e^{-ip/2}, cos(t/2)e^{ip/2}].
 
     theta is uniform on [0, pi] (set haar=True for the cos-weighted sphere
     measure instead), phi uniform on [0, 2*pi], and the partner form is
-    taken with probability 1/2. Draw order: three doubles theta, phi, form,
-    mapped by _input_amplitudes as one row of the estimator's state block.
+    taken with probability 1/2. Draw order: three doubles theta, phi, form, one row
+    of the estimator's state block, which reads it as the Bloch vector (_input_bloch).
     """
     return np.array(_input_amplitudes(rng.random(3), haar), dtype=complex)
 

@@ -747,8 +747,8 @@ def test_malformed_grid_refused(tmp_path, capsys, grid):
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
 def test_seed_outside_64_bits_refused(tmp_path, capsys, monkeypatch, seed):
-    # the streams keep a seed's low 64 bits: 2**64 + 1 would replay seed 1 and
-    # -1 seed 2**64 - 1, while the CSV and .meta record another seed
+    # the CLI's seeds are 64-bit words: a stream refuses -1, and 2**64 and above,
+    # which a stream would take, lie outside the range the CSV and .meta promise
     out = tmp_path / "f.csv"
     argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "2", "--n", "2",
             "--out", str(out)]

@@ -29,6 +29,7 @@ from geomgate.noise import (
     NoiseSpec,
     RngStream,
     _input_amplitudes,
+    _input_bloch,
     relative_draws,
     sample_input_state,
     sample_two_qubit_input,
@@ -251,9 +252,12 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     matmul=True transcribes the kernel both models share, in its change form.
     Each block's basis rows are r = 1/(1 + t*t), s*det, s*w0 and sigma = t*r,
     with t = tan(a/2) and s = sigma/big. The same rows at u = 0 are taken off,
-    and one matmul sums the rest into e, with the coefficients 2*c_1 (for r),
-    2i*c_z and 2i*c_x (for a noisy axis, "propagator") and 2i*(c_z*cos(chi) +
-    c_x*sin(chi)) (for sigma, the axis "phase" holds). Each state's mean of
+    and one matmul sums the rest into e. Its real coefficients come from the ideal
+    block -C*I + i*(Sz*sz + Sx*sx) and the target's Bloch vector b, with the control
+    weights (1 +- z_c)/2: each half (A, Y, Z), (C, Sz, Sx) for Re(e) and (Sz*bz +
+    Sx*bx, P, Q) for Im(e), P = -(C*bz + Sx*by) and Q = Sz*by - C*bx, gives 2w*A
+    (for r), 2w*Y and 2w*Z (for a noisy axis, "propagator") and 2w*(Y*cos(chi) +
+    Z*sin(chi)) (for sigma, the axis "phase" holds). Each state's mean of
     2*Re(e) + |e|^2 is added to 1 and clamped at 1.
     matmul=False is the per-shot sum each model computed before, clamped per
     shot, which rounds otherwise: c_1*cos(a) + sin(a)/big*(c_z*det + c_x*w0)
@@ -285,6 +289,18 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
     u = state_gen.random((n, 3 if weights else 6))
     t0, t1 = (a[None, :, None] for a in _input_amplitudes(u[:, -3:], cfg.haar))
     w = weights or [abs(a[None, :, None]) ** 2 for a in _input_amplitudes(u[:, :3], cfg.haar)]
+
+    def bloch(row):
+        # the state's Bloch vector, negated for the partner form, as (1, n, 1) columns
+        theta = np.arccos(1.0 - 2.0 * row[:, 0]) if cfg.haar else np.pi * row[:, 0]
+        phi, sign = 2.0 * np.pi * row[:, 1], np.where(row[:, 2] < 0.5, -1.0, 1.0)
+        return [(sign * x)[None, :, None] for x in (
+            np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))]
+
+    if matmul:
+        b_x, b_y, b_z = bloch(u[:, -3:])
+        z_c = None if weights else bloch(u[:, :3])[2]
+        w = weights or [(1.0 + z_c) / 2, (1.0 - z_c) / 2]
     draws = noise_gen.uniform(-1.0, 1.0, n * m * (1 + spec.independent)).reshape(1, n, -1)
     u0, u1 = draws[..., :m], draws[..., -m:]
     bz, bx = abs(t0) ** 2 - abs(t1) ** 2, 2.0 * (t0.conjugate() * t1).real
@@ -301,9 +317,6 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
         cos_chi, sin_chi = det0 / big0, omega0 / big0
         i00, i01, i11 = (np.array(e)[:, None, None] for e in zip(
             *(cycle_entries(blocks(p)[k]) for p in params)))
-        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
-        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
-        q0t0, q1t1 = q0 * t0, q1 * t1
 
         def fields(d0, d1):
             w0 = omega0 * (1.0 + spec.delta0 * d0)
@@ -321,17 +334,22 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
                 s = sigma / big_
                 at.append((r, s * det_, s * w0_, sigma))
             rows.append([x - x0 for x, x0 in zip(*at)])
-            c_z, c_x = q0t0 - q1t1, q0 * t1 + q1 * t0
-            zero = np.zeros_like(c_z)
-            coefficients.append((-2.0 * (q0t0 + q1t1), zero if phase else 2j * c_z,
-                                 zero if phase else 2j * c_x,
-                                 2j * (c_z * cos_chi + c_x * sin_chi) if phase else zero))
+            big_c, s_z, s_x = -i00.real, i00.imag, i01.imag
+            for a, y, z in ((big_c, s_z, s_x), (s_z * b_z + s_x * b_x, -(big_c * b_z + s_x * b_y),
+                                                s_z * b_y - big_c * b_x)):
+                zero = np.zeros_like(y)
+                coefficients.append([np.broadcast_to(2.0 * w[k] * x, (len(params), n, 1)) for x in (
+                    a, zero if phase else y, zero if phase else z,
+                    y * cos_chi + z * sin_chi if phase else zero)])
             continue
         if phase:
             cos_d, sin_d = cos_sin(np.pi / omega * (big0 - big))
             re = re + w[k] * cos_d
             im = im + (w[k] * (cos_chi * bz + sin_chi * bx)) * sin_d
             continue
+        q0 = w[k] * (i00 * t0 + i01 * t1).conjugate()
+        q1 = w[k] * (i01 * t0 + i11 * t1).conjugate()
+        q0t0, q1t1 = q0 * t0, q1 * t1
         c_1, c_z, c_x = -(q0t0 + q1t1), 1j * (q0t0 - q1t1), 1j * (q0 * t1 + q1 * t0)
         cos_a, sin_a = cos_sin(np.pi / omega * big)
         sin_a = sin_a / big
@@ -339,9 +357,10 @@ def allocating_propagator_estimates(params, cfg, rng, matmul=True):
         im = im + c_1.imag * cos_a + sin_a * (c_z.imag * det + c_x.imag * w0)
     if matmul:
         # grouped by kind: every block's r, then s*det, then s*w0, then sigma
-        c = np.concatenate([x for kind in zip(*coefficients) for x in kind], axis=-1)
+        c = [np.concatenate([x for kind in zip(*coefficients[half::2]) for x in kind], axis=-1)
+             for half in (0, 1)]
         basis = np.stack([x for kind in zip(*rows) for x in kind], axis=-2)
-        e = np.matmul(np.stack((c.real, c.imag), axis=-2), basis)
+        e = np.matmul(np.stack(c, axis=-2), basis)
         re, im = e[..., 0, :], e[..., 1, :]
         per_state = np.minimum(1.0 + ((re + re) + (re * re + im * im)).sum(axis=-1) / m, 1.0)
     else:
@@ -436,6 +455,56 @@ def test_propagator_fit_equals_the_per_shot_sum(gate_model, mode, family, spec, 
     for (mean, stderr), (mean0, stderr0) in zip(got, want):
         assert abs(mean - mean0) <= 1e-15
         assert abs(stderr - stderr0) <= 1e-11 * stderr0
+
+
+@pytest.mark.parametrize("gate_model,spec", [
+    pytest.param("propagator", NoiseSpec(0.5, 0.9), id="propagator"),
+    pytest.param("phase", NoiseSpec(0.3, 0.5), id="phase"),
+])
+@pytest.mark.parametrize("fitted", [False, True], ids=["per-shot", "fitted"])
+def test_a_point_does_not_depend_on_the_layout(gate_model, spec, fitted, monkeypatch):
+    # the table is real arithmetic, each element rounded alone, so a point's
+    # (mean, stderr) is the same bit for bit in a one-point call, in batches of odd
+    # sizes, at any place in them, and under any chunking of points and states
+    m, n = (fidelity._FIT_MIN_SHOTS if fitted else 9), 5
+    cfg = fidelity.EstimatorConfig(m=m, n=n, spec=spec, gate_model=gate_model, haar=True,
+                                   control_mode="unfixed")
+    batch = fit_points("unfixed", "fast") + fit_points("unfixed", "geometric")[:3]
+    point = batch[2]
+    assert list(fidelity._paths([point], cfg)) == [fitted]
+
+    def estimates(params):
+        return [(e.mean, e.stderr) for e in fidelity._estimate(params, cfg, RngStream(8).child(2))]
+
+    want = estimates([point])
+    for elements in (1, 3 * m, 2 * n * m):
+        monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
+        assert estimates([point]) == want
+        for lo, hi in ((0, 3), (1, 4), (2, 5), (0, 7)):
+            assert estimates(batch[lo:hi])[2 - lo] == want[0]
+
+
+@pytest.mark.parametrize("gate_model", ["propagator", "phase"])
+def test_a_table_entry_does_not_depend_on_the_layout(gate_model):
+    # each coefficient of the table is rounded alone: a (point, state) entry of a
+    # table of 7 points and 13 states is the one of a table of that point and state
+    params = fit_points("unfixed", "fast") + fit_points("unfixed", "geometric")[:3]
+    cfg = fidelity.EstimatorConfig(gate_model=gate_model, haar=True)
+    cols = dict(fidelity._columns(params, [0, 1], cfg), ideal=np.moveaxis(np.array([[
+        (-u00.real, u00.imag, u01.imag) for u00, u01, _ in (cycle_entries(blocks(p)[k])
+                                                            for p in params)] for k in (0, 1)]),
+        -1, 0))
+    u = RngStream(3).random((13, 6))
+    z_c = _input_bloch(u[:, :3], True)[2]
+    w = np.reshape([(1.0 + z_c) / 2, (1.0 - z_c) / 2], (2, 1, -1, 1))
+    b = [x[None, :, None] for x in _input_bloch(u[:, 3:], True)]
+    whole = fidelity._table(fidelity._cut(cols, slice(None)), w, b)
+    assert whole.shape == (7, 13, 2, 8)
+    for i in range(7):
+        for j in range(13):
+            one = fidelity._table(fidelity._cut(cols, [i]), w[:, :, j:j + 1],
+                                  [x[:, j:j + 1] for x in b])
+            np.testing.assert_array_equal(one[0, 0], whole[i, j])
 
 
 def unresolved_point():

@@ -11,6 +11,7 @@ from geomgate.noise import (
     NoiseSpec,
     RngStream,
     _input_amplitudes,
+    _input_bloch,
     _philox,
     relative_draws,
     sample_input_state,
@@ -60,10 +61,24 @@ def test_block_draw_equals_scalar_draws():
     np.testing.assert_array_equal(block, singles)
 
 
-def test_negative_seed_accepted():
-    s = RngStream(-17)
-    assert s.seed == (-17) & 0xFFFFFFFFFFFFFFFF
-    assert 0.0 <= s.random(()) < 1.0
+def test_negative_seed_refused():
+    # SeedSequence refuses a negative entropy, so such a seed names no stream;
+    # keeping its low 64 bits would replay the stream of another seed
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence(entropy=-17)
+    with pytest.raises(ValueError, match=r"seed and path indices must be >= 0, got -17, \(\)"):
+        RngStream(-17)
+
+
+def test_wide_seed_keeps_all_its_bits():
+    # a seed of 2**64 and above is hashed whole, as SeedSequence hashes it, so it
+    # does not replay the seed of its low 64 bits
+    for seed in (2**64 + 5, 2**64, 2**130 + 3):
+        assert RngStream(seed).seed == seed
+        assert not np.array_equal(RngStream(seed, (1,)).random(8),
+                                  RngStream(seed % 2**64, (1,)).random(8))
+        np.testing.assert_array_equal(RngStream(seed, (1,)).random(8),
+                                      numpy_stream(seed, (1,)).random(8))
 
 
 def test_negative_path_index_refused():
@@ -74,7 +89,7 @@ def test_negative_path_index_refused():
 
 def numpy_stream(seed, path):
     """numpy's own generator on the stream (seed, path): the reference."""
-    ss = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=path)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -85,7 +100,7 @@ REQUESTS = [(1, 2, 3, 5, 7, 4, 1), (3,) * 200, (SMALL - 1, 2, SMALL, 6, 12000, 6
             (LARGE + 3, 1, LARGE - 1, 2 * LARGE + 5), (6, 12000) * 3]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1, -17])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1, 2**64 + 5])
 def test_streams_match_numpy_philox_bit_for_bit(seed):
     # the stream is numpy's Generator(Philox(SeedSequence(entropy=seed,
     # spawn_key=path))) double for double, whatever sizes the draws come in
@@ -150,6 +165,24 @@ def test_sample_input_state_reads_block_rows():
     for row in block:
         np.testing.assert_array_equal(sample_input_state(s, haar=True),
                                       np.array(_input_amplitudes(row, True)))
+
+
+@pytest.mark.parametrize("haar", [False, True])
+def test_input_bloch_is_the_amplitudes_bloch_vector(haar):
+    # the estimator reads a state row as its Bloch vector; it must be the one of
+    # the amplitudes sample_input_state returns, the partner form's the opposite
+    rows = RngStream(11, (0,)).random((4000, 3))
+    a0, a1 = _input_amplitudes(rows, haar)
+    overlap = a0.conjugate() * a1
+    want = [2.0 * overlap.real, 2.0 * overlap.imag, abs(a0) ** 2 - abs(a1) ** 2]
+    got = _input_bloch(rows, haar)
+    for x, y in zip(got, want):
+        np.testing.assert_allclose(x, y, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sum(x * x for x in got), 1.0, rtol=0, atol=1e-15)
+    partner = rows.copy()
+    partner[:, 2] = 1.0 - partner[:, 2]
+    for x, y in zip(_input_bloch(partner, haar), got):
+        np.testing.assert_array_equal(x, -y)
 
 
 def test_sample_input_state_normalized():
