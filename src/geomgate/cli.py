@@ -76,21 +76,25 @@ def _fmt(value) -> str:
 
 
 def read_config(path: str) -> dict:
-    """Parse a flat key=value file; '#' starts a comment, blank lines ignored.
-    An empty or repeated key is an error naming the file and the line."""
+    """Parse a flat key=value UTF-8 file; '#' starts a comment, blank lines ignored.
+    Each error names the file, and the line where it can (an empty or repeated key)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if not key or key in out:
-                problem = f"repeated key {key!r}" if key else "empty key"
-                raise ValueError(f"{path}:{lineno}: {problem} in {raw!r}")
-            out[key] = val
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if not key or key in out:
+            problem = f"repeated key {key!r}" if key else "empty key"
+            raise ValueError(f"{path}:{lineno}: {problem} in {raw!r}")
+        out[key] = val
     return out
 
 
@@ -208,12 +212,15 @@ _OPTIONS = {
     "grid_omega0": (_parse_grid, "omega0 grid as START:STOP:NUM or comma list"),
 }
 
-#: each subcommand's options, in the order of its --help and of its errors
-_GATE_OPTIONS = ("config", "seed", "beta", "omega", "omega0", "omega1", "delta", "branch",
+#: each subcommand's options, those it can read, in the order of its --help and errors
+_GATE_OPTIONS = ("config", "beta", "omega", "omega0", "omega1", "delta", "branch",
                  "two_qubit", "alpha", "coupling_j", "zero_dynamic")
-_RUN_OPTIONS = _GATE_OPTIONS + ("delta0", "delta1", "independent", "m", "n", "control_mode",
-                                "gate_model", "haar", "workers", "out")
-_SWEEP_OPTIONS = _RUN_OPTIONS + ("grid_delta_rel", "grid_omega0")
+_ESTIMATOR_OPTIONS = ("delta0", "delta1", "independent", "m", "n", "control_mode",
+                      "gate_model", "haar", "workers", "out")
+_RUN_OPTIONS = ("config", "seed") + _GATE_OPTIONS[1:] + _ESTIMATOR_OPTIONS
+_REPRODUCE_OPTIONS = ("config", "seed", "beta", "omega0", "omega1", "branch",
+                      "alpha") + _ESTIMATOR_OPTIONS
+_SWEEP_OPTIONS = _REPRODUCE_OPTIONS + ("two_qubit", "grid_delta_rel", "grid_omega0")
 
 
 class _Settings:
@@ -403,7 +410,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             ("gate", "solve one gate point and print phases and matrix", _GATE_OPTIONS),
             ("fidelity", "Monte Carlo fidelity at one point", _RUN_OPTIONS),
             ("sweep", "generic grid scan to CSV", _SWEEP_OPTIONS),
-            ("reproduce", "run a built-in figure preset", _RUN_OPTIONS)):
+            ("reproduce", "run a built-in figure preset", _REPRODUCE_OPTIONS)):
         sub = subs.add_parser(name, help=summary)
         if command not in (None, name):
             continue

@@ -44,19 +44,20 @@ a state's mean fidelity is 1 plus the mean of 2*Re(e) + |e|^2, clamped at 1
 (_means). No noise gives e == 0, hence F == 1.
 
 Under lock-step draws the rows depend on one draw u in [-1, 1]. A point with m
->= _FIT_MIN_SHOTS sums its shots without visiting them when the Chebyshev fit of
-module chebyshev resolves its rows' change: 2*Re(e) + |e|^2 is then a polynomial
-in u, which chebyshev.weights sums exactly from the power sums of the state's
-draws, shared by every point of a batch; such a point's rows are taken at the
-nodes once, before the states. This holds for both models; "phase" fluctuates
-the coupling as well, so fewer of its points resolve (625 of fig3's 961 fixed0
-points at the preset's widths, none of fig1's or fig4's). The per-shot kernel,
-whose rows are taken at each chunk of states' draws, runs for independent draws,
-below the crossover and for a point the fit does not resolve. Both kinds of
-chunk run in one loop and end in the same matrix product and _means. The path is
-chosen in _paths only, from the point, the config and m, as a bool mask over the
-points; sweep.sweep_generic computes it once per sweep, sizes its pool by the
-per-shot work it leaves and passes each batch its slice.
+>= _FIT_MIN_SHOTS sums its shots without visiting them when the Chebyshev fit
+resolves its rows' change: 2*Re(e) + |e|^2 is then a polynomial in u, which
+chebyshev.weights sums exactly from the power sums of the state's draws, shared
+by every point of a batch. _change alone takes the rows' change at given u: for
+the fit check in _paths, and at the nodes y for a fitted point, once, before the
+states. This holds for both models; "phase" fluctuates the coupling as well, so
+fewer of its points resolve (625 of fig3's 961 fixed0 points at the preset's
+widths, none of fig1's or fig4's). The per-shot kernel, whose rows are taken at
+each chunk of states' draws, runs for independent draws, below the crossover and
+for a point the fit does not resolve. Both kinds of chunk run in one loop and end
+in the same matrix product and _means. The path is chosen in _paths only, from
+the point, the config and m, as a bool mask over the points; sweep.sweep_generic
+computes it once per sweep, sizes its pool by the per-shot work it leaves and
+passes each batch its slice.
 
 Draw layout (version 2; tests rely on it): a batch reads two streams of
 rng, each as a row-major block with one row per input state, in order and a
@@ -228,17 +229,42 @@ def _weights(params: list, cfg: EstimatorConfig) -> tuple:
     return weights, [k for k in range(count) if weights is None or weights[k] != 0.0]
 
 
+def _change(c: dict, spec: NoiseSpec, u: np.ndarray) -> np.ndarray:
+    """The chunk c's basis rows at lock-step draws u less those at u = 0, (4, blocks,
+    points, 1, len(u)), from one _rows call. The rows a block's axis does not read
+    (s*det and s*w0 under a held axis, sigma under a noisy one) are zeroed: their
+    coefficients in _table are exactly 0, so no product changes."""
+    u = np.concatenate(([0.0], u))
+    work = np.empty((5 * len(c["gain"]) + 2, len(c["pio"]), 1, len(u)))
+    rows = _rows(c, 1.0 + spec.delta0 * u, 1.0 + spec.delta1 * u, work)
+    change = rows[..., 1:] - rows[..., :1]
+    change[1:3] *= c["axis"][0]
+    change[3] *= 1.0 - c["axis"][0]
+    return change
+
+
 def _paths(params: list, cfg: EstimatorConfig) -> np.ndarray:
-    """Per point, whether _estimate takes the Chebyshev sum or the per-shot kernel:
-    chebyshev.fit's bool array, all False without loading chebyshev for independent
-    draws, m below _FIT_MIN_SHOTS or no points. It reads each point, the config and
-    m only, so the mask of some of the points is the slice of theirs."""
+    """Per point, whether _estimate takes the Chebyshev sum: whether the fit of the
+    rows' change (_change) on the nodes x meets it at the nodes y within
+    chebyshev.TOLERANCE, never when it is not finite; all False, without loading
+    chebyshev, for independent draws, m below _FIT_MIN_SHOTS or no points. It takes
+    as many points at a time as keep a (blocks, points, 1 + len(u)) array within
+    _CHUNK_ELEMENTS elements. A point's entry reads the point, the config and m
+    only, so the mask of some of the points is the slice of theirs."""
     if cfg.spec.independent or cfg.m < _FIT_MIN_SHOTS or not params:
         return np.zeros(len(params), bool)
     # imported only here: runs that fit nothing never load it
-    from . import chebyshev
+    from .chebyshev import NODES, TOLERANCE, tables
 
-    return chebyshev.fit(params, _weights(params, cfg)[1], cfg)
+    u, to_y, _ = tables()
+    cols = _columns(params, _weights(params, cfg)[1], cfg)
+    span = max(1, _CHUNK_ELEMENTS // (len(cols["gain"]) * (len(u) + 1)))
+    resolved = []
+    for lo in range(0, len(params), span):
+        change = _change(_cut(cols, slice(lo, lo + span)), cfg.spec, u)
+        at_x, at_y = change[..., :NODES], change[..., NODES:]
+        resolved.append(np.abs(np.matmul(at_x, to_y) - at_y).max(axis=(0, 1, 3, 4)) <= TOLERANCE)
+    return np.concatenate(resolved)
 
 
 def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
@@ -252,8 +278,8 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     on (points, states, width) arrays of at most max(_CHUNK_ELEMENTS, width)
     elements, width the m shots of a per-shot point or the 2*chebyshev.NODES nodes
     of a fitted one. The (points, n) per-state means are held at once, so a caller
-    bounds the points per call; a fitted point also holds its rows at the nodes,
-    4*blocks*2*NODES doubles.
+    bounds the points per call; a fitted point also holds its basis, the rows'
+    change at the nodes (_change), 4*blocks*2*NODES doubles.
     """
     m, n, spec, haar = cfg.m, cfg.n, cfg.spec, cfg.haar
     # weights None samples the control per state
@@ -272,10 +298,9 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
     if len(fitted):
         from . import chebyshev
 
-        kinds.insert(0, (fitted, chebyshev.tables()[0][chebyshev.NODES + 1:]))
-    # each chunk of points with its rows at u = 0, where the amplitude is 1, and a
-    # fitted chunk with its basis, the rows at the nodes y less those: the rows are
-    # computed there as at the draws. A pass of states builds the table for `group`
+        kinds.insert(0, (fitted, chebyshev.tables()[0][chebyshev.NODES:]))
+    # each chunk of points with one fixed array, a per-shot chunk's rows at u = 0 or a
+    # fitted chunk's basis (_change); a pass of states builds the table for `group`
     # points (whole chunks) at a time, at most _CHUNK_ELEMENTS (point, state) pairs
     chunks = []
     for sel, nodes in kinds:
@@ -285,14 +310,12 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
         for lo in range(0, len(sel), step):
             idx = sel[lo:lo + step]
             c = _cut(cols, idx)
-            rows0 = _rows(c, 1.0, 1.0, np.empty((5 * b + 2, len(idx), 1, 1)))
-            basis = None
-            if nodes is not None:
-                at_y = _rows(c, 1.0 + spec.delta0 * nodes, 1.0 + spec.delta1 * nodes,
-                             np.empty((5 * b + 2, len(idx), 1, width)))
-                basis = np.moveaxis((at_y - rows0).reshape(4 * b, len(idx), 1, width), 0, 2)
+            if nodes is None:
+                fixed = _rows(c, 1.0, 1.0, np.empty((5 * b + 2, len(idx), 1, 1)))
+            else:
+                fixed = np.moveaxis(_change(c, spec, nodes).reshape(4 * b, len(idx), 1, width), 0, 2)
             chunks.append((idx, sel[lo:lo + group] if lo % group == 0 else None, lo % group,
-                           c, rows0, basis))
+                           c, nodes is not None, fixed))
 
     state_rng, noise_rng = rng.child(0), rng.child(1)
     per_state = np.empty((points, n))
@@ -314,10 +337,10 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
             # omega1 reads the last m columns: omega0's draws unless independent
             noisy0 = 1.0 + spec.delta0 * draws[..., :m]
             scale = 1.0 + spec.delta1 * draws[..., -m:]
-        for idx, grouped, offset, c, rows0, at_nodes in chunks:
+        for idx, grouped, offset, c, fit, fixed in chunks:
             if grouped is not None:
                 table = _table(_cut(cols, grouped), w, target)
-            shape = (len(idx), count, m if at_nodes is None else at_nodes.shape[-1])
+            shape = (len(idx), count, fixed.shape[-1] if fit else m)
             if shape not in views:
                 # a chunk shape's work array (at most four shapes of each kind) and
                 # its views for the matmul: (re, im) go where w0 and w0sq were
@@ -325,15 +348,14 @@ def _estimate(params: list, cfg: EstimatorConfig, rng: RngStream,
                 views[shape] = (work, np.moveaxis(work[:4 * b], 0, 2),
                                 np.moveaxis(work[4 * b:4 * b + 2], 0, 2))
             work, basis, e = views[shape]
-            if at_nodes is None:
-                rows = _rows(c, noisy0, scale, work)
-                np.subtract(rows, rows0, out=rows)
+            if fit:
+                basis = fixed
             else:
-                basis = at_nodes
-            # each shot's amplitude is 1 + e, e = the table against rows - rows0
+                rows = _rows(c, noisy0, scale, work)
+                np.subtract(rows, fixed, out=rows)
+            # each shot's amplitude is 1 + e, e = the table against the rows' change
             np.matmul(table[offset:offset + len(idx)], basis, out=e)
-            per_state[idx, first:first + count] = _means(
-                e, work[-1], m, None if at_nodes is None else weight)
+            per_state[idx, first:first + count] = _means(e, work[-1], m, weight if fit else None)
 
     # per_state.std(axis=1, ddof=1) by numpy's own steps, in per_state's buffer rather
     # than a (points, n) copy; one state gives no spread, hence no standard error

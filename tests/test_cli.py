@@ -346,12 +346,12 @@ def test_reproduce_passes_branch(tmp_path, capsys, figure):
 @pytest.mark.parametrize("figure,argv,named", [
     ("fig4", ["--alpha", "3", "--omega0", "10"], ["--alpha", "--omega0"]),
     ("fig3", ["--omega1", "20"], ["--omega1"]),
-    ("fig1", ["--two-qubit"], ["--two-qubit"]),
-    ("fig2", ["--coupling-j", "2"], ["--coupling-j"]),
+    ("fig1", ["--alpha", "3"], ["--alpha"]),
+    ("fig2", ["--omega1", "2"], ["--omega1"]),
     ("fig3", ["config:omega0=10"], ["omega0"]),
     ("fig1", ["--control-mode", "fixed1"], ["--control-mode"]),
     (None, ["sweep", "--beta", "1.5", "--omega0", "1e5", "--grid-delta-rel", "0:1:2",
-            "--omega1", "7", "--coupling-j", "3"], ["--omega1", "--coupling-j"]),
+            "--omega1", "7", "--alpha", "3"], ["--omega1", "--alpha"]),
     (None, ["sweep", "--beta", "1.5", "--grid-omega0", "2:40:3"], ["--grid-omega0"]),
     (None, ["sweep", "--grid-delta-rel", "0:1:2", "--control-mode", "fixed1"],
      ["--control-mode"]),
@@ -363,7 +363,7 @@ def test_reproduce_passes_branch(tmp_path, capsys, figure):
      ["--omega"]),
     (None, ["gate", "--beta", "1.5", "--omega0", "1e5", "--omega1", "2e5", "--delta", "5"],
      ["--delta"]),
-    (None, ["gate", "--beta", "1.5", "--omega0", "1e5", "--seed", "5"], ["--seed"]),
+    (None, ["gate", "--beta", "1.5", "--omega0", "1e5", "--alpha", "5"], ["--alpha"]),
     (None, ["fidelity", "--omega", "3", "--omega0", "1", "--omega1", "2", "--beta", "1.5",
             "--branch", "plus"], ["--beta", "--branch"]),
     (None, ["fidelity", "--beta", "1.5", "--omega0", "1e5", "config:control_mode=fixed1"],
@@ -386,6 +386,44 @@ def test_reproduce_rejects_unread_drive_options(tmp_path, capsys, figure, argv, 
     assert err.startswith(f"error: {' '.join(argv[:2 if figure else 1])} does not read ")
     assert all(name in err for name in named), err
     assert os.listdir(tmp_path) in ([], ["preset.cfg"])
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic"], "seed"),
+    *[(["sweep", "--beta", "1.5", "--grid-delta-rel", "0:1:2"], option)
+      for option in ("omega", "delta", "coupling_j", "zero_dynamic")],
+    *[(["sweep", "--two-qubit", "--alpha", "1.7"], option)
+      for option in ("omega", "delta", "coupling_j", "zero_dynamic")],
+    *[(["reproduce", figure], option) for figure in ("fig1", "fig2", "fig3", "fig4")
+      for option in ("omega", "delta", "two_qubit", "coupling_j", "zero_dynamic")],
+])
+def test_options_a_command_never_reads_are_refused(tmp_path, capsys, argv, option):
+    # an option a subcommand reads under no input is not one of its options:
+    # argparse refuses it as a flag (exit 2) and the config check as a key
+    # (exit 1), before anything is estimated or written
+    if argv[0] != "gate":
+        argv = argv + ["--m", "4", "--n", "4", "--out", str(tmp_path / "x.csv")]
+    flag = "--" + option.replace("_", "-")
+    bool_flag = option in ("two_qubit", "zero_dynamic")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ([flag] if bool_flag else [flag, "3"]))
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{option}={1 if bool_flag else 3}\n")
+    result = run_cli(capsys, *argv, "--config", str(cfg))
+    assert result == (1, "", f"error: {cfg}: unknown config key(s): {option}\n")
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    # a decoding error names the file, as every other config error does
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfebeta=1.5\n")
+    result = run_cli(capsys, "gate", "--config", str(cfg), "--beta", "1.5", "--omega0", "1e5",
+                     "--zero-dynamic")
+    assert result == (1, "", f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in "
+                             "position 0: invalid start byte\n")
 
 
 def test_config_file_turns_on_flags(tmp_path, capsys):
@@ -492,9 +530,9 @@ def test_unread_error_keeps_option_order(tmp_path, capsys):
     # flags and config keys are named in the subcommand's option order
     cfg = tmp_path / "c.cfg"
     cfg.write_text("coupling_j=2\nalpha=4\n")
-    result = run_cli(capsys, "gate", "--beta", "1.5", "--omega0", "1e5", "--zero-dynamic",
-                     "--seed", "3", "--config", str(cfg))
-    assert result == (1, "", "error: gate does not read --seed, alpha, coupling_j\n")
+    result = run_cli(capsys, "gate", "--omega", "3", "--omega0", "1e5", "--omega1", "2",
+                     "--branch", "plus", "--config", str(cfg))
+    assert result == (1, "", "error: gate does not read --branch, alpha, coupling_j\n")
 
 
 def readme_command_lines():
@@ -556,7 +594,7 @@ def test_one_commands_parser_reads_as_the_full_one(capsys, command):
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--help"])
         helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and "--seed" in helps[0]
+    assert helps[0] == helps[1] and "--beta" in helps[0]
     argvs = [argv for argv in benchmark_and_readme_argvs() if argv[0] == command]
     assert argvs
     for argv in argvs:

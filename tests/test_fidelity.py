@@ -444,8 +444,7 @@ def test_propagator_fit_equals_the_per_shot_sum(gate_model, mode, family, spec, 
     params = fit_points(mode, family)
     cfg = fidelity.EstimatorConfig(m=m, n=9, spec=spec, gate_model=gate_model, haar=haar,
                                    control_mode=mode or "unfixed")
-    live = [0] if mode is None else [k for k in (0, 1) if mode != f"fixed{1 - k}"]
-    resolved = chebyshev.fit(params, live, cfg)
+    resolved = fidelity._paths(params, cfg)
     assert resolved.all() and len(resolved) == len(params)
     sums, power_sums = [], chebyshev.power_sums
     monkeypatch.setattr(chebyshev, "power_sums", lambda u, k: sums.append(k) or power_sums(u, k))
@@ -520,7 +519,7 @@ def test_unresolved_point_takes_the_per_shot_kernel(monkeypatch):
     for model in ("propagator", "phase"):
         cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS + 72, n=6,
                                        spec=NoiseSpec(0.3, 0.3), gate_model=model)
-        resolved = chebyshev.fit(params, [0], cfg)
+        resolved = fidelity._paths(params, cfg)
         assert list(resolved) == [False, True]
         got = fidelity._estimate(params, cfg, RngStream(4).child(1))
         assert fidelity._estimate(params[:1], cfg, RngStream(4).child(1)) == got[:1]
@@ -570,6 +569,18 @@ def test_fit_module_loads_only_when_a_point_may_fit():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0] == "[False, False, False, False, False, True]"
+
+
+def test_fit_module_is_math_only():
+    # chebyshev is the Chebyshev math alone: importing it loads no other geomgate
+    # module, and the fit check over a point's rows lives in fidelity._paths
+    code = ("import sys, geomgate.chebyshev as c; "
+            "print(sorted(m for m in sys.modules if m.startswith('geomgate')), hasattr(c, 'fit'))")
+    src = os.path.dirname(os.path.dirname(fidelity.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['geomgate', 'geomgate.chebyshev'] False"
 
 
 def test_propagator_digits_do_not_depend_on_blas_threads():
@@ -624,7 +635,7 @@ def test_propagator_fit_memory_is_bounded_on_a_large_grid(gate_model):
                   for i in range(400)]
     cfg = fidelity.EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=1000, spec=NoiseSpec(0.05, 0.05),
                                    gate_model=gate_model)
-    assert chebyshev.fit(params, [0, 1], cfg).all()
+    assert fidelity._paths(params, cfg).all()
     tracemalloc.start()
     try:
         fidelity._estimate(params, cfg, RngStream(2).child(2))

@@ -215,10 +215,7 @@ def batch_points(kind):
 
 def assert_both_paths(points, cfg):
     """The batch's feasible points hold one the fit refuses and some it resolves."""
-    params = [p.params for p in points if p.feasible]
-    live = [0] if isinstance(params[0], DriveParams) else {
-        "fixed0": [0], "fixed1": [1]}.get(cfg.control_mode, [0, 1])
-    resolved = chebyshev.fit(params, live, cfg)
+    resolved = fidelity._paths([p.params for p in points if p.feasible], cfg)
     assert np.count_nonzero(~resolved) == 1 and resolved.any()
 
 
@@ -252,7 +249,7 @@ def test_batched_rows_equal_one_point_estimates(kind, cfg):
 def test_rows_do_not_depend_on_chunking(kind, cfg, monkeypatch):
     points = batch_points(kind)
     whole = sweep_generic(points, cfg)
-    # one point and one state per chunk (and one point per chebyshev.fit call),
+    # one point and one state per chunk (and one point per fit check chunk),
     # then three states per chunk
     for elements in (1, 3 * cfg.m):
         monkeypatch.setattr(fidelity, "_CHUNK_ELEMENTS", elements)
@@ -407,14 +404,18 @@ def test_a_sweep_fits_once_over_all_its_batches(child_calls, monkeypatch):
     cfg = EstimatorConfig(m=fidelity._FIT_MIN_SHOTS, n=5, spec=NoiseSpec(0.05, 0.05), seed=3,
                           gate_model="propagator")
     whole = sweep_generic(points, cfg)
-    fits, fit = [], chebyshev.fit
-    monkeypatch.setattr(chebyshev, "fit", lambda *args: fits.append(args[0]) or fit(*args))
+    # the fit check takes the rows' change at the nodes x and y, the estimator's
+    # fitted chunks at the nodes y only; record each check's points by pi/omega
+    fits, change = [], fidelity._change
+    monkeypatch.setattr(fidelity, "_change", lambda c, spec, u: (
+        len(u) == 3 * chebyshev.NODES and fits.append(list(c["pio"].ravel()))) or change(c, spec, u))
     monkeypatch.setattr(sweep, "_PASS_ELEMENTS", 2 * cfg.n)  # two points per batch
     child_calls.clear()
     assert sweep_generic(points, cfg).rows == whole.rows
     assert child_calls.count((TWO_QUBIT_STREAM_TAG,)) == 3
-    assert fits == [[p.params for p in points if p.feasible]]
-    assert fidelity._paths(fits[0], cfg).all()
+    feasible = [p.params for p in points if p.feasible]
+    assert fits == [[math.pi / p.target.omega for p in feasible]]
+    assert fidelity._paths(feasible, cfg).all()
 
 
 @pytest.mark.parametrize("figure,mode,counts", [
