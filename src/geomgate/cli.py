@@ -7,13 +7,13 @@ Subcommands
     reproduce  run a built-in figure preset (fig1..fig4)
 
 Configuration values may come from a key=value config file (--config), each
-parsed as its flag's value; CLI flags override file values. A subcommand
-refuses, before it estimates or writes anything, any option it does not
-read, whether given as a flag or as a config key. The default seed comes
-from --seed, else the SIM_SEED environment variable, else 0. Every CSV gets
-a sidecar <name>.meta recording the full configuration; reruns with an
-identical configuration are byte-identical, whatever --workers is. Preset
-defaults live in sweep.PRESETS.
+parsed as its flag's value when the command starts; flags, spelt in full,
+override file values. A subcommand refuses, before it estimates or writes
+anything, any option it does not read, whether given as a flag or as a
+config key. The seed comes from --seed or its key, else the SIM_SEED
+environment variable, else 0. Every CSV gets a sidecar <name>.meta
+recording the full configuration; reruns with an identical configuration
+are byte-identical, whatever --workers is. Preset defaults: sweep.PRESETS.
 
 A command loads only what it runs. main() gives options to the named
 subcommand's parser alone; `gate` runs here, on model's closed forms in
@@ -79,7 +79,7 @@ def read_config(path: str) -> dict:
     """Parse a flat key=value UTF-8 file; '#' starts a comment, blank lines ignored.
     Each error names the file, and the line where it can (an empty or repeated key)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
@@ -110,7 +110,7 @@ def _kv_lines(mapping: dict):
 def _write_atomic(files: dict) -> None:
     """Write each {path: lines} to a temporary file beside its path, then
     rename them all into place; on error no temporary file is left, nor a
-    path this call has already moved into place."""
+    path this call has already moved into place, and the error names the path."""
     tmps = {path: f"{path}.{os.getpid()}.tmp" for path in files}
     placed = []
     try:
@@ -120,10 +120,12 @@ def _write_atomic(files: dict) -> None:
         for path, tmp in tmps.items():
             os.replace(tmp, path)
             placed.append(path)
-    except BaseException:
+    except BaseException as err:
         for name in [*tmps.values(), *placed]:
             if os.path.isfile(name):
                 os.remove(name)
+        if isinstance(err, OSError) and err.filename in tmps.values():
+            raise OSError(err.errno, err.strerror, path) from None
         raise
 
 
@@ -197,7 +199,8 @@ _OPTIONS = {
     "two_qubit": (bool, "conditional two-qubit gate"),
     "alpha": (_parse_float, "coupling generator J = alpha*omega0"),
     "coupling_j": (_parse_float, "Ising coupling J (direct entry)"),
-    "zero_dynamic": (bool, "place omega1 on the zero-dynamic-phase line (with --beta)"),
+    "zero_dynamic": (bool, "keep omega1 on the zero-dynamic-phase line (with --beta), "
+                           "the default without --omega1; refuses --omega1 and --delta"),
     "delta0": (_parse_float, "relative half-width on omega0"),
     "delta1": (_parse_float, "relative half-width on omega1"),
     "independent": (bool, "draw the two noise channels independently"),
@@ -224,70 +227,57 @@ _SWEEP_OPTIONS = _REPRODUCE_OPTIONS + ("two_qubit", "grid_delta_rel", "grid_omeg
 
 
 class _Settings:
-    """Layered lookup: CLI flag, then config file, then hard default.
+    """A subcommand's options, each resolved once, when built, in the
+    subcommand's option order: the flag if given; else the config key, parsed
+    as the flag's value; else, for seed only, SIM_SEED.
 
     A config key that names no option of the subcommand is an error, so a
-    misspelt key cannot silently fall back to its default. A key's value is
-    parsed as its flag's value, when the key is read. Every key asked for is
-    recorded, so refuse_unread() can name the options given that the command
-    never read. A value read from the config file or SIM_SEED has its source
-    in `source`, as its errors name it; a flag names itself.
+    misspelt key cannot silently fall back to its default; so is a malformed
+    value, even of an option the run would not read. A value taken from the
+    config file or SIM_SEED has its source in `source`, as its errors name
+    it; a flag names itself. Every key get() asks for is recorded, so
+    refuse_unread() can name the options given that the command never read.
     """
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.file = read_config(ns.config) if ns.config else {}
+        file = read_config(ns.config) if ns.config else {}
         # the subcommand's options in their order; --config names no value
-        self.options = [k for k in vars(ns) if k in _OPTIONS and k != "config"]
-        unknown = sorted(set(self.file) - set(self.options))
+        options = [k for k in vars(ns) if k in _OPTIONS and k != "config"]
+        unknown = sorted(set(file) - set(options))
         if unknown:
             raise ValueError(f"{ns.config}: unknown config key(s): {', '.join(unknown)}")
-        self.read = set()
-        self.source = {}
+        self.values, self.source, self.read = {}, {}, set()
+        for key in options:
+            value, parse = getattr(ns, key), _OPTIONS[key][0]
+            if value is not None:  # a flag, parsed by argparse
+                self.values[key] = value
+                continue
+            if key in file:
+                value, self.source[key] = file[key], f"{ns.config}: {key}"
+            elif key == "seed" and os.environ.get("SIM_SEED"):
+                value, self.source[key] = os.environ["SIM_SEED"], "SIM_SEED"
+            else:
+                continue
+            try:
+                if isinstance(parse, tuple) and value not in parse:
+                    choices = ", ".join(map(repr, parse))
+                    raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+                self.values[key] = (_parse_bool(value) if parse is bool
+                                    else value if isinstance(parse, tuple) else parse(value))
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise ValueError(f"{self.source[key]}: {err}") from err
 
     def get(self, key: str, default=None):
         self.read.add(key)
-        cli = getattr(self.ns, key, None)
-        if cli is not None:
-            return cli
-        if key not in self.file:
-            return default
-        raw = self.file[key]
-        self.source[key] = f"{self.ns.config}: {key}"
-        parse = _OPTIONS[key][0]
-        try:
-            if parse is bool:
-                return _parse_bool(raw)
-            if isinstance(parse, tuple) and raw not in parse:
-                choices = ", ".join(map(repr, parse))
-                raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
-            return raw if isinstance(parse, tuple) else parse(raw)
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            raise ValueError(f"{self.source[key]}: {err}") from err
-
-    def seed(self) -> int:
-        explicit = self.get("seed")
-        if explicit is not None:
-            return explicit
-        env = os.environ.get("SIM_SEED")
-        if env:
-            self.source["seed"] = "SIM_SEED"
-        try:
-            return int(env) if env else 0
-        except ValueError as err:
-            raise ValueError(f"SIM_SEED: {err}") from err
+        return self.values.get(key, default)
 
     def refuse_unread(self) -> None:
         """Raise ValueError naming each option given, as a flag or a config
-        key, that no get() has asked for."""
-        unread = []
-        for key in self.options:
-            if key in self.read:
-                continue
-            if getattr(self.ns, key) is not None:
-                unread.append("--" + key.replace("_", "-"))
-            elif key in self.file:
-                unread.append(key)
+        key, that no get() has asked for (every command with a seed reads it,
+        so SIM_SEED is never named)."""
+        unread = [key if key in self.source else "--" + key.replace("_", "-")
+                  for key in self.values if key not in self.read]
         if unread:
             command = " ".join(filter(None, (self.ns.command, getattr(self.ns, "figure", None))))
             raise ValueError(f"{command} does not read {', '.join(unread)}")
@@ -313,9 +303,10 @@ def _resolve(s: _Settings) -> tuple[DriveParams | TwoQubitParams, dict]:
         raise InfeasibleParameters("give either --omega or --beta")
     branch = s.get("branch", "minus")
     omega1 = s.get("omega1")
-    # read either way: without --omega1 the zero-dynamic line is the default
-    if s.get("zero_dynamic", False) and omega1 is not None:
-        raise InfeasibleParameters("--zero-dynamic and --omega1 are mutually exclusive")
+    off_line = "--omega1" if omega1 is not None else "--delta" if s.get("delta") is not None else ""
+    # read either way: the zero-dynamic line is the default, which both of those leave
+    if s.get("zero_dynamic", False) and off_line:
+        raise InfeasibleParameters(f"--zero-dynamic and {off_line} are mutually exclusive")
     coords = {}
     if omega1 is None:
         delta = s.get("delta", 0.0)
@@ -391,7 +382,7 @@ class _Parser(argparse.ArgumentParser):
     older versions take only plain negative numbers)."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # flags spelt in full, as keys are
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 

@@ -26,7 +26,7 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
             s.get("delta1", spec.delta1),
             s.get("independent", spec.independent),
         )
-        return EstimatorConfig(spec=spec, seed=s.seed(),
+        return EstimatorConfig(spec=spec, seed=s.get("seed", 0),
                                **{key: val for key, val in given.items() if val is not None})
     except ValueError as err:
         # a bound's message starts with its field: name the file or variable that set it
@@ -36,13 +36,20 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
         raise ValueError(f"{source}: {err}") from err
 
 
+def _refuse_missing_dir(out: str | None) -> str | None:
+    """An --out path, refused before anything runs unless its directory exists."""
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ValueError(f"{out}: no such directory: {os.path.dirname(out)!r}")
+    return out
+
+
 def cmd_fidelity(ns: argparse.Namespace) -> int:
     s = _Settings(ns)
     two_qubit = s.get("two_qubit", False)
     cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
     p, coords = _resolve(s)
     point = sweep.SweepPoint(coords=coords, kind="two_qubit" if two_qubit else "single", params=p)
-    out = s.get("out")
+    out = _refuse_missing_dir(s.get("out"))
     s.refuse_unread()
     result = sweep.sweep_generic([point], cfg, {"preset": "point"})
     row = result.rows[0]
@@ -80,7 +87,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         points = [sweep.single_point(omega0, d, beta, branch) for d in grid]
         meta = {"preset": "sweep", "beta": beta, "branch": branch,
                 "omega0": omega0, "delta_grid": grid}
-    out = s.get("out", "sweep.csv")
+    out = _refuse_missing_dir(s.get("out", "sweep.csv"))
     s.refuse_unread()
     result = sweep.sweep_generic(points, cfg, meta)
     write_csv(result, out)
@@ -102,7 +109,7 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
     preset = sweep.PRESETS[ns.figure]
     cfg = _estimator_config(s, preset.spec, preset.control_mode)
     kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
-    out = s.get("out", f"{ns.figure}.csv")
+    out = _refuse_missing_dir(s.get("out", f"{ns.figure}.csv"))
     s.refuse_unread()
     run = {"fig1": sweep.sweep_fig1, "fig2": sweep.sweep_fig2, "fig3": sweep.sweep_fig3,
            "fig4": sweep.sweep_fig4}[ns.figure]

@@ -426,6 +426,15 @@ def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
                              "position 0: invalid start byte\n")
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # an editor's UTF-8 byte-order mark is not part of the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfbeta=1.5\n")
+    assert read_config(str(cfg)) == {"beta": "1.5"}
+    result = run_cli(capsys, "gate", "--config", str(cfg), "--omega0", "1e5")
+    assert result[0] == 0 and result == run_cli(capsys, "gate", "--beta", "1.5", "--omega0", "1e5")
+
+
 def test_config_file_turns_on_flags(tmp_path, capsys):
     # a config key gives a flag exactly as the flag does
     cfg = tmp_path / "flags.cfg"
@@ -442,10 +451,14 @@ def test_config_file_turns_on_flags(tmp_path, capsys):
     cfg.write_text("beta=1.5\nomega0=1e5\nzero_dynamic=1\nomega1=5\n")
     code, printed, err = run_cli(capsys, "gate", "--config", str(cfg))
     assert code == 1 and printed == "" and "mutually exclusive" in err
-    # the gate's kind is read first, before any drive parameter is missed
+    # a malformed value is refused before any drive parameter is missed
     cfg.write_text("two_qubit=maybe\n")
     assert run_cli(capsys, "gate", "--config", str(cfg)) == (
         1, "", f"error: {cfg}: two_qubit: expected a boolean, got 'maybe'\n")
+    # of several malformed values, the first in the option order is named
+    cfg.write_text("two_qubit=maybe\nbeta=x\n")
+    assert run_cli(capsys, "gate", "--config", str(cfg)) == (
+        1, "", f"error: {cfg}: beta: could not convert string to float: 'x'\n")
 
 
 def subcommand_parsers():
@@ -533,6 +546,83 @@ def test_unread_error_keeps_option_order(tmp_path, capsys):
     result = run_cli(capsys, "gate", "--omega", "3", "--omega0", "1e5", "--omega1", "2",
                      "--branch", "plus", "--config", str(cfg))
     assert result == (1, "", "error: gate does not read --branch, alpha, coupling_j\n")
+
+
+@pytest.mark.parametrize("argv,key,value,message", [
+    (["gate", "--beta", "1.5", "--omega0", "1e5"], "alpha", "abc",
+     "could not convert string to float: 'abc'"),
+    (["fidelity", "--beta", "1.5", "--omega0", "1e5"], "control_mode", "both",
+     "invalid choice: 'both' (choose from 'fixed0', 'fixed1', 'unfixed')"),
+    (["reproduce", "fig1"], "alpha", "1e400", "value must be finite, got '1e400'"),
+    (["sweep", "--beta", "1.5"], "grid_omega0", "0:1", "grid must be START:STOP:NUM or a "
+     "comma list, got '0:1'"),
+], ids=["gate-alpha", "fidelity-control_mode", "fig1-alpha", "sweep-grid_omega0"])
+def test_malformed_value_of_an_unread_option_is_refused_as_malformed(
+        tmp_path, capsys, monkeypatch, argv, key, value, message):
+    # every option is parsed when the command starts, whether the run reads it
+    # or not: the error names the file and the key, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "gate":
+        argv = argv + ["--m", "2", "--n", "2"]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (
+        1, "", f"error: {cfg}: {key}: {message}\n")
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def test_a_given_value_leaves_the_sources_below_it_unparsed(tmp_path, capsys, monkeypatch):
+    # a flag wins over its config key, and a config seed over SIM_SEED: the
+    # value that loses is never parsed, malformed or not
+    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--delta0", "0.1", "--delta1",
+            "0.1", "--n", "5"]
+    expected = run_cli(capsys, *argv, "--m", "6", "--seed", "21")
+    assert expected[0] == 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("m=abc\nseed=21\n")
+    assert run_cli(capsys, *argv, "--m", "6", "--config", str(cfg)) == expected
+    cfg.write_text("m=6\nseed=21\n")
+    for env in ("31", "abc"):
+        monkeypatch.setenv("SIM_SEED", env)
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == expected
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["gate", "--beta", "1.5", "--omega0", "1e5"], ["--zero"]),
+    (["gate", "--omega0", "1e5", "--zero-dynamic"], ["--bet", "1.5"]),
+    (["fidelity", "--beta", "1.5", "--omega0", "1e5"], ["--see", "3"]),
+    (["sweep", "--beta", "1.5"], ["--grid-delta", "0:1:2"]),
+    (["sweep", "--beta", "1.5"], ["--delta", "0.1"]),
+    (["reproduce", "fig1"], ["--work", "1"]),
+], ids=["gate-flag", "gate-value", "fidelity", "sweep", "sweep-ambiguous", "reproduce"])
+def test_a_prefix_of_a_flag_is_refused(tmp_path, capsys, argv, prefix):
+    # a flag is spelt in full, as a config key is; --delta, a prefix of
+    # --delta0 and --delta1, is unknown to a sweep rather than ambiguous
+    if argv[0] != "gate":
+        argv = argv + ["--m", "2", "--n", "2", "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + prefix)
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(prefix)}\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["gate", "fidelity"])
+def test_zero_dynamic_refuses_delta(tmp_path, capsys, command):
+    # --delta moves the point off the line --zero-dynamic asks for, as --omega1 does
+    line = [command, "--beta", "1.5", "--omega0", "1e5"]
+    if command == "fidelity":
+        line += ["--m", "2", "--n", "2", "--out", str(tmp_path / "x.csv")]
+    argv = line + ["--zero-dynamic"]
+    refused = (1, "", "error: --zero-dynamic and --delta are mutually exclusive\n")
+    assert run_cli(capsys, *argv, "--delta", "3e4") == refused
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("delta=3e4\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == refused
+    assert os.listdir(tmp_path) == ["c.cfg"]
+    # the line is the default, so without --delta the flag changes nothing
+    on_line = run_cli(capsys, *argv)
+    assert on_line[0] == 0 and on_line == run_cli(capsys, *line)
 
 
 def readme_command_lines():
@@ -649,6 +739,36 @@ def test_failed_later_rename_leaves_no_output(tmp_path, capsys, argv, blocked):
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
     assert code == 1 and "Is a directory" in err and "wrote" not in out
     assert os.listdir(tmp_path) == [blocked]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--beta", "1.5", "--omega0", "1e5"],
+    ["sweep", "--beta", "1.5", "--omega0", "1e5"],
+    ["reproduce", "fig2"],
+], ids=["fidelity", "sweep", "fig2"])
+def test_scan_into_a_missing_directory_is_refused_first(tmp_path, capsys, monkeypatch, argv):
+    # refused before anything is estimated: the run used to print its row, or
+    # scan to the end, and then fail naming its temporary file
+    def never(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(sweep, "sweep_generic", never)
+    out = tmp_path / "missing" / "x.csv"
+    code, printed, err = run_cli(capsys, *argv, "--m", "4", "--n", "2", "--out", str(out))
+    assert (code, printed) == (1, "")
+    assert err == f"error: {out}: no such directory: '{out.parent}'\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_errors_name_the_destination(tmp_path):
+    # not the temporary file beside it, whether its open or its rename fails
+    result = SweepResult(["seed"], [{"seed": 1}], {"seed": 1})
+    for out in (tmp_path / "missing" / "run.csv", tmp_path / "run.csv"):
+        with pytest.raises(OSError) as err:
+            write_csv(result, str(out))
+        assert str(err.value).endswith(f": '{out}'") and ".tmp" not in str(err.value)
+        (tmp_path / "run.csv").mkdir(exist_ok=True)  # blocks the second one's rename
+    assert os.listdir(tmp_path) == ["run.csv"]
 
 
 # --- config file and seed sources -----------------------------------------------
@@ -769,9 +889,9 @@ def test_every_float_option_refuses_non_finite_values(tmp_path):
             with pytest.raises(SystemExit):
                 parser.parse_args(head + [action.option_strings[0], "nan"])
             cfg.write_text(f"{action.dest}=-inf\n")
-            settings = cli._Settings(parser.parse_args(head + ["--config", str(cfg)]))
+            ns = parser.parse_args(head + ["--config", str(cfg)])
             with pytest.raises(ValueError, match=f"^{cfg}: {action.dest}: value must be finite"):
-                settings.get(action.dest)
+                cli._Settings(ns)
             covered.add(action.dest)
     assert covered == {key for key, (parse, _) in cli._OPTIONS.items() if parse is cli._parse_float}
 
