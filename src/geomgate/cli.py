@@ -219,10 +219,11 @@ _OPTIONS = {
 _GATE_OPTIONS = ("config", "beta", "omega", "omega0", "omega1", "delta", "branch",
                  "two_qubit", "alpha", "coupling_j", "zero_dynamic")
 _ESTIMATOR_OPTIONS = ("delta0", "delta1", "independent", "m", "n", "control_mode",
-                      "gate_model", "haar", "workers", "out")
-_RUN_OPTIONS = ("config", "seed") + _GATE_OPTIONS[1:] + _ESTIMATOR_OPTIONS
+                      "gate_model", "haar")
+# fidelity runs one point, which never starts a worker process: it takes no --workers
+_RUN_OPTIONS = ("config", "seed") + _GATE_OPTIONS[1:] + _ESTIMATOR_OPTIONS + ("out",)
 _REPRODUCE_OPTIONS = ("config", "seed", "beta", "omega0", "omega1", "branch",
-                      "alpha") + _ESTIMATOR_OPTIONS
+                      "alpha") + _ESTIMATOR_OPTIONS + ("workers", "out")
 _SWEEP_OPTIONS = _REPRODUCE_OPTIONS + ("two_qubit", "grid_delta_rel", "grid_omega0")
 
 

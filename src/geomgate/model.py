@@ -220,7 +220,4 @@ def two_qubit_geometric_point(omega0: float, alpha: float) -> TwoQubitParams:
     omega1^2 = omega0^2 + J^2 hold, making gamma_d zero for both control
     states.
     """
-    if not alpha > 0:
-        raise InfeasibleParameters(f"alpha must be positive, got {alpha}")
-    s = math.sqrt(1.0 + alpha * alpha)
-    return two_qubit_from_alpha(omega0, s * omega0, alpha)
+    return two_qubit_from_alpha(omega0, math.sqrt(1.0 + alpha * alpha) * omega0, alpha)

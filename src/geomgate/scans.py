@@ -1,5 +1,6 @@
-"""The command line's scan commands: fidelity, sweep and reproduce. cli.main imports
-this module only to run one, so a `gate` report loads neither it nor numpy.
+"""The command line's scan commands: fidelity, sweep and reproduce, the last two
+through one step, _scan, on the presets' sweep functions (_SWEEPS). cli.main
+imports this module only to run one, so a `gate` report loads neither it nor numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from .cli import _csv_files, _fmt, _resolve, _Settings, _write_atomic, write_csv
 from .fidelity import EstimatorConfig
 from .model import InfeasibleParameters
 from .noise import NoiseSpec
+
+_SWEEPS = {"fig1": sweep.sweep_fig1, "fig2": sweep.sweep_fig2, "fig3": sweep.sweep_fig3,
+           "fig4": sweep.sweep_fig4}
 
 
 def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -> EstimatorConfig:
@@ -36,8 +40,11 @@ def _estimator_config(s: _Settings, spec: NoiseSpec, control_mode: str | None) -
         raise ValueError(f"{source}: {err}") from err
 
 
-def _refuse_missing_dir(out: str | None) -> str | None:
-    """An --out path, refused before anything runs unless its directory exists."""
+def _out_file(out: str | None) -> str | None:
+    """An --out path (None: no file), refused before anything runs unless it names
+    a file, not a directory nor a path ending in a separator, in a directory that exists."""
+    if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
+        raise ValueError(f"--out must name a file, got {out!r}")
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ValueError(f"{out}: no such directory: {os.path.dirname(out)!r}")
     return out
@@ -49,7 +56,7 @@ def cmd_fidelity(ns: argparse.Namespace) -> int:
     cfg = _estimator_config(s, NoiseSpec(0.0, 0.0), "unfixed" if two_qubit else None)
     p, coords = _resolve(s)
     point = sweep.SweepPoint(coords=coords, kind="two_qubit" if two_qubit else "single", params=p)
-    out = _refuse_missing_dir(s.get("out"))
+    out = _out_file(s.get("out") or None)  # an empty --out writes no file
     s.refuse_unread()
     result = sweep.sweep_generic([point], cfg, {"preset": "point"})
     row = result.rows[0]
@@ -62,39 +69,6 @@ def cmd_fidelity(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    """A two-qubit sweep is one fig4 curve, a single-qubit one a fig1 line at
-    fig2's omega0; each on a grid of its own, with the presets' defaults."""
-    s = _Settings(ns)
-    if s.get("two_qubit", False):
-        fig4 = sweep.PRESETS["fig4"]
-        cfg = _estimator_config(s, fig4.spec, fig4.control_mode)
-        alpha = s.get("alpha")
-        if alpha is None:
-            raise InfeasibleParameters("--alpha is required for a two-qubit sweep")
-        omega1 = s.get("omega1", fig4.options["omega1"])
-        grid = s.get("grid_omega0") or list(fig4.grids["omega0_grid"])
-        points = [sweep.two_qubit_point(w0, omega1, alpha) for w0 in grid]
-        meta = {"preset": "sweep", "alpha": alpha, "omega1": omega1,
-                "omega0_grid": grid}
-    else:
-        fig1 = sweep.PRESETS["fig1"]
-        cfg = _estimator_config(s, fig1.spec, None)
-        beta = s.get("beta", fig1.options["beta"])
-        branch = s.get("branch", fig1.options["branch"])
-        omega0 = s.get("omega0", sweep.PRESETS["fig2"].options["omega0"])
-        grid = s.get("grid_delta_rel") or list(fig1.grids["delta_grid"])
-        points = [sweep.single_point(omega0, d, beta, branch) for d in grid]
-        meta = {"preset": "sweep", "beta": beta, "branch": branch,
-                "omega0": omega0, "delta_grid": grid}
-    out = _refuse_missing_dir(s.get("out", "sweep.csv"))
-    s.refuse_unread()
-    result = sweep.sweep_generic(points, cfg, meta)
-    write_csv(result, out)
-    print(f"wrote {out} ({len(result.rows)} rows)")
-    return 0
-
-
 def _preset_option(s: _Settings, key: str, default):
     """A preset keyword from the option of the same name; a `_list` keyword
     from its option without the suffix, whose one value makes the list."""
@@ -104,16 +78,15 @@ def _preset_option(s: _Settings, key: str, default):
     return s.get(key, default)
 
 
-def cmd_reproduce(ns: argparse.Namespace) -> int:
-    s = _Settings(ns)
-    preset = sweep.PRESETS[ns.figure]
+def _scan(s: _Settings, figure: str, default_out: str, **keywords) -> int:
+    """Run a preset's sweep function on its options (_preset_option) and the keywords
+    given; a preset of several curves writes one file per delta1 value beside --out."""
+    preset = sweep.PRESETS[figure]
     cfg = _estimator_config(s, preset.spec, preset.control_mode)
     kwargs = {key: _preset_option(s, key, default) for key, default in preset.options.items()}
-    out = _refuse_missing_dir(s.get("out", f"{ns.figure}.csv"))
+    out = _out_file(s.get("out", default_out))
     s.refuse_unread()
-    run = {"fig1": sweep.sweep_fig1, "fig2": sweep.sweep_fig2, "fig3": sweep.sweep_fig3,
-           "fig4": sweep.sweep_fig4}[ns.figure]
-    results = run(cfg=cfg, **kwargs)
+    results = _SWEEPS[figure](cfg=cfg, **kwargs, **keywords)
     if isinstance(results, sweep.SweepResult):
         results = {out: results}
     else:  # one file per delta1 curve
@@ -126,3 +99,22 @@ def cmd_reproduce(ns: argparse.Namespace) -> int:
     for path, result in results.items():
         print(f"wrote {path} ({len(result.rows)} rows)")
     return 0
+
+
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    """A single-qubit sweep is one fig1 line at fig2's omega0, a two-qubit
+    sweep one fig4 curve: each on its own grid if given, else its preset's."""
+    s = _Settings(ns)
+    if not s.get("two_qubit", False):
+        omega0 = s.get("omega0", sweep.PRESETS["fig2"].options["omega0"])
+        return _scan(s, "fig1", "sweep.csv", omega0_grid=(omega0,),
+                     delta_grid=s.get("grid_delta_rel", sweep.PRESETS["fig1"].grids["delta_grid"]))
+    alpha = s.get("alpha")
+    if alpha is None:
+        raise InfeasibleParameters("--alpha is required for a two-qubit sweep")
+    return _scan(s, "fig4", "sweep.csv", alpha_list=(alpha,),
+                 omega0_grid=s.get("grid_omega0", sweep.PRESETS["fig4"].grids["omega0_grid"]))
+
+
+def cmd_reproduce(ns: argparse.Namespace) -> int:
+    return _scan(_Settings(ns), ns.figure, f"{ns.figure}.csv")

@@ -17,7 +17,7 @@ from geomgate import cli
 from geomgate import sweep
 from geomgate.cli import main, read_config, write_csv
 from geomgate.evolve import one_cycle_gate
-from geomgate.fidelity import estimate_two_qubit
+from geomgate.fidelity import EstimatorConfig, estimate_two_qubit
 from geomgate.model import (
     DriveParams,
     TwoQubitParams,
@@ -69,6 +69,9 @@ def test_gate_infeasible_is_an_error(capsys):
     assert code == 1
     assert "reality constraint" in err
     assert "eta*omega0^2 <= (1-eta)*omega1^2" in err
+    # a geometric two-qubit point's alpha is refused by two_qubit_from_alpha
+    result = run_cli(capsys, "gate", "--two-qubit", "--alpha", "-1", "--omega0", "1")
+    assert result == (1, "", "error: alpha must be positive, got -1.0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -277,6 +280,28 @@ def test_sweep_generic_command(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize("argv,figure,keywords", [
+    (["--beta", "1.5", "--omega0", "2e5", "--grid-delta-rel", "0:1:2"], "fig1",
+     {"omega0_grid": (2e5,), "delta_grid": [0.0, 1.0]}),
+    (["--two-qubit", "--alpha", "1.7", "--grid-omega0", "2:40:3"], "fig4",
+     {"alpha_list": (1.7,), "omega0_grid": [2.0, 21.0, 40.0]}),
+], ids=["single", "two-qubit"])
+def test_sweep_is_its_presets_sweep_function(tmp_path, capsys, argv, figure, keywords):
+    # a sweep is one fig1 line or one fig4 curve: its CSV and .meta are those
+    # of the preset's sweep function, so the .meta records that preset's keys
+    out = tmp_path / "scan.csv"
+    assert run_cli(capsys, "sweep", *argv, "--m", "4", "--n", "2", "--out", str(out))[0] == 0
+    run = getattr(sweep, f"sweep_{figure}")
+    write_csv(run(cfg=EstimatorConfig(spec=sweep.PRESETS[figure].spec, m=4, n=2), **keywords),
+              str(tmp_path / "lib.csv"))
+    for suffix in ("", ".meta"):
+        assert (tmp_path / f"scan.csv{suffix}").read_bytes() == \
+            (tmp_path / f"lib.csv{suffix}").read_bytes()
+    meta = read_config(str(out) + ".meta")
+    assert meta["preset"] == figure and set(keywords) <= set(meta)
+    assert "omega0" not in meta and "alpha" not in meta
+
+
 def test_sweep_point_value_matches_fidelity_command(tmp_path, capsys):
     # common stream keying: a lone fidelity run reproduces the sweep row
     out = tmp_path / "scan.csv"
@@ -396,6 +421,8 @@ def test_reproduce_rejects_unread_drive_options(tmp_path, capsys, figure, argv, 
       for option in ("omega", "delta", "coupling_j", "zero_dynamic")],
     *[(["reproduce", figure], option) for figure in ("fig1", "fig2", "fig3", "fig4")
       for option in ("omega", "delta", "two_qubit", "coupling_j", "zero_dynamic")],
+    # one point never starts a worker process
+    (["fidelity", "--beta", "1.5", "--omega0", "1e5"], "workers"),
 ])
 def test_options_a_command_never_reads_are_refused(tmp_path, capsys, argv, option):
     # an option a subcommand reads under no input is not one of its options:
@@ -760,6 +787,43 @@ def test_scan_into_a_missing_directory_is_refused_first(tmp_path, capsys, monkey
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,out", [
+    *[(argv, out) for argv in (["sweep", "--beta", "1.5", "--omega0", "1e5"],
+                               ["reproduce", "fig1"], ["reproduce", "fig2"])
+      for out in ("", "d", "d" + os.sep, "e" + os.sep)],
+    *[(["fidelity", "--beta", "1.5", "--omega0", "1e5"], out)
+      for out in ("d", "d" + os.sep, "e" + os.sep)],
+], ids=[*[f"{name}-{form}" for name in ("sweep", "fig1", "fig2")
+          for form in ("empty", "directory", "directory-separator", "separator")],
+        "fidelity-directory", "fidelity-directory-separator", "fidelity-separator"])
+def test_out_that_names_no_file_is_refused_first(tmp_path, capsys, monkeypatch, argv, out):
+    # refused before anything is estimated or printed, as a flag or a config
+    # key: the run used to scan to the end and then fail on the path, or (fig2
+    # into d/) write its curves as d/_delta1_0.01.csv and so on; d exists, e does not
+    def never(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(sweep, "sweep_generic", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "c.cfg").write_text(f"out={out}\n")
+    refused = (1, "", f"error: --out must name a file, got {out!r}\n")
+    assert run_cli(capsys, *argv, "--m", "4", "--n", "2", "--out", out) == refused
+    assert run_cli(capsys, *argv, "--m", "4", "--n", "2", "--config", "c.cfg") == refused
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg", "d"] and os.listdir(tmp_path / "d") == []
+
+
+def test_fidelity_reads_an_empty_out_as_no_file(tmp_path, capsys, monkeypatch):
+    # as a flag or a config key; the scans refuse it (above)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("out=\n")
+    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--m", "4", "--n", "2"]
+    code, printed, err = run_cli(capsys, *argv, "--out", "")
+    assert (code, err) == (0, "") and printed.startswith("omega0,") and "F = " in printed
+    assert run_cli(capsys, *argv, "--config", "c.cfg") == (0, printed, "")
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
 def test_write_errors_name_the_destination(tmp_path):
     # not the temporary file beside it, whether its open or its rename fails
     result = SweepResult(["seed"], [{"seed": 1}], {"seed": 1})
@@ -917,17 +981,19 @@ def test_seed_outside_64_bits_refused(tmp_path, capsys, monkeypatch, seed):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("m", "0", "m must be >= 1, got 0"),
-    ("workers", "0", "workers must be >= 1, got 0"),
-    ("delta0", "1.5", "delta0 must satisfy 0 <= delta < 1, got 1.5"),
-    ("seed", "-1", "seed must lie in [0, 2**64), got -1"),
+@pytest.mark.parametrize("command,key,value,message", [
+    ("fidelity", "m", "0", "m must be >= 1, got 0"),
+    ("sweep", "workers", "0", "workers must be >= 1, got 0"),
+    ("fidelity", "delta0", "1.5", "delta0 must satisfy 0 <= delta < 1, got 1.5"),
+    ("fidelity", "seed", "-1", "seed must lie in [0, 2**64), got -1"),
 ], ids=["m", "workers", "delta0", "seed"])
-def test_value_out_of_range_names_its_file_and_key(tmp_path, capsys, key, value, message):
+def test_value_out_of_range_names_its_file_and_key(tmp_path, capsys, command, key, value,
+                                                   message):
     # the estimator's bounds refuse the value; a config file's is named as a
-    # parse error is, a flag's carries the estimator's message alone
+    # parse error is, a flag's carries the estimator's message alone (only the
+    # scans take --workers)
     out = tmp_path / "f.csv"
-    argv = ["fidelity", "--beta", "1.5", "--omega0", "1e5", "--n", "4", "--out", str(out)]
+    argv = [command, "--beta", "1.5", "--omega0", "1e5", "--n", "4", "--out", str(out)]
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{key}={value}\n")
     result = run_cli(capsys, *argv, "--config", str(cfg))

@@ -180,6 +180,20 @@ def test_omega_for_beta_checks_the_fields_first(omega0, omega1, field):
         omega_for_beta(omega0, omega1, 1.5)
 
 
+def test_omega_for_beta_refuses_an_unknown_branch():
+    # a misnamed branch is a caller's error, not an infeasible point
+    with pytest.raises(ValueError, match="^branch must be one of") as err:
+        omega_for_beta(1e5, 2e5, 1.5, "middle")
+    assert type(err.value) is ValueError
+
+
+def test_omega_for_beta_refuses_a_rate_that_is_not_positive():
+    # a negative omega1 is in range and its discriminant is real, but both
+    # roots of the quadratic are negative drive rates
+    with pytest.raises(InfeasibleParameters, match=r"^solved omega=-9\.79\d* is not positive$"):
+        omega_for_beta(1.0, -5.0, 1.5)
+
+
 def test_omega_for_beta_invalid_beta():
     with pytest.raises(InfeasibleParameters, match="eta"):
         omega_for_beta(1.0, 10.0, -0.5)
@@ -281,3 +295,10 @@ def test_two_qubit_from_alpha_invariants():
     assert p2.target.omega == 50.0 + math.sqrt(1.0 + 3.0) * 20.0
     with pytest.raises(InfeasibleParameters):
         two_qubit_from_alpha(20.0, 50.0, -1.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
+def test_two_qubit_geometric_point_refuses_alpha_not_positive(alpha):
+    # refused by two_qubit_from_alpha, which the geometric point calls
+    with pytest.raises(InfeasibleParameters, match=f"^alpha must be positive, got {alpha}$"):
+        two_qubit_geometric_point(30.0, alpha)
